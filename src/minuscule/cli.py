@@ -37,6 +37,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _cap(text: str) -> int:
+    """A search cap: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid cap {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"cap must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="minuscule", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -51,8 +62,8 @@ def _build_parser() -> _Parser:
 
     def add_common(p):
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        p.add_argument("--cap", type=int, default=None,
-                       help="enumeration/orbit size cap")
+        p.add_argument("--cap", type=_cap, default=None,
+                       help="enumeration/orbit size cap, at least 1")
 
     root = sub.add_parser("root", help="root-system queries")
     root_sub = root.add_subparsers(dest="subcommand", required=True)
@@ -100,7 +111,7 @@ def _build_parser() -> _Parser:
     kst.add_argument("--oracle", action="store_true",
                      help="use the alternating-sum route instead of charge")
     kst.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    kst.add_argument("--cap", type=int, default=None)
+    kst.add_argument("--cap", type=_cap, default=None)
 
     csp_cmd = sub.add_parser("csp", help="cyclic-sieving verification")
     csp_sub = csp_cmd.add_subparsers(dest="subcommand", required=True)
@@ -188,7 +199,7 @@ def _cmd_root(args, out):
 def _cmd_paths(args, out, stdin):
     seq = _sequence(args)
     if args.subcommand == "enumerate":
-        cap = args.cap if args.cap else paths.DEFAULT_PATH_CAP
+        cap = paths.DEFAULT_PATH_CAP if args.cap is None else args.cap
         found = paths.enumerate_paths(seq, cap=cap)
         payload = [p.to_json_dict() for p in found]
         rows = [[c for point in p.points for c in point] for p in found]
@@ -225,7 +236,7 @@ def _cmd_tableau(args, out, stdin):
 def _cmd_crystal(args, out, stdin):
     seq = _sequence(args)
     if args.subcommand == "invariants":
-        cap = args.cap if args.cap else crystals.DEFAULT_NODE_CAP
+        cap = crystals.DEFAULT_NODE_CAP if args.cap is None else args.cap
         elements = crystals.invariant_elements(seq, cap=cap)
         payload = [b.to_json_dict() for b in elements]
         rows = [[c for f in b.factors for c in f] for b in elements]

@@ -9,6 +9,19 @@ Equivalently: write '-' for a factor pairing to -1 and '+' for +1, cancel
 adjacent "+-" pairs, then lowering acts at the leftmost surviving '+' and
 raising at the rightmost surviving '-'.  The crystal zero is represented
 by ``None``; it is a value, never an error.
+
+The surviving signs always read '-'^a '+'^p, so a whole operator string
+is one pass over the factors: e_i^c flips the rightmost c surviving '-',
+f_i^c the leftmost c surviving '+'.  Kashiwara's Weyl-group action S_i
+reflects an element within its i-string; it flips the leftmost p - a '+'
+or the rightmost a - p '-'.  Along a reduced word of w0, the S_i carry a
+highest-weight element to the lowest-weight element of its component.
+
+Validation happens once, where data enters: the public
+``TensorCrystalElement`` constructor checks orbit membership.  Operators,
+strings, S_i, the invariant search and the commutor only ever reflect
+factors that are already in their orbits, so they build their results
+with the unchecked ``TensorCrystalElement._trusted``.
 """
 from __future__ import annotations
 
@@ -24,7 +37,14 @@ from .errors import (
     NotInvariant,
 )
 from .paths import LittelmannPath, WeightSequence, _add, _sub
-from .rootsys import Weight, dual_index, simple_reflection, two_rho_pairing, weyl_orbit
+from .rootsys import (
+    Weight,
+    dual_index,
+    simple_reflection,
+    to_dominant,
+    two_rho_pairing,
+    weyl_orbit,
+)
 
 DEFAULT_NODE_CAP = 5_000_000
 
@@ -32,6 +52,13 @@ DEFAULT_NODE_CAP = 5_000_000
 @functools.lru_cache(maxsize=None)
 def _orbit_set(rs, lam):
     return frozenset(weyl_orbit(rs, lam))
+
+
+@functools.lru_cache(maxsize=None)
+def _w0_word(rs) -> tuple[int, ...]:
+    """A reduced word of the longest Weyl element: it sends -rho to rho."""
+    _, word = to_dominant(rs, (-1,) * rs.rank)
+    return word.letters
 
 
 @dataclass(frozen=True)
@@ -49,6 +76,15 @@ class TensorCrystalElement:
             if f not in _orbit_set(self.seq.rs, lam):
                 raise InvalidPath(f"factor {f} is not in the orbit of {lam}")
 
+    @classmethod
+    def _trusted(cls, seq: WeightSequence, factors: tuple[Weight, ...]):
+        """Build without checks: ``factors`` is a tuple of weight tuples, one
+        per entry of ``seq``, each already in the orbit of its type."""
+        b = object.__new__(cls)
+        object.__setattr__(b, "seq", seq)
+        object.__setattr__(b, "factors", factors)
+        return b
+
     def weight(self) -> Weight:
         total = self.seq.rs.zero()
         for f in self.factors:
@@ -59,19 +95,42 @@ class TensorCrystalElement:
         return {"factors": [list(f) for f in self.factors]}
 
 
-def _signature(b: TensorCrystalElement, i: int):
-    """Surviving signs after cancelling "+-": list of (factor index, sign)."""
-    stack: list[tuple[int, int]] = []
-    for k, f in enumerate(b.factors):
-        a = f[i - 1]
+def _signature(factors, i: int):
+    """Surviving signs after cancelling "+-": the indices of the factors
+    left with a '-' and of those left with a '+', both ascending.  Every
+    surviving '-' lies left of every surviving '+'."""
+    j = i - 1
+    minus: list[int] = []
+    plus: list[int] = []
+    for k, f in enumerate(factors):
+        a = f[j]
         if a == 1:
-            stack.append((k, 1))
+            plus.append(k)
         elif a == -1:
-            if stack and stack[-1][1] == 1:
-                stack.pop()
+            if plus:
+                plus.pop()
             else:
-                stack.append((k, -1))
-    return stack
+                minus.append(k)
+    return minus, plus
+
+
+@functools.lru_cache(maxsize=None)
+def _reflected(rs, i: int, f: Weight) -> Weight:
+    # factors range over a few small orbits, so the same reflections recur
+    return simple_reflection(rs, i, f)
+
+
+def _flip(rs, factors: list, i: int, positions):
+    """Reflect the listed factors at alpha_i, in place."""
+    for k in positions:
+        factors[k] = _reflected(rs, i, factors[k])
+
+
+def _reflect(rs, factors: list, i: int):
+    """Kashiwara's S_i in place: f_i^(p-a) or e_i^(a-p) along the i-string."""
+    minus, plus = _signature(factors, i)
+    a, p = len(minus), len(plus)
+    _flip(rs, factors, i, plus[:p - a] if p > a else minus[p:])
 
 
 def crystal_op(direction: str, i: int, b: TensorCrystalElement):
@@ -81,32 +140,24 @@ def crystal_op(direction: str, i: int, b: TensorCrystalElement):
         raise InvalidIndex(f"index {i} out of range for {rs}")
     if direction not in ("raise", "lower"):
         raise InvalidIndex(f"unknown direction {direction!r}")
-    stack = _signature(b, i)
+    minus, plus = _signature(b.factors, i)
     if direction == "lower":
-        k = next((k for k, s in stack if s == 1), None)
+        positions = plus[:1]
     else:
-        k = next((k for k, s in reversed(stack) if s == -1), None)
-    if k is None:
+        positions = minus[-1:]
+    if not positions:
         return None
     factors = list(b.factors)
-    factors[k] = simple_reflection(rs, i, factors[k])
-    return TensorCrystalElement(b.seq, tuple(factors))
-
-
-def raise_op(i, b):
-    return crystal_op("raise", i, b)
-
-
-def lower_op(i, b):
-    return crystal_op("lower", i, b)
+    _flip(rs, factors, i, positions)
+    return TensorCrystalElement._trusted(b.seq, tuple(factors))
 
 
 def epsilon(i: int, b: TensorCrystalElement) -> int:
-    return sum(1 for _, s in _signature(b, i) if s == -1)
+    return len(_signature(b.factors, i)[0])
 
 
 def phi(i: int, b: TensorCrystalElement) -> int:
-    return sum(1 for _, s in _signature(b, i) if s == 1)
+    return len(_signature(b.factors, i)[1])
 
 
 def is_highest_weight(b: TensorCrystalElement) -> bool:
@@ -121,7 +172,7 @@ def all_elements(seq: WeightSequence):
     """Iterate the full tensor crystal in lexicographic factor order."""
     orbits = [weyl_orbit(seq.rs, lam) for lam in seq.weights]
     for combo in itertools.product(*orbits):
-        yield TensorCrystalElement(seq, combo)
+        yield TensorCrystalElement._trusted(seq, combo)
 
 
 def crystal_size(seq: WeightSequence) -> int:
@@ -131,12 +182,30 @@ def crystal_size(seq: WeightSequence) -> int:
     return size
 
 
+def _append_signs(unmatched: tuple[int, ...], f: Weight):
+    """Unmatched '+' count per index after appending the factor ``f``, or
+    ``None`` when ``f`` leaves a '-' that nothing can cancel: eps_i is then
+    positive for every extension of the prefix."""
+    out = list(unmatched)
+    for j, a in enumerate(f):
+        if a == 1:
+            out[j] += 1
+        elif a == -1:
+            if not out[j]:
+                return None
+            out[j] -= 1
+    return tuple(out)
+
+
 def invariant_elements(seq: WeightSequence, cap: int = DEFAULT_NODE_CAP) -> tuple[TensorCrystalElement, ...]:
     """All highest-weight elements of weight zero, in deterministic order.
 
-    Searches factor by factor; partial weights are bounded through the
-    positive-coroot sum, and the last factor is forced to whatever cancels
-    the running total.
+    Searches factor by factor.  Every prefix of a highest-weight element is
+    highest weight, so a branch is cut as soon as a factor leaves a '-' in
+    some signature that no '+' before it cancels.  Partial weights are
+    bounded through the positive-coroot sum, the last factor is forced to
+    whatever cancels the running total, and every candidate is checked
+    with ``is_highest_weight``.
     """
     rs = seq.rs
     m = len(seq)
@@ -149,7 +218,7 @@ def invariant_elements(seq: WeightSequence, cap: int = DEFAULT_NODE_CAP) -> tupl
     out = []
     prefix: list[Weight] = []
 
-    def search(k: int, partial: Weight):
+    def search(k: int, partial: Weight, unmatched: tuple[int, ...]):
         nonlocal visited
         visited += 1
         if visited > cap:
@@ -159,60 +228,89 @@ def invariant_elements(seq: WeightSequence, cap: int = DEFAULT_NODE_CAP) -> tupl
         if k == m - 1:
             last = _sub(rs.zero(), partial)
             if last in _orbit_set(rs, seq.weights[k]):
-                candidate = TensorCrystalElement(seq, tuple(prefix) + (last,))
+                candidate = TensorCrystalElement._trusted(seq, tuple(prefix) + (last,))
                 if is_highest_weight(candidate):
                     out.append(candidate)
             return
         for f in orbits[k]:
+            signs = _append_signs(unmatched, f)
+            if signs is None:
+                continue
             prefix.append(f)
-            search(k + 1, _add(partial, f))
+            search(k + 1, _add(partial, f), signs)
             prefix.pop()
 
-    search(0, rs.zero())
+    search(0, rs.zero(), (0,) * rs.rank)
     out.sort(key=lambda b: b.factors)
     return tuple(out)
 
 
 def _to_highest(b, policy=None):
     """Raise to the top of the connected component, recording the indices
-    in application order."""
-    rank = b.seq.rs.rank
-    record = []
+    in application order.
+
+    Without a ``policy`` each step raises a whole string e_i^eps_i at the
+    smallest index with eps_i > 0.  With one, each step is a single e_i at
+    the index ``policy(options, element)`` picks, so a random policy
+    exercises a different route.
+    """
+    rs = b.seq.rs
+    record: list[int] = []
+    if policy is not None:
+        while True:
+            options = [i for i in range(1, rs.rank + 1) if epsilon(i, b) > 0]
+            if not options:
+                return b, record
+            i = policy(options, b)
+            record.append(i)
+            b = crystal_op("raise", i, b)
+    factors = list(b.factors)
     while True:
-        options = [i for i in range(1, rank + 1) if epsilon(i, b) > 0]
-        if not options:
-            return b, record
-        i = options[0] if policy is None else policy(options, b)
-        record.append(i)
-        b = crystal_op("raise", i, b)
+        for i in range(1, rs.rank + 1):
+            minus, _ = _signature(factors, i)
+            if minus:
+                _flip(rs, factors, i, minus)
+                record.extend([i] * len(minus))
+                break
+        else:
+            return TensorCrystalElement._trusted(b.seq, tuple(factors)), record
 
 
-def _to_lowest(b):
-    rank = b.seq.rs.rank
-    while True:
-        i = next((i for i in range(1, rank + 1) if phi(i, b) > 0), None)
-        if i is None:
-            return b
-        b = crystal_op("lower", i, b)
+def _to_lowest(top):
+    """The lowest-weight element of the component of the highest-weight
+    element ``top``: Kashiwara's S_i along a reduced word of w0.  As w0 is
+    an involution, the word's letters may be applied in either order."""
+    rs = top.seq.rs
+    factors = list(top.factors)
+    for i in _w0_word(rs):
+        _reflect(rs, factors, i)
+    return TensorCrystalElement._trusted(top.seq, tuple(factors))
 
 
 def schutzenberger(b: TensorCrystalElement, policy=None) -> TensorCrystalElement:
     """The involution swapping highest and lowest weight elements.
 
     Raise ``b`` to the top of its component recording indices i_1..i_k in
-    application order, descend to the component's bottom, then replay the
-    record backwards through raising operators at the dual indices.  The
-    result does not depend on the recorded route; ``policy`` exists so
-    tests can randomize it.
+    application order, move to the component's bottom by Kashiwara's S_i
+    along a reduced word of w0, then replay the record backwards through
+    raising operators at the dual indices, each run of equal entries as
+    one string e_{i*}^c.  Without a ``policy`` the ascent raises whole
+    strings; a ``policy`` picks every single step instead.  The result
+    does not depend on the route; ``policy`` exists so tests can
+    randomize it.  The input was validated when it was built, and every
+    step reflects factors inside their orbits, so nothing is re-checked.
     """
     rs = b.seq.rs
     top, record = _to_highest(b, policy)
-    x = _to_lowest(top)
-    for i in reversed(record):
-        x = crystal_op("raise", dual_index(rs, i), x)
-        if x is None:  # pragma: no cover - would signal a bug
+    x = list(_to_lowest(top).factors)
+    for i, run in itertools.groupby(reversed(record)):
+        j = dual_index(rs, i)
+        c = sum(1 for _ in run)
+        minus, _ = _signature(x, j)
+        if len(minus) < c:  # pragma: no cover - would signal a bug
             raise AlgorithmInvariantViolated("replay of the raising record left the crystal")
-    return x
+        _flip(rs, x, j, minus[len(minus) - c:])
+    return TensorCrystalElement._trusted(b.seq, tuple(x))
 
 
 def commutor_rotate(b: TensorCrystalElement) -> TensorCrystalElement:
@@ -221,9 +319,9 @@ def commutor_rotate(b: TensorCrystalElement) -> TensorCrystalElement:
         raise NotInvariant("commutor rotation is defined on invariant elements only")
     seq = b.seq
     rs = seq.rs
-    head = TensorCrystalElement(WeightSequence(rs, seq.weights[:1]), b.factors[:1])
-    tail = TensorCrystalElement(WeightSequence(rs, seq.weights[1:]), b.factors[1:])
-    out = TensorCrystalElement(
+    head = TensorCrystalElement._trusted(WeightSequence(rs, seq.weights[:1]), b.factors[:1])
+    tail = TensorCrystalElement._trusted(WeightSequence(rs, seq.weights[1:]), b.factors[1:])
+    out = TensorCrystalElement._trusted(
         seq.rotated(1), schutzenberger(tail).factors + schutzenberger(head).factors)
     if not is_invariant(out):  # pragma: no cover - would signal a bug
         raise AlgorithmInvariantViolated("rotated element is no longer invariant")
@@ -231,10 +329,12 @@ def commutor_rotate(b: TensorCrystalElement) -> TensorCrystalElement:
 
 
 def path_bijection(p: LittelmannPath) -> TensorCrystalElement:
-    """Successive differences of a dominant path, as a tensor element."""
+    """Successive differences of a dominant path, as a tensor element.
+
+    A path's steps were checked against their orbits when it was built."""
     prev = p.seq.rs.zero()
     factors = []
     for point in p.points:
         factors.append(_sub(point, prev))
         prev = point
-    return TensorCrystalElement(p.seq, tuple(factors))
+    return TensorCrystalElement._trusted(p.seq, tuple(factors))

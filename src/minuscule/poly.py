@@ -141,7 +141,3 @@ class IntPolynomial:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
-
-
-ZERO = IntPolynomial()
-ONE = IntPolynomial((1,))

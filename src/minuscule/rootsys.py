@@ -46,6 +46,22 @@ class RootSystem:
     positive_coroots: tuple[tuple[int, ...], ...]
     two_rho_covector: tuple[int, ...]
 
+    def __post_init__(self):
+        # Instances key several lru_caches on hot paths, so hash the
+        # fields once instead of on every lookup.
+        object.__setattr__(self, "_hash", hash(self._fields()))
+
+    def _fields(self):
+        return (self.family, self.rank, self.cartan, self.positive_coroots,
+                self.two_rho_covector)
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through the constructor: string hashes differ per process
+        return (RootSystem, self._fields())
+
     def __str__(self):
         return f"{self.family}{self.rank}"
 

@@ -83,6 +83,28 @@ class TestRootAndCrystal:
         assert code == 2 and "invariant" in err
 
 
+class TestCap:
+    COMMANDS = [
+        ["paths", "enumerate", "--type", "A", "--rank", "1", "--weights", "1,1,1,1"],
+        ["crystal", "invariants", "--type", "A", "--rank", "1", "--weights", "1,1,1,1"],
+    ]
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    @pytest.mark.parametrize("cap", ["0", "-1", "two"])
+    def test_rejected_at_the_boundary(self, argv, cap):
+        code, out, err = invoke(argv + ["--cap", cap])
+        assert code == 2 and out == "" and "--cap" in err
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_small_cap_is_honoured(self, argv):
+        code, out, err = invoke(argv + ["--cap", "1"])
+        assert code == 2 and out == "" and "1" in err
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_ample_cap_matches_default(self, argv):
+        assert invoke(argv + ["--cap", "1000"]) == invoke(argv)
+
+
 class TestTableauCommands:
     def test_promote_stdin(self):
         code, out, _ = invoke(["tableau", "promote"], text="[[1, 3], [2, 4]]")

@@ -1,9 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minuscule.crystals import (
+    DEFAULT_NODE_CAP,
     TensorCrystalElement,
+    _reflect,
+    _to_highest,
+    _to_lowest,
     all_elements,
     commutor_rotate,
     crystal_op,
@@ -17,8 +22,9 @@ from minuscule.crystals import (
     schutzenberger,
 )
 from minuscule.errors import EnumerationTooLarge, InvalidIndex, NotInvariant
+from minuscule.kostka import invariant_dim
 from minuscule.paths import WeightSequence, enumerate_paths, rotate
-from minuscule.rootsys import build_root_system, dual_index
+from minuscule.rootsys import build_root_system, dual_index, minuscule_weights, weyl_orbit
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -93,6 +99,20 @@ class TestCrystalOp:
                     x = nxt
                 assert downs == phi(i, b)
 
+    @pytest.mark.parametrize("seq", SMALL_SEQUENCES[:5])
+    def test_kashiwara_reflection_is_an_operator_string(self, seq):
+        # S_i = f_i^n for n = phi_i - eps_i >= 0, and e_i^-n otherwise
+        rs = seq.rs
+        for b in all_elements(seq):
+            for i in range(1, rs.rank + 1):
+                n = phi(i, b) - epsilon(i, b)
+                x = b
+                for _ in range(abs(n)):
+                    x = crystal_op("lower" if n > 0 else "raise", i, x)
+                factors = list(b.factors)
+                _reflect(rs, factors, i)
+                assert tuple(factors) == x.factors
+
 
 class TestHighestLowest:
     @pytest.mark.parametrize("seq", SMALL_SEQUENCES[:5])
@@ -129,6 +149,17 @@ class TestInvariantElements:
 
     def test_single_factor_has_no_invariants(self):
         assert invariant_elements(WeightSequence(A1, (W,))) == ()
+
+    def test_e6_six_factors_within_the_default_cap(self):
+        # without the prefix cut this search needs 14,246,524 nodes
+        E6 = build_root_system("E", 6)
+        seq = WeightSequence(E6, (E6.fundamental_weight(1),) * 6)
+        found = invariant_elements(seq, cap=DEFAULT_NODE_CAP)
+        assert len(found) == len(enumerate_paths(seq)) == 15
+        assert invariant_elements(seq, cap=10_000) == found
+
+    def test_a3_twelve_factors(self):
+        assert len(invariant_elements(WeightSequence(A3, ((1, 0, 0),) * 12))) == 462
 
 
 class TestSchutzenberger:
@@ -208,3 +239,68 @@ class TestPathBijection:
 def test_crystal_size():
     assert crystal_size(WeightSequence(A1, (W,) * 4)) == 16
     assert crystal_size(WeightSequence(D4, (D4.fundamental_weight(1),) * 4)) == 4096
+
+
+# Random minuscule sequences from every family that has minuscule weights.
+MINUSCULE_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 5), ("B", 2), ("B", 4),
+                   ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("E", 6), ("E", 7)]
+
+
+@st.composite
+def sequences(draw):
+    rs = build_root_system(*draw(st.sampled_from(MINUSCULE_TYPES)))
+    weights = minuscule_weights(rs)
+    # fewer factors for larger orbits keeps every search small
+    orbit = max(len(weyl_orbit(rs, lam)) for lam in weights)
+    longest = 8 if orbit <= 4 else 6 if orbit <= 10 else 4 if orbit <= 32 else 3
+    picked = draw(st.lists(st.sampled_from(weights), min_size=1, max_size=longest))
+    return WeightSequence(rs, tuple(picked))
+
+
+@st.composite
+def elements(draw):
+    seq = draw(sequences())
+    factors = tuple(draw(st.sampled_from(weyl_orbit(seq.rs, lam))) for lam in seq.weights)
+    return TensorCrystalElement(seq, factors)
+
+
+def revalidated(b):
+    """Rebuild through the checking constructor; raises if ``b`` is invalid."""
+    return TensorCrystalElement(b.seq, b.factors)
+
+
+class TestProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(elements())
+    def test_string_route_equals_single_steps_and_is_an_involution(self, b):
+        xi = schutzenberger(b)
+        assert xi.factors == schutzenberger(b, policy=lambda options, _: options[0]).factors
+        assert schutzenberger(xi).factors == b.factors
+
+    @settings(max_examples=80, deadline=None)
+    @given(elements())
+    def test_lowest_of_top_has_no_phi(self, b):
+        top, _ = _to_highest(b)
+        assert is_highest_weight(top)
+        low = _to_lowest(top)
+        assert all(phi(i, low) == 0 for i in range(1, b.seq.rs.rank + 1))
+
+    @settings(max_examples=80, deadline=None)
+    @given(elements())
+    def test_outputs_revalidate(self, b):
+        for i in range(1, b.seq.rs.rank + 1):
+            for direction in ("raise", "lower"):
+                image = crystal_op(direction, i, b)
+                if image is not None:
+                    assert revalidated(image) == image
+        xi = schutzenberger(b)
+        assert revalidated(xi) == xi
+
+    @settings(max_examples=60, deadline=None)
+    @given(sequences())
+    def test_invariant_counts_agree(self, seq):
+        found = invariant_elements(seq)
+        assert len(found) == len(enumerate_paths(seq)) == invariant_dim(seq)
+        for b in found:
+            image = commutor_rotate(b)
+            assert revalidated(image) == image

@@ -1,9 +1,15 @@
 import itertools
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import minuscule
 from minuscule.errors import InvalidIndex, InvalidType, OrbitTooLarge
 from minuscule.rootsys import (
     apply_word,
@@ -233,3 +239,17 @@ def test_dual_index():
     assert [dual_index(d4, i) for i in range(1, 5)] == [1, 2, 3, 4]
     a3 = build_root_system("A", 3)
     assert [dual_index(a3, i) for i in range(1, 4)] == [3, 2, 1]
+
+
+def test_cached_hash_survives_pickling_across_interpreters():
+    # string hashes differ between interpreters, so an unpickled root
+    # system must hash like one built here
+    code = ("import pickle, sys; from minuscule.rootsys import build_root_system; "
+            "sys.stdout.buffer.write(pickle.dumps(build_root_system('D', 4)))")
+    env = dict(os.environ, PYTHONHASHSEED="1",
+               PYTHONPATH=str(Path(minuscule.__file__).parent.parent))
+    data = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, check=True).stdout
+    here = build_root_system("D", 4)
+    there = pickle.loads(data)
+    assert there == here and hash(there) == hash(here)
