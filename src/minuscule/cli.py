@@ -161,15 +161,15 @@ def _read_json(source: str, stdin):
 
 
 def _path_from_json(seq: WeightSequence, data) -> LittelmannPath:
+    """A path read as JSON: its point list, or an object with ``points`` and
+    an optional ``type``; the constructor validates the points."""
     if isinstance(data, dict):
-        if "type" in data:
-            declared = tuple(tuple(w) for w in data["type"])
-            if declared != seq.weights:
-                raise _UsageError("path type in the input disagrees with --weights")
-        points = data["points"]
-    else:
-        points = data
-    return LittelmannPath(seq, tuple(tuple(p) for p in points))
+        if "type" in data and data["type"] != [list(w) for w in seq.weights]:
+            raise _UsageError("path type in the input disagrees with --weights")
+        if "points" not in data:
+            raise _UsageError("path input has no \"points\" list")
+        data = data["points"]
+    return LittelmannPath(seq, data)
 
 
 def _emit(args, payload, out, csv_rows=None):

@@ -36,7 +36,7 @@ from .errors import (
     InvalidPath,
     NotInvariant,
 )
-from .paths import LittelmannPath, WeightSequence, _add, _sub
+from .paths import LittelmannPath, WeightSequence, _add, _orbit_set, _sub
 from .rootsys import (
     Weight,
     dual_index,
@@ -47,11 +47,6 @@ from .rootsys import (
 )
 
 DEFAULT_NODE_CAP = 5_000_000
-
-
-@functools.lru_cache(maxsize=None)
-def _orbit_set(rs, lam):
-    return frozenset(weyl_orbit(rs, lam))
 
 
 @functools.lru_cache(maxsize=None)

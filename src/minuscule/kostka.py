@@ -16,6 +16,7 @@ wrap-around.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 
@@ -49,25 +50,27 @@ def charge(word) -> int:
     if any(mult[i] < mult[i + 1] for i in range(top - 1)) or 0 in mult:
         raise InvalidContent(f"content {tuple(mult)} is not a partition")
 
-    entries = list(enumerate(word))  # (position, letter), position order
+    # ascending positions of each letter; every round removes one of each
+    # letter 1..top, so the content stays a partition and top only falls
+    where: list[list[int]] = [[] for _ in range(top + 1)]
+    for p, x in enumerate(word):
+        where[x].append(p)
     total = 0
-    while entries:
-        top = max(letter for _, letter in entries)
+    while top:
         # letter 1: first found reading right to left
-        pos = {1: next(p for p, letter in reversed(entries) if letter == 1)}
-        for target in range(2, top + 1):
-            here = pos[target - 1]
-            before = [p for p, letter in entries if letter == target and p < here]
-            after = [p for p, letter in entries if letter == target and p > here]
-            # continue leftward, wrapping to the right end if needed
-            pos[target] = max(before) if before else max(after)
+        here = where[1].pop()
         index = 0
         for target in range(2, top + 1):
-            if pos[target] > pos[target - 1]:
+            spots = where[target]
+            # continue leftward, wrapping to the right end if needed
+            k = bisect.bisect_left(spots, here)
+            nxt = spots.pop(k - 1 if k else -1)
+            if nxt > here:
                 index += 1
             total += index
-        chosen = set(pos.values())
-        entries = [e for e in entries if e[0] not in chosen]
+            here = nxt
+        while top and not where[top]:
+            top -= 1
     return total
 
 

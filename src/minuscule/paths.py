@@ -1,11 +1,21 @@
 """Dominant lattice paths with minuscule steps, and their rotation.
 
 A path is stored as its list of points (the origin is implicit), because
-rotation manipulates points, not steps.  Orbit membership of the
-successive differences is re-checked whenever a path is built.
+rotation manipulates points, not steps.
+
+Validation happens once, where data enters: the public ``MinusculePath``
+and ``LittelmannPath`` constructors check the shape of the input (a list
+of points of exactly ``rank`` int coordinates), that every step stays in
+its orbit, and, for a Littelmann path, dominance and the return to the
+origin.  Enumeration, straightening and rotation produce paths that are
+correct by construction, so they build them with the unchecked
+``_trusted``; rotation still checks its output exactly once, and a
+failure there is an ``AlgorithmInvariantViolated``.
 """
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -30,15 +40,20 @@ DEFAULT_PATH_CAP = 100_000
 
 
 def _add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def _sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def _is_dominant(w):
-    return all(x >= 0 for x in w)
+    return min(w) >= 0
+
+
+@functools.lru_cache(maxsize=None)
+def _orbit_set(rs, lam):
+    return frozenset(weyl_orbit(rs, lam))
 
 
 @dataclass(frozen=True)
@@ -57,18 +72,48 @@ class WeightSequence:
                 raise InvalidSequence(f"{w} is not a dominant minuscule weight of {self.rs}")
         object.__setattr__(self, "weights", tuple(tuple(w) for w in self.weights))
 
+    @classmethod
+    def _trusted(cls, rs: RootSystem, weights: tuple[Weight, ...]):
+        """Build without checks: ``weights`` is a non-empty tuple of weight
+        tuples, each a dominant minuscule weight of ``rs``."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "rs", rs)
+        object.__setattr__(seq, "weights", weights)
+        return seq
+
     def __len__(self):
         return len(self.weights)
 
     def rotated(self, j: int = 1) -> "WeightSequence":
         j %= len(self.weights)
-        return WeightSequence(self.rs, self.weights[j:] + self.weights[:j])
+        return WeightSequence._trusted(self.rs, self.weights[j:] + self.weights[:j])
 
     def total(self) -> Weight:
         total = self.rs.zero()
         for w in self.weights:
             total = _add(total, w)
         return total
+
+
+def _step_defect(seq: WeightSequence, points) -> str | None:
+    """Why some step of ``points`` leaves its orbit, or None."""
+    rs = seq.rs
+    orbits = {lam: _orbit_set(rs, lam) for lam in set(seq.weights)}
+    prev = rs.zero()
+    for point, lam in zip(points, seq.weights):
+        if _sub(point, prev) not in orbits[lam]:
+            return f"step into {point} leaves the orbit of {lam}"
+        prev = point
+    return None
+
+
+def _closed_defect(points) -> str | None:
+    """Why ``points`` is not dominant throughout and back at the origin, or None."""
+    if min(map(min, points)) < 0:
+        return "all points of the path must be dominant"
+    if any(points[-1]):
+        return "the path must end at the origin"
+    return None
 
 
 @dataclass(frozen=True)
@@ -79,20 +124,36 @@ class MinusculePath:
     points: tuple[Weight, ...]
 
     def __post_init__(self):
+        rank = self.seq.rs.rank
+        if not isinstance(self.points, (list, tuple)):
+            raise InvalidPath(f"points must be a list of points, got {self.points!r}")
+        for point in self.points:
+            if not isinstance(point, (list, tuple)) or len(point) != rank:
+                raise InvalidPath(f"point {point!r} does not have exactly {rank} coordinates")
+            if any(type(x) is not int for x in point):
+                raise InvalidPath(f"point {point!r} has a coordinate that is not an integer")
         object.__setattr__(self, "points", tuple(tuple(p) for p in self.points))
         if len(self.points) != len(self.seq):
             raise InvalidPath("point count does not match the type sequence")
-        prev = self.seq.rs.zero()
-        for point, lam in zip(self.points, self.seq.weights):
-            if _sub(point, prev) not in weyl_orbit(self.seq.rs, lam):
-                raise InvalidPath(f"step into {point} leaves the orbit of {lam}")
-            prev = point
+        defect = _step_defect(self.seq, self.points)
+        if defect:
+            raise InvalidPath(defect)
+
+    @classmethod
+    def _trusted(cls, seq: WeightSequence, points: tuple[Weight, ...]):
+        """Build without checks: ``points`` is a tuple of int tuples, one per
+        entry of ``seq``, every step in its orbit (and, for a
+        ``LittelmannPath``, dominant throughout and back at the origin)."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "seq", seq)
+        object.__setattr__(p, "points", points)
+        return p
 
     def __len__(self):
         return len(self.points)
 
     def is_dominant(self) -> bool:
-        return all(_is_dominant(p) for p in self.points)
+        return min(map(min, self.points)) >= 0
 
 
 class LittelmannPath(MinusculePath):
@@ -100,10 +161,9 @@ class LittelmannPath(MinusculePath):
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.is_dominant():
-            raise InvalidPath("all points of the path must be dominant")
-        if any(self.points[-1]):
-            raise InvalidPath("the path must end at the origin")
+        defect = _closed_defect(self.points)
+        if defect:
+            raise InvalidPath(defect)
 
     def to_json_dict(self):
         return {
@@ -119,39 +179,42 @@ def enumerate_paths(seq: WeightSequence, cap: int = DEFAULT_PATH_CAP) -> tuple[L
     lexicographic order of their concatenated coordinates.  A branch dies
     when the pairing of the current point with the positive-coroot sum
     exceeds what the remaining steps can cancel; that potential drops by
-    at most <lambda_j, 2 rho_vee> per step, in every type.
+    at most <lambda_j, 2 rho_vee> per step, in every type.  The search
+    keeps an explicit stack, so its depth is not bounded by recursion.
     """
     rs = seq.rs
     m = len(seq)
-    orbits = [weyl_orbit(rs, lam) for lam in seq.weights]
+    zero = rs.zero()
     budget = [0] * (m + 1)
     for k in range(m - 1, -1, -1):
         budget[k] = budget[k + 1] + two_rho_pairing(rs, seq.weights[k])
+    # each step with its pairing, reversed so steps pop in sorted order
+    moves = [[(step, two_rho_pairing(rs, step)) for step in reversed(weyl_orbit(rs, lam))]
+             for lam in seq.weights]
+    last_orbit = _orbit_set(rs, seq.weights[-1])
 
     found: list[tuple[Weight, ...]] = []
+    # prefix holds gamma_1..gamma_k while the node (k, gamma_k) is expanded
     prefix: list[Weight] = []
-
-    def extend(k: int, point: Weight):
-        if two_rho_pairing(rs, point) > budget[k]:
-            return
+    stack = [(0, zero, 0)]
+    while stack:
+        k, point, height = stack.pop()
+        if k:
+            prefix[k - 1:] = [point]
         if k == m - 1:
             # final step forced: it must land exactly on the origin
-            last = _sub(rs.zero(), point)
-            if last in orbits[k]:
-                found.append(tuple(prefix) + (rs.zero(),))
+            if _sub(zero, point) in last_orbit:
+                found.append(tuple(prefix) + (zero,))
                 if len(found) > cap:
                     raise EnumerationTooLarge(f"more than {cap} paths of type {seq.weights}")
-            return
-        for step in orbits[k]:
+            continue
+        room = budget[k + 1]
+        for step, rise in moves[k]:
             nxt = _add(point, step)
-            if _is_dominant(nxt):
-                prefix.append(nxt)
-                extend(k + 1, nxt)
-                prefix.pop()
-
-    extend(0, rs.zero())
+            if min(nxt) >= 0 and height + rise <= room:
+                stack.append((k + 1, nxt, height + rise))
     found.sort()
-    return tuple(LittelmannPath(seq, pts) for pts in found)
+    return tuple(LittelmannPath._trusted(seq, pts) for pts in found)
 
 
 def first_nondominant(p) -> int:
@@ -182,26 +245,60 @@ def raise_once(p: MinusculePath) -> MinusculePath:
     return MinusculePath(p.seq, raise_once_points(p.seq.rs, p.points))
 
 
+@functools.lru_cache(maxsize=4096)
+def _dominant(rs, w) -> Weight:
+    # straightening meets the same few points next to the walls again and again
+    return to_dominant(rs, w)[0]
+
+
+def _straightened(rs, points, shift) -> list[Weight]:
+    """``points`` translated by ``shift`` and straightened in one sweep.
+
+    ``raise_once`` always shifts the whole tail from the first non-dominant
+    point, and that index strictly increases, so repeating it until the
+    path is dominant amounts to one left-to-right pass that carries the
+    accumulated shift and adds to_dominant(q) - q at each point q that is
+    still non-dominant.
+    """
+    out = []
+    for q in points:
+        q = _add(q, shift)
+        if min(q) < 0:
+            dom = _dominant(rs, q)
+            shift = _add(shift, _sub(dom, q))
+            q = dom
+        out.append(q)
+    return out
+
+
 def straighten(p: MinusculePath) -> MinusculePath:
-    """Apply raise_once until dominant; the bad index strictly increases."""
-    for _ in range(len(p) + 1):
-        if p.is_dominant():
-            return p
-        p = raise_once(p)
-    raise AlgorithmInvariantViolated("straightening failed to terminate")
+    """Repeat ``raise_once`` until dominant, done as one sweep.
+
+    Reflecting a tail keeps every step in its orbit, so the result is
+    built unchecked; a path that is already dominant comes back as is.
+    """
+    if p.is_dominant():
+        return p
+    rs = p.seq.rs
+    return MinusculePath._trusted(p.seq, tuple(_straightened(rs, p.points, rs.zero())))
 
 
 def rotate(p: LittelmannPath) -> LittelmannPath:
-    """The rotation bijection onto the paths of the once-rotated type."""
+    """The rotation bijection onto the paths of the once-rotated type.
+
+    Drop the first step, translate the rest back to the origin, straighten
+    it and close the loop.  The output is checked once, exactly.
+    """
     seq = p.seq
+    rs = seq.rs
     mu1 = p.points[0]
-    tail_seq = WeightSequence(seq.rs, seq.weights[1:])
-    tail = MinusculePath(tail_seq, tuple(_sub(q, mu1) for q in p.points[1:]))
-    flat = straighten(tail)
-    try:
-        return LittelmannPath(seq.rotated(1), flat.points + (seq.rs.zero(),))
-    except InvalidPath as exc:  # pragma: no cover - would signal a bug
-        raise AlgorithmInvariantViolated(str(exc)) from exc
+    flat = _straightened(rs, p.points[1:], _sub(rs.zero(), mu1))
+    flat.append(rs.zero())
+    target = seq.rotated(1)
+    defect = _step_defect(target, flat) or _closed_defect(flat)
+    if defect:  # pragma: no cover - would signal a bug
+        raise AlgorithmInvariantViolated(f"rotation of {p.points}: {defect}")
+    return LittelmannPath._trusted(target, tuple(flat))
 
 
 @dataclass(frozen=True)

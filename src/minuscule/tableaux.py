@@ -5,9 +5,18 @@ decreasing integer vectors): shapes grow monotonically as entries are
 added, which keeps the slides local.  Conversion to rank n-1 weights
 (consecutive differences of the shape vector) happens only at the path
 boundary.
+
+Validation happens once, where data enters: the public
+``RowStrictTableau`` constructor checks shape and strictness.  The
+tableau of a path and the promotion of a tableau are row-strict by
+construction, so they are built with the unchecked
+``RowStrictTableau._trusted``; ``path_to_tableau`` still checks that
+every step lifts to a 0/1 row vector and that the rows fill a rectangle,
+and ``promote`` that the gaps end in the last column.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import AlgorithmInvariantViolated, InvalidTableau, TypeMismatch
@@ -39,6 +48,14 @@ class RowStrictTableau:
             if any(a > d for a, d in zip(col, col[1:])):
                 raise InvalidTableau(f"column {c + 1} is not weakly increasing")
 
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]):
+        """Build without checks: ``rows`` is a non-empty rectangle of int
+        tuples, rows strictly and columns weakly increasing."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "rows", rows)
+        return t
+
     @property
     def n_rows(self) -> int:
         return len(self.rows)
@@ -60,9 +77,11 @@ class RowStrictTableau:
         return [list(row) for row in self.rows]
 
 
-def _standard_lift(step, box_count, n):
-    """0/1 vector of length n with consecutive differences ``step`` summing
-    to ``box_count``: the rows the new entry occupies."""
+@functools.lru_cache(maxsize=4096)
+def _lift_rows(step, box_count, n) -> tuple[int, ...]:
+    """The rows the new entry occupies: the support of the 0/1 vector of
+    length n with consecutive differences ``step`` summing to
+    ``box_count``.  Steps range over a few small orbits, so lifts recur."""
     suffix = [0] * n
     for k in range(n - 2, -1, -1):
         suffix[k] = suffix[k + 1] + step[k]
@@ -72,7 +91,7 @@ def _standard_lift(step, box_count, n):
     lift = [base + s for s in suffix]
     if set(lift) - {0, 1}:
         raise AlgorithmInvariantViolated(f"lift {lift} is not a 0/1 vector")
-    return lift
+    return tuple(r for r, occupied in enumerate(lift) if occupied)
 
 
 def path_to_tableau(p: LittelmannPath) -> RowStrictTableau:
@@ -83,17 +102,13 @@ def path_to_tableau(p: LittelmannPath) -> RowStrictTableau:
     n = rs.rank + 1
     rows: list[list[int]] = [[] for _ in range(n)]
     prev = rs.zero()
-    for j, point in enumerate(p.points, start=1):
-        step = _sub(point, prev)
-        box_count = p.seq.weights[j - 1].index(1) + 1
-        for r, occupied in enumerate(_standard_lift(step, box_count, n)):
-            if occupied:
-                rows[r].append(j)
+    for j, (point, lam) in enumerate(zip(p.points, p.seq.weights), start=1):
+        for r in _lift_rows(_sub(point, prev), lam.index(1) + 1, n):
+            rows[r].append(j)
         prev = point
-    lengths = {len(r) for r in rows}
-    if len(lengths) != 1:
+    if len({len(r) for r in rows}) != 1:
         raise AlgorithmInvariantViolated("path did not fill a rectangle")
-    return RowStrictTableau(tuple(tuple(r) for r in rows))
+    return RowStrictTableau._trusted(tuple(map(tuple, rows)))
 
 
 def tableau_to_path(t: RowStrictTableau) -> LittelmannPath:
@@ -125,19 +140,21 @@ def promote(t: RowStrictTableau) -> RowStrictTableau:
     n, b = t.n_rows, t.n_cols
     top = max(max(row) for row in t.rows)
     grid: list[list[int | None]] = [list(row) for row in t.rows]
-    first_count = 0
-    for r in range(n):
-        for c in range(b):
-            if grid[r][c] == 1:
-                grid[r][c] = None
-                first_count += 1
+    # one scan finds every value's cells: a value only moves on its own turn
+    cells_of: list[list[tuple[int, int]]] = [[] for _ in range(top + 1)]
+    for r, row in enumerate(t.rows):
+        for c, x in enumerate(row):
+            cells_of[x].append((r, c))
+    for r, c in cells_of[1]:
+        grid[r][c] = None
+    first_count = len(cells_of[1])
     for value in range(2, top + 1):
-        cells = [(r, c) for r in range(n) for c in range(b) if grid[r][c] == value]
         # left slides: rows are independent, at most one box per row
         slid = []
-        for r, c in cells:
-            while c > 0 and grid[r][c - 1] is None:
-                grid[r][c - 1], grid[r][c] = grid[r][c], None
+        for r, c in cells_of[value]:
+            row = grid[r]
+            while c > 0 and row[c - 1] is None:
+                row[c - 1], row[c] = row[c], None
                 c -= 1
             slid.append((r, c))
         # up slides: top to bottom, so a vacated cell frees the one below it
@@ -151,4 +168,4 @@ def promote(t: RowStrictTableau) -> RowStrictTableau:
         raise AlgorithmInvariantViolated("gaps did not migrate to the last column")
     for r, c in gaps:
         grid[r][c] = top
-    return RowStrictTableau(tuple(tuple(row) for row in grid))
+    return RowStrictTableau._trusted(tuple(map(tuple, grid)))

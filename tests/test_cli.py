@@ -46,6 +46,31 @@ class TestPathsCommands:
             text='{"type": [[1], [1], [1], [1]], "points": [[1], [0]]}')
         assert code == 2 and "disagrees" in err
 
+    @pytest.mark.parametrize("text", [
+        "[[1.0], [0]]",                # float coordinate
+        '{"points": [[1], [true]]}',   # bool coordinate
+        '{"points": [[1, 0], [0]]}',   # too many coordinates
+        '{"points": [[1], []]}',       # too few coordinates
+        '{"points": 5}',               # not a list
+        '{"points": [1, 0]}',          # points that are not lists
+        '"10"',                        # a string is not a list of points
+        '{"path": [[1], [0]]}',        # no points at all
+        '{"type": 3, "points": [[1], [0]]}',
+    ])
+    def test_rotate_rejects_malformed_points(self, text):
+        code, out, err = invoke(
+            ["paths", "rotate", "--type", "A", "--rank", "1", "--weights", "1,1"], text=text)
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_enumerate_deep_sequence_hits_the_cap_cleanly(self):
+        # 1200 steps deep; under the default cap this would build 100k paths
+        proc = subprocess.run(
+            [sys.executable, "-m", "minuscule.cli", "paths", "enumerate", "--type", "A",
+             "--rank", "1", "--weights", ",".join(["1"] * 1200), "--cap", "50"],
+            capture_output=True, text=True)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "more than 50 paths" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_orbits(self):
         code, out, _ = invoke(
             ["paths", "orbits", "--type", "A", "--rank", "1",

@@ -247,8 +247,8 @@ MINUSCULE_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 5), ("B", 2), ("B", 4),
 
 
 @st.composite
-def sequences(draw):
-    rs = build_root_system(*draw(st.sampled_from(MINUSCULE_TYPES)))
+def sequences(draw, types=MINUSCULE_TYPES):
+    rs = build_root_system(*draw(st.sampled_from(types)))
     weights = minuscule_weights(rs)
     # fewer factors for larger orbits keeps every search small
     orbit = max(len(weyl_orbit(rs, lam)) for lam in weights)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minuscule.errors import InvalidContent, OracleTooLarge, SizeMismatch
 from minuscule.kostka import (
@@ -121,6 +122,28 @@ class TestQKostant:
         for _ in range(10):
             nu, gamma = rng.choice(pool7), rng.choice(pool7)
             assert kostka_foulkes(nu, gamma) == q_kostant(nu, gamma)
+
+
+@st.composite
+def shapes_and_contents(draw, max_size=10):
+    """A partition with at most 6 parts and a content vector of the same
+    size with at most 6 parts (zeros allowed, any order)."""
+    parts = draw(st.lists(st.integers(1, max_size), min_size=1, max_size=6))
+    shape, size = [], 0
+    for part in sorted(parts, reverse=True):
+        if size + part <= max_size:
+            shape.append(part)
+            size += part
+    cuts = sorted(draw(st.lists(st.integers(0, size), min_size=0, max_size=5)))
+    content = [b - a for a, b in zip([0] + cuts, cuts + [size])]
+    return tuple(shape), tuple(content)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shapes_and_contents())
+def test_charge_route_matches_alternating_sum(case):
+    shape, content = case
+    assert kostka_foulkes(shape, content) == q_kostant(shape, content)
 
 
 class TestInvariantDim:

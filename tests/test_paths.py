@@ -2,6 +2,7 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from minuscule.errors import (
     EnumerationTooLarge,
@@ -22,7 +23,9 @@ from minuscule.paths import (
     rotate,
     straighten,
 )
-from minuscule.rootsys import build_root_system, minuscule_weights, weyl_orbit
+from minuscule.rootsys import build_root_system, in_root_lattice, minuscule_weights, weyl_orbit
+from minuscule.tableaux import RowStrictTableau, path_to_tableau, promote
+from test_crystals import MINUSCULE_TYPES, sequences
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -118,6 +121,23 @@ class TestPathValidation:
             LittelmannPath(seq_a1(2), ((1,), (2,)))  # endpoint not origin
         with pytest.raises(InvalidPath):
             LittelmannPath(seq_a1(4), ((1,), (0,), (-1,), (0,)))  # non-dominant
+
+    @pytest.mark.parametrize("points", [
+        5,                       # not a list
+        "ab",                    # a string is not a list of points
+        ((1,), 0),               # a point that is not a list
+        ((1.0,), (0,)),          # float coordinate
+        ((True,), (0,)),         # bool coordinate
+        ((1, 0), (0,)),          # too many coordinates
+        ((1,), ()),              # too few coordinates
+    ])
+    def test_rejects_malformed_points(self, points):
+        with pytest.raises(InvalidPath):
+            LittelmannPath(seq_a1(2), points)
+
+    def test_accepts_lists_and_stores_tuples(self):
+        p = LittelmannPath(seq_a1(2), [[1], [0]])
+        assert p.points == ((1,), (0,))
 
 
 class TestStraightening:
@@ -235,3 +255,74 @@ def test_json_encoding():
     assert data == {"type": [[1], [1], [1], [1]], "points": [[1], [0], [1], [0]]}
     rebuilt = LittelmannPath(p.seq, tuple(tuple(q) for q in data["points"]))
     assert rebuilt.points == p.points
+
+
+def _closed(seq):
+    """``seq``, with one minuscule weight appended when its total lies
+    outside the root lattice (it would have no paths at all)."""
+    rs = seq.rs
+    total = seq.total()
+    if in_root_lattice(rs, total):
+        return seq
+    lam = next(lam for lam in minuscule_weights(rs)
+               if in_root_lattice(rs, tuple(a + b for a, b in zip(total, lam))))
+    return WeightSequence(rs, seq.weights + (lam,))
+
+
+def translated_tail(p):
+    """The path minus its first step, translated back to the origin."""
+    rs, seq = p.seq.rs, p.seq
+    mu1 = p.points[0]
+    return MinusculePath(WeightSequence(rs, seq.weights[1:]),
+                         tuple(tuple(a - b for a, b in zip(q, mu1)) for q in p.points[1:]))
+
+
+def rotate_by_raise_once(p):
+    """Rotation as first defined: raise_once on the translated tail until it
+    is dominant, then close the loop."""
+    tail = translated_tail(p)
+    while not tail.is_dominant():
+        tail = raise_once(tail)
+    return tail.points + (p.seq.rs.zero(),)
+
+
+TYPE_A = [t for t in MINUSCULE_TYPES if t[0] == "A"]
+
+
+class TestProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(sequences().map(_closed))
+    def test_rotate_matches_repeated_raise_once(self, seq):
+        for p in enumerate_paths(seq):
+            assert rotate(p).points == rotate_by_raise_once(p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sequences().map(_closed))
+    def test_rotation_to_the_m_is_the_identity(self, seq):
+        for p in enumerate_paths(seq):
+            q = p
+            for _ in range(len(seq)):
+                q = rotate(q)
+            assert q.seq.weights == seq.weights and q.points == p.points
+
+    @settings(max_examples=100, deadline=None)
+    @given(sequences().map(_closed))
+    def test_outputs_revalidate(self, seq):
+        for p in enumerate_paths(seq):
+            assert LittelmannPath(p.seq, p.points) == p
+            image = rotate(p)
+            assert LittelmannPath(image.seq, image.points) == image
+            flat = straighten(translated_tail(p))
+            assert flat.is_dominant()
+            assert MinusculePath(flat.seq, flat.points) == flat
+            if seq.rs.family == "A":
+                t = path_to_tableau(p)
+                assert RowStrictTableau(t.rows) == t
+                u = promote(t)
+                assert RowStrictTableau(u.rows) == u
+
+    @settings(max_examples=100, deadline=None)
+    @given(sequences(types=TYPE_A).map(_closed))
+    def test_promotion_is_rotation(self, seq):
+        for p in enumerate_paths(seq):
+            assert promote(path_to_tableau(p)) == path_to_tableau(rotate(p))
