@@ -51,6 +51,10 @@ def _is_dominant(w):
     return min(w) >= 0
 
 
+def _all_dominant(points):
+    return min(map(min, points)) >= 0
+
+
 @functools.lru_cache(maxsize=None)
 def _orbit_set(rs, lam):
     return frozenset(weyl_orbit(rs, lam))
@@ -109,7 +113,7 @@ def _step_defect(seq: WeightSequence, points) -> str | None:
 
 def _closed_defect(points) -> str | None:
     """Why ``points`` is not dominant throughout and back at the origin, or None."""
-    if min(map(min, points)) < 0:
+    if not _all_dominant(points):
         return "all points of the path must be dominant"
     if any(points[-1]):
         return "the path must end at the origin"
@@ -153,7 +157,7 @@ class MinusculePath:
         return len(self.points)
 
     def is_dominant(self) -> bool:
-        return min(map(min, self.points)) >= 0
+        return _all_dominant(self.points)
 
 
 class LittelmannPath(MinusculePath):
@@ -245,12 +249,6 @@ def raise_once(p: MinusculePath) -> MinusculePath:
     return MinusculePath(p.seq, raise_once_points(p.seq.rs, p.points))
 
 
-@functools.lru_cache(maxsize=4096)
-def _dominant(rs, w) -> Weight:
-    # straightening meets the same few points next to the walls again and again
-    return to_dominant(rs, w)[0]
-
-
 def _straightened(rs, points, shift) -> list[Weight]:
     """``points`` translated by ``shift`` and straightened in one sweep.
 
@@ -264,7 +262,7 @@ def _straightened(rs, points, shift) -> list[Weight]:
     for q in points:
         q = _add(q, shift)
         if min(q) < 0:
-            dom = _dominant(rs, q)
+            dom = to_dominant(rs, q)[0]
             shift = _add(shift, _sub(dom, q))
             q = dom
         out.append(q)

@@ -16,7 +16,6 @@ and ``promote`` that the gaps end in the last column.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .errors import AlgorithmInvariantViolated, InvalidTableau, TypeMismatch
@@ -77,11 +76,10 @@ class RowStrictTableau:
         return [list(row) for row in self.rows]
 
 
-@functools.lru_cache(maxsize=4096)
 def _lift_rows(step, box_count, n) -> tuple[int, ...]:
     """The rows the new entry occupies: the support of the 0/1 vector of
     length n with consecutive differences ``step`` summing to
-    ``box_count``.  Steps range over a few small orbits, so lifts recur."""
+    ``box_count``."""
     suffix = [0] * n
     for k in range(n - 2, -1, -1):
         suffix[k] = suffix[k + 1] + step[k]

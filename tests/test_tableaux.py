@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minuscule.errors import InvalidTableau, TypeMismatch
 from minuscule.paths import WeightSequence, enumerate_paths, rotate
@@ -124,3 +126,48 @@ class TestPromotion:
             t = promote(path_to_tableau(p))
             # the constructor re-validates shape and monotonicity
             assert RowStrictTableau(t.rows).rows == t.rows
+
+
+@st.composite
+def row_strict_tableaux(draw):
+    """Any valid row-strict rectangle: each entry exceeds its left
+    neighbour by at least 1 and its upper neighbour by at least 0, so
+    values may be skipped and may repeat down a column."""
+    n, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows: list[list[int]] = []
+    for r in range(n):
+        row: list[int] = []
+        for c in range(b):
+            floor = max(row[-1] + 1 if row else 1, rows[-1][c] if rows else 1)
+            row.append(floor + draw(st.integers(0, 2)))
+        rows.append(row)
+    return RowStrictTableau(rows)
+
+
+def promote_by_full_scans(t):
+    """Promotion as first written: one scan of the whole grid per value."""
+    n, b = t.n_rows, t.n_cols
+    top = max(max(row) for row in t.rows)
+    grid = [[None if x == 1 else x for x in row] for row in t.rows]
+    for value in range(2, top + 1):
+        slid = []
+        for r, c in [(r, c) for r in range(n) for c in range(b) if grid[r][c] == value]:
+            while c > 0 and grid[r][c - 1] is None:
+                grid[r][c - 1], grid[r][c] = grid[r][c], None
+                c -= 1
+            slid.append((r, c))
+        for r, c in sorted(slid):
+            while r > 0 and grid[r - 1][c] is None:
+                grid[r - 1][c], grid[r][c] = grid[r][c], None
+                r -= 1
+            grid[r][c] = value - 1
+    return tuple(tuple(top if x is None else x for x in row) for row in grid)
+
+
+class TestPromotionProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(row_strict_tableaux())
+    def test_any_valid_tableau(self, t):
+        u = promote(t)
+        assert RowStrictTableau(u.rows) == u
+        assert u.rows == promote_by_full_scans(t)
