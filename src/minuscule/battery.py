@@ -43,14 +43,6 @@ def quick_battery() -> tuple[WeightSequence, ...]:
     )
 
 
-def valid_shifts(seq: WeightSequence) -> tuple[int, ...]:
-    m = len(seq)
-    return tuple(
-        ell for ell in range(1, m + 1)
-        if m % ell == 0 and seq.rotated(ell).weights == seq.weights
-    )
-
-
 def describe(seq: WeightSequence) -> str:
     indices = ",".join(str(w.index(1) + 1) for w in seq.weights)
     return f"{seq.rs}:({indices})"
@@ -211,7 +203,7 @@ def suite_cyclic_sieving(cases) -> SuiteResult:
         if seq.rs.family != "A":
             continue
         in_lattice = rootsys.in_root_lattice(seq.rs, seq.total())
-        for ell in valid_shifts(seq):
+        for ell in paths.periods(seq):
             res.checks += 1
             if not in_lattice:
                 # no invariants; the automatic polynomial must refuse

@@ -1,19 +1,25 @@
 """Command-line front end.
 
-Grammar::
+Grammar (``TYPE`` stands for ``--type A --rank 1 --weights 1,1,1,1``)::
 
-    minuscule root minuscule --type A --rank 3
-    minuscule paths enumerate|rotate|orbits --type A --rank 1 --weights 1,1,1,1 [--ell N]
-    minuscule tableau promote|from-path|to-path [--input FILE]
-    minuscule crystal invariants|rotate --type ... --rank ... --weights ... [--input FILE]
-    minuscule kostka --shape 2,2 --content 1,1,1,1 [--oracle]
-    minuscule csp check --type A --rank 1 --weights 1,1,1,1 --ell 1 [--poly C0,C1,...]
-    minuscule battery [--scope quick|full]
+    minuscule root minuscule --type E --rank 6 [--format json|csv]
+    minuscule paths enumerate TYPE [--cap N] [--format json|csv]
+    minuscule paths rotate TYPE [--input FILE]
+    minuscule paths orbits TYPE [--ell N] [--format json|csv]
+    minuscule tableau promote [--input FILE] [--format json|csv]
+    minuscule tableau from-path TYPE [--input FILE] [--format json|csv]
+    minuscule tableau to-path [--input FILE]
+    minuscule crystal invariants TYPE [--cap N] [--format json|csv]
+    minuscule crystal rotate TYPE [--input FILE]
+    minuscule kostka --shape 2,2 --content 1,1,1,1 [--oracle] [--format text|json|csv]
+    minuscule csp check TYPE [--ell N] [--poly C0,C1,...] [--format json|csv]
+    minuscule battery [--scope quick|full] [--seed N] [--format json|text]
 
 Weight sequences are comma-separated fundamental-weight indices, 1-based,
-Bourbaki numbering.  Structured output is JSON on stdout; exit codes are
-0 for success or a passing verification, 1 for a verification failure,
-2 for invalid input.  Every output is exact and byte-deterministic.
+Bourbaki numbering.  Output is JSON on stdout; ``--format`` offers only the
+encodings a subcommand produces.  Exit codes are 0 for success or a passing
+verification, 1 for a verification failure, 2 for invalid input.  Every
+output is exact and byte-deterministic.
 """
 from __future__ import annotations
 
@@ -60,16 +66,17 @@ def _build_parser() -> _Parser:
             p.add_argument("--weights", required=True,
                            help="comma-separated fundamental-weight indices")
 
-    def add_common(p):
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        p.add_argument("--cap", type=_cap, default=None,
-                       help="enumeration/orbit size cap, at least 1")
+    def add_format(p, choices=("json", "csv"), default="json"):
+        p.add_argument("--format", choices=choices, default=default)
+
+    def add_cap(p, default):
+        p.add_argument("--cap", type=_cap, default=default, help="search size cap, at least 1")
 
     root = sub.add_parser("root", help="root-system queries")
     root_sub = root.add_subparsers(dest="subcommand", required=True)
     root_min = root_sub.add_parser("minuscule", help="list the minuscule fundamental weights")
     add_type_flags(root_min, weights=False)
-    add_common(root_min)
+    add_format(root_min)
 
     pth = sub.add_parser("paths", help="dominant-path operations")
     pth_sub = pth.add_subparsers(dest="subcommand", required=True)
@@ -78,9 +85,12 @@ def _build_parser() -> _Parser:
                             ("orbits", "rotation orbits and fixed-point counts")):
         p = pth_sub.add_parser(name, help=help_text)
         add_type_flags(p)
-        add_common(p)
         if name == "rotate":
             p.add_argument("--input", default="-", help="path JSON file, - for stdin")
+        else:
+            add_format(p)
+        if name == "enumerate":
+            add_cap(p, paths.DEFAULT_PATH_CAP)
         if name == "orbits":
             p.add_argument("--ell", type=int, default=1)
 
@@ -91,7 +101,8 @@ def _build_parser() -> _Parser:
                             ("to-path", "path of a tableau")):
         p = tab_sub.add_parser(name, help=help_text)
         p.add_argument("--input", default="-", help="JSON file, - for stdin")
-        add_common(p)
+        if name != "to-path":
+            add_format(p)
         if name == "from-path":
             add_type_flags(p)
 
@@ -101,17 +112,18 @@ def _build_parser() -> _Parser:
                             ("rotate", "commutor rotation of one element")):
         p = cry_sub.add_parser(name, help=help_text)
         add_type_flags(p)
-        add_common(p)
         if name == "rotate":
             p.add_argument("--input", default="-", help="element JSON file, - for stdin")
+        else:
+            add_format(p)
+            add_cap(p, crystals.DEFAULT_NODE_CAP)
 
     kst = sub.add_parser("kostka", help="Kostka-Foulkes polynomial")
     kst.add_argument("--shape", required=True, help="comma-separated partition")
     kst.add_argument("--content", required=True, help="comma-separated content vector")
     kst.add_argument("--oracle", action="store_true",
                      help="use the alternating-sum route instead of charge")
-    kst.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    kst.add_argument("--cap", type=_cap, default=None)
+    add_format(kst, ("json", "csv", "text"), default="text")
 
     csp_cmd = sub.add_parser("csp", help="cyclic-sieving verification")
     csp_sub = csp_cmd.add_subparsers(dest="subcommand", required=True)
@@ -121,12 +133,12 @@ def _build_parser() -> _Parser:
     chk.add_argument("--poly", default=None,
                      help="comma-separated coefficients, ascending; omit for the "
                           "automatic type-A polynomial")
-    add_common(chk)
+    add_format(chk)
 
     bat = sub.add_parser("battery", help="run the property battery")
     bat.add_argument("--scope", choices=("quick", "full"), default="quick")
     bat.add_argument("--seed", type=int, default=0)
-    add_common(bat)
+    add_format(bat, ("json", "text"))
 
     return parser
 
@@ -172,16 +184,21 @@ def _path_from_json(seq: WeightSequence, data) -> LittelmannPath:
     return LittelmannPath(seq, data)
 
 
-def _emit(args, payload, out, csv_rows=None):
-    fmt = getattr(args, "format", "json")
-    if fmt == "json":
-        print(json.dumps(payload), file=out)
-    elif fmt == "csv":
-        rows = csv_rows if csv_rows is not None else [[json.dumps(payload)]]
-        for row in rows:
+def _element_from_json(seq: WeightSequence, data) -> crystals.TensorCrystalElement:
+    """A crystal element read as JSON, an object with a ``factors`` list;
+    the constructor validates the factors."""
+    if not isinstance(data, dict) or "factors" not in data:
+        raise _UsageError("element input is not an object with a \"factors\" list")
+    return crystals.TensorCrystalElement(seq, data["factors"])
+
+
+def _emit(args, payload, out, csv_rows=()):
+    """JSON on stdout, or ``csv_rows`` under ``--format csv``."""
+    if getattr(args, "format", "json") == "csv":
+        for row in csv_rows:
             print(",".join(str(x) for x in row), file=out)
     else:
-        print(payload if isinstance(payload, str) else json.dumps(payload), file=out)
+        print(json.dumps(payload), file=out)
 
 
 def _cmd_root(args, out):
@@ -199,8 +216,7 @@ def _cmd_root(args, out):
 def _cmd_paths(args, out, stdin):
     seq = _sequence(args)
     if args.subcommand == "enumerate":
-        cap = paths.DEFAULT_PATH_CAP if args.cap is None else args.cap
-        found = paths.enumerate_paths(seq, cap=cap)
+        found = paths.enumerate_paths(seq, cap=args.cap)
         payload = [p.to_json_dict() for p in found]
         rows = [[c for point in p.points for c in point] for p in found]
         _emit(args, payload, out, csv_rows=rows)
@@ -222,8 +238,7 @@ def _cmd_tableau(args, out, stdin):
         t = tableaux.path_to_tableau(path)
         _emit(args, t.to_json_list(), out, csv_rows=t.rows)
         return 0
-    data = _read_json(args.input, stdin)
-    t = tableaux.RowStrictTableau(tuple(tuple(row) for row in data))
+    t = tableaux.RowStrictTableau(_read_json(args.input, stdin))
     if args.subcommand == "promote":
         promoted = tableaux.promote(t)
         _emit(args, promoted.to_json_list(), out, csv_rows=promoted.rows)
@@ -236,15 +251,12 @@ def _cmd_tableau(args, out, stdin):
 def _cmd_crystal(args, out, stdin):
     seq = _sequence(args)
     if args.subcommand == "invariants":
-        cap = crystals.DEFAULT_NODE_CAP if args.cap is None else args.cap
-        elements = crystals.invariant_elements(seq, cap=cap)
+        elements = crystals.invariant_elements(seq, cap=args.cap)
         payload = [b.to_json_dict() for b in elements]
         rows = [[c for f in b.factors for c in f] for b in elements]
         _emit(args, payload, out, csv_rows=rows)
         return 0
-    data = _read_json(args.input, stdin)
-    element = crystals.TensorCrystalElement(
-        seq, tuple(tuple(f) for f in data["factors"]))
+    element = _element_from_json(seq, _read_json(args.input, stdin))
     _emit(args, crystals.commutor_rotate(element).to_json_dict(), out)
     return 0
 
@@ -254,12 +266,10 @@ def _cmd_kostka(args, out):
     content = _parse_ints(args.content, "--content")
     compute = kostka.q_kostant if args.oracle else kostka.kostka_foulkes
     polynomial = compute(shape, content)
-    if args.format == "json":
-        print(json.dumps(list(polynomial.coeffs)), file=out)
-    elif args.format == "csv":
-        print(",".join(str(c) for c in polynomial.coeffs), file=out)
-    else:
+    if args.format == "text":
         print(polynomial, file=out)
+    else:
+        _emit(args, list(polynomial.coeffs), out, csv_rows=[polynomial.coeffs])
     return 0
 
 

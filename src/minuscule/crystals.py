@@ -18,7 +18,8 @@ or the rightmost a - p '-'.  Along a reduced word of w0, the S_i carry a
 highest-weight element to the lowest-weight element of its component.
 
 Validation happens once, where data enters: the public
-``TensorCrystalElement`` constructor checks orbit membership.  Operators,
+``TensorCrystalElement`` constructor checks that it gets a list of
+``int`` weights, one per factor, each in its orbit.  Operators,
 strings, S_i, the invariant search and the commutor only ever reflect
 factors that are already in their orbits, so they build their results
 with the unchecked ``TensorCrystalElement._trusted``.
@@ -36,7 +37,7 @@ from .errors import (
     InvalidPath,
     NotInvariant,
 )
-from .paths import LittelmannPath, WeightSequence, _add, _orbit_set, _sub
+from .paths import LittelmannPath, WeightSequence, _add, _int_lists, _orbit_set, _sub
 from .rootsys import (
     Weight,
     dual_index,
@@ -64,6 +65,8 @@ class TensorCrystalElement:
     factors: tuple[Weight, ...]
 
     def __post_init__(self):
+        if not _int_lists(self.factors):
+            raise InvalidPath(f"factors must be a list of int weights, not {self.factors!r}")
         object.__setattr__(self, "factors", tuple(tuple(f) for f in self.factors))
         if len(self.factors) != len(self.seq):
             raise InvalidPath("factor count does not match the type sequence")
@@ -177,65 +180,54 @@ def crystal_size(seq: WeightSequence) -> int:
     return size
 
 
-def _append_signs(unmatched: tuple[int, ...], f: Weight):
-    """Unmatched '+' count per index after appending the factor ``f``, or
-    ``None`` when ``f`` leaves a '-' that nothing can cancel: eps_i is then
-    positive for every extension of the prefix."""
-    out = list(unmatched)
-    for j, a in enumerate(f):
-        if a == 1:
-            out[j] += 1
-        elif a == -1:
-            if not out[j]:
-                return None
-            out[j] -= 1
-    return tuple(out)
-
-
 def invariant_elements(seq: WeightSequence, cap: int = DEFAULT_NODE_CAP) -> tuple[TensorCrystalElement, ...]:
     """All highest-weight elements of weight zero, in deterministic order.
 
-    Searches factor by factor.  Every prefix of a highest-weight element is
-    highest weight, so a branch is cut as soon as a factor leaves a '-' in
-    some signature that no '+' before it cancels.  Partial weights are
-    bounded through the positive-coroot sum, the last factor is forced to
-    whatever cancels the running total, and every candidate is checked
-    with ``is_highest_weight``.
+    Depth-first, factor by factor, on an explicit stack.  Every prefix of
+    a highest-weight element is highest weight, so a branch is cut as soon
+    as a factor leaves a '-' that no earlier '+' cancels; as minuscule
+    factors pair with each simple coroot in {-1, 0, 1}, the unmatched '+'
+    count at alpha_i is the i-th coordinate of the running weight, so the
+    cut keeps that weight dominant.  Partial weights are bounded through
+    the positive-coroot sum, the last factor is forced to whatever cancels
+    the running total, and every candidate is checked with
+    ``is_highest_weight``.  Every node popped counts toward ``cap``.
     """
     rs = seq.rs
     m = len(seq)
-    orbits = [weyl_orbit(rs, lam) for lam in seq.weights]
     budget = [0] * (m + 1)
     for k in range(m - 1, -1, -1):
         budget[k] = budget[k + 1] + two_rho_pairing(rs, seq.weights[k])
+    # each factor with its pairing, reversed so factors pop in sorted order
+    moves = [[(f, two_rho_pairing(rs, f)) for f in reversed(weyl_orbit(rs, lam))]
+             for lam in seq.weights]
+    last_orbit = _orbit_set(rs, seq.weights[-1])
 
     visited = 0
     out = []
+    # prefix holds the factors b_1..b_k while the node (k, partial) is expanded
     prefix: list[Weight] = []
-
-    def search(k: int, partial: Weight, unmatched: tuple[int, ...]):
-        nonlocal visited
+    stack = [(0, rs.zero(), 0, None)]
+    while stack:
+        k, partial, height, factor = stack.pop()
         visited += 1
         if visited > cap:
             raise EnumerationTooLarge(f"crystal search exceeded {cap} nodes")
-        if abs(two_rho_pairing(rs, partial)) > budget[k]:
-            return
+        if height > budget[k]:
+            continue
+        if k:
+            prefix[k - 1:] = [factor]
         if k == m - 1:
             last = _sub(rs.zero(), partial)
-            if last in _orbit_set(rs, seq.weights[k]):
+            if last in last_orbit:
                 candidate = TensorCrystalElement._trusted(seq, tuple(prefix) + (last,))
                 if is_highest_weight(candidate):
                     out.append(candidate)
-            return
-        for f in orbits[k]:
-            signs = _append_signs(unmatched, f)
-            if signs is None:
-                continue
-            prefix.append(f)
-            search(k + 1, _add(partial, f), signs)
-            prefix.pop()
-
-    search(0, rs.zero(), (0,) * rs.rank)
+            continue
+        for f, rise in moves[k]:
+            nxt = _add(partial, f)
+            if min(nxt) >= 0:
+                stack.append((k + 1, nxt, height + rise, f))
     out.sort(key=lambda b: b.factors)
     return tuple(out)
 

@@ -5,6 +5,13 @@ unity, is decided inside Z[q]: fold f(q^d) modulo q^r - 1 and test
 divisibility of the difference by the r-th cyclotomic polynomial.  The
 verdicts are equalities of algebraic integers, so nothing here may
 approximate.
+
+Each precondition of a verdict is checked once.  The shift ell must be a
+period of the sequence (``paths.periods``); ``orbit_structure`` checks
+it.  The total weight must lie in the root lattice: the automatic type-A
+polynomial tests it while it computes the rectangle height, and a
+supplied polynomial is tested once in ``csp_check``.  Weyl orbits are
+capped in ``rootsys.weyl_orbit``.
 """
 from __future__ import annotations
 
@@ -15,7 +22,6 @@ from .errors import (
     AlgorithmInvariantViolated,
     NotInRootLattice,
     PolynomialUnavailable,
-    SequenceNotPeriodic,
 )
 from .kostka import kostka_foulkes
 from .paths import WeightSequence, orbit_structure
@@ -80,21 +86,12 @@ def type_a_csp_polynomial(seq: WeightSequence) -> IntPolynomial:
 
 @dataclass(frozen=True)
 class CSPInstance:
+    """A checked sieving triple; ``csp_check`` validates before building it."""
+
     seq: WeightSequence
     ell: int
     r: int
     poly: IntPolynomial
-
-    def __post_init__(self):
-        m = len(self.seq)
-        if not 1 <= self.ell <= m or m % self.ell:
-            raise SequenceNotPeriodic(f"ell={self.ell} does not divide m={m}")
-        if self.seq.rotated(self.ell).weights != self.seq.weights:
-            raise SequenceNotPeriodic(
-                f"sequence is not invariant under rotation by {self.ell}")
-        if not in_root_lattice(self.seq.rs, self.seq.total()):
-            raise NotInRootLattice(
-                "total weight outside the root lattice; the instance is empty")
 
 
 @dataclass(frozen=True)
@@ -129,9 +126,12 @@ def csp_check(seq: WeightSequence, ell: int, poly: IntPolynomial | None = None) 
     positive-coroot sum; it is diagnostic only and does not enter the
     verdict.
     """
-    if poly is None:
+    supplied = poly is not None
+    if not supplied:
         poly = type_a_csp_polynomial(seq)
     structure = orbit_structure(seq, ell)
+    if supplied and not in_root_lattice(seq.rs, seq.total()):
+        raise NotInRootLattice("total weight outside the root lattice; the instance is empty")
     instance = CSPInstance(seq, ell, structure.r, poly)
     ok = tuple(
         eval_matches(poly, structure.r, d, count)

@@ -55,6 +55,13 @@ def _all_dominant(points):
     return min(map(min, points)) >= 0
 
 
+def _int_lists(data) -> bool:
+    """Whether outside data is a list of lists of ``int`` (not ``bool``), the
+    form of a path's points, a tableau's rows and a crystal element's factors."""
+    return isinstance(data, (list, tuple)) and all(
+        isinstance(row, (list, tuple)) and all(type(x) is int for x in row) for row in data)
+
+
 @functools.lru_cache(maxsize=None)
 def _orbit_set(rs, lam):
     return frozenset(weyl_orbit(rs, lam))
@@ -129,13 +136,9 @@ class MinusculePath:
 
     def __post_init__(self):
         rank = self.seq.rs.rank
-        if not isinstance(self.points, (list, tuple)):
-            raise InvalidPath(f"points must be a list of points, got {self.points!r}")
-        for point in self.points:
-            if not isinstance(point, (list, tuple)) or len(point) != rank:
-                raise InvalidPath(f"point {point!r} does not have exactly {rank} coordinates")
-            if any(type(x) is not int for x in point):
-                raise InvalidPath(f"point {point!r} has a coordinate that is not an integer")
+        if not _int_lists(self.points) or any(len(p) != rank for p in self.points):
+            raise InvalidPath(f"points must be a list of points of {rank} int coordinates, "
+                              f"got {self.points!r}")
         object.__setattr__(self, "points", tuple(tuple(p) for p in self.points))
         if len(self.points) != len(self.seq):
             raise InvalidPath("point count does not match the type sequence")
@@ -316,14 +319,18 @@ class OrbitStructure:
         }
 
 
+def periods(seq: WeightSequence) -> tuple[int, ...]:
+    """Every ell that divides m and fixes the weights under rotation by ell."""
+    m, w = len(seq), seq.weights
+    return tuple(ell for ell in range(1, m + 1) if m % ell == 0 and w[ell:] + w[:ell] == w)
+
+
 def orbit_structure(seq: WeightSequence, ell: int) -> OrbitStructure:
-    """Orbits of the ell-fold rotation and fixed-point counts of its powers."""
-    m = len(seq)
-    if not 1 <= ell <= m or m % ell:
-        raise SequenceNotPeriodic(f"ell={ell} does not divide m={m}")
-    if seq.rotated(ell).weights != seq.weights:
-        raise SequenceNotPeriodic(f"sequence is not invariant under rotation by {ell}")
-    r = m // ell
+    """Orbits of the ell-fold rotation and fixed-point counts of its powers;
+    ``ell`` must be one of ``periods(seq)``."""
+    if ell not in periods(seq):
+        raise SequenceNotPeriodic(f"ell={ell} is not a period; the periods are {periods(seq)}")
+    r = len(seq) // ell
     paths = enumerate_paths(seq)
     index = {p.points: i for i, p in enumerate(paths)}
 

@@ -202,19 +202,14 @@ def to_dominant(rs: RootSystem, w: Weight) -> tuple[Weight, WeylWord]:
     return w, WeylWord(tuple(applied))
 
 
-def weyl_orbit(rs: RootSystem, w: Weight, cap: int | None = None) -> tuple[Weight, ...]:
-    """Full Weyl orbit of ``w``, sorted, capped to keep large types bounded."""
-    if cap is None or cap == DEFAULT_ORBIT_CAP:
-        return _orbit_cached(rs, tuple(w))
-    return _orbit(rs, tuple(w), cap)
+def weyl_orbit(rs: RootSystem, w: Weight) -> tuple[Weight, ...]:
+    """Full Weyl orbit of ``w``, sorted and cached.  The one place orbits
+    are capped: past ``DEFAULT_ORBIT_CAP`` elements it raises ``OrbitTooLarge``."""
+    return _orbit(rs, tuple(w))
 
 
 @functools.lru_cache(maxsize=None)
-def _orbit_cached(rs, w):
-    return _orbit(rs, w, DEFAULT_ORBIT_CAP)
-
-
-def _orbit(rs, w, cap):
+def _orbit(rs, w):
     seen = {w}
     frontier = [w]
     while frontier:
@@ -225,8 +220,8 @@ def _orbit(rs, w, cap):
                 if img not in seen:
                     seen.add(img)
                     fresh.append(img)
-        if len(seen) > cap:
-            raise OrbitTooLarge(f"orbit of {w} in {rs} exceeds cap {cap}")
+        if len(seen) > DEFAULT_ORBIT_CAP:
+            raise OrbitTooLarge(f"orbit of {w} in {rs} exceeds cap {DEFAULT_ORBIT_CAP}")
         frontier = fresh
     return tuple(sorted(seen))
 

@@ -7,19 +7,20 @@ added, which keeps the slides local.  Conversion to rank n-1 weights
 boundary.
 
 Validation happens once, where data enters: the public
-``RowStrictTableau`` constructor checks shape and strictness.  The
-tableau of a path and the promotion of a tableau are row-strict by
-construction, so they are built with the unchecked
-``RowStrictTableau._trusted``; ``path_to_tableau`` still checks that
-every step lifts to a 0/1 row vector and that the rows fill a rectangle,
-and ``promote`` that the gaps end in the last column.
+``RowStrictTableau`` constructor checks that it gets a list of rows of
+``int`` entries, the shape and strictness.  The tableau of a path and
+the promotion of a tableau are row-strict by construction, so they are
+built with the unchecked ``RowStrictTableau._trusted``;
+``path_to_tableau`` still checks that every step lifts to a 0/1 row
+vector and that the rows fill a rectangle, and ``promote`` that the gaps
+end in the last column.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import AlgorithmInvariantViolated, InvalidTableau, TypeMismatch
-from .paths import LittelmannPath, WeightSequence, _sub
+from .paths import LittelmannPath, WeightSequence, _int_lists, _sub
 from .rootsys import build_root_system
 
 
@@ -30,7 +31,9 @@ class RowStrictTableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+        if not _int_lists(self.rows):
+            raise InvalidTableau(f"a tableau is a list of rows of integers, not {self.rows!r}")
+        rows = tuple(tuple(row) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         if not rows or not rows[0]:
             raise InvalidTableau("tableau must have at least one box")

@@ -2,18 +2,18 @@
 
 The standard battery is the registry in minuscule.battery: A1 with 2, 4,
 6 and 8 factors; A2 with (1,1,1), (1,2,1,2) and (1,1,2,1,1,2); A3 with
-(2,2,2,2) and (1,3,1,3); D4 with (1,1,1,1); E6 with (1,6,1,6).  All
-comparisons are exact; the only tolerances are wall-clock budgets.  Run
-with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
+(2,2,2,2) and (1,3,1,3); D4 with (1,1,1,1); E6 with (1,6,1,6).  Each
+criterion runs the battery suite that checks it, plus the anchors the
+suite does not state.  All comparisons are exact; the only tolerances
+are wall-clock budgets.  Run with ``pytest tests/test_acceptance.py -v -s``
+to see the lines.
 """
-import random
 import time
 
 import pytest
 
 from minuscule import battery as bat
-from minuscule import crystals, csp, kostka, paths, rootsys, tableaux
-from minuscule.errors import NotInRootLattice
+from minuscule import csp, kostka, paths
 
 CASES = bat.standard_battery()
 
@@ -30,77 +30,36 @@ def clock():
     yield lambda: time.monotonic() - start
 
 
+def _gate(number, name, ok, elapsed, budget):
+    _report(number, name, ok, elapsed, budget)
+    assert ok and (not budget or elapsed < budget)
+
+
 def test_criterion_1_counting(clock):
     anchors = {
         ("A1", 4): 2, ("A1", 6): 5, ("A1", 8): 14,
         ("D4", 4): 3, ("E6", 4): 3,
     }
-    ok = True
+    ok = bat.suite_counting(CASES).passed
     for seq in CASES:
-        n_paths = len(paths.enumerate_paths(seq))
-        ok &= n_paths == kostka.invariant_dim(seq)
-        ok &= n_paths == len(crystals.invariant_elements(seq))
         want = anchors.get((str(seq.rs), len(seq)))
         if want is not None:
-            ok &= n_paths == want
-    elapsed = clock()
-    _report(1, "counting", ok, elapsed, 60)
-    assert ok and elapsed < 60
+            ok &= len(paths.enumerate_paths(seq)) == want
+    _gate(1, "counting", ok, clock(), 60)
 
 
 def test_criterion_2_rotation_order(clock):
-    ok = True
-    for seq in CASES:
-        m = len(seq)
-        for p in paths.enumerate_paths(seq):
-            q = p
-            for _ in range(m):
-                q = paths.rotate(q)
-            ok &= q.points == p.points
-    elapsed = clock()
-    _report(2, "rotation order", ok, elapsed, 60)
-    assert ok and elapsed < 60
+    _gate(2, "rotation order", bat.suite_rotation_order(CASES).passed, clock(), 60)
 
 
 def test_criterion_3_promotion_equivariance(clock):
-    ok = True
-    for seq in CASES:
-        if seq.rs.family != "A":
-            continue
-        for p in paths.enumerate_paths(seq):
-            lhs = tableaux.promote(tableaux.path_to_tableau(p))
-            rhs = tableaux.path_to_tableau(paths.rotate(p))
-            ok &= lhs.rows == rhs.rows
-    elapsed = clock()
-    _report(3, "promotion equivariance", ok, elapsed, 30)
-    assert ok and elapsed < 30
+    ok = bat.suite_promotion_equivariance(CASES).passed
+    _gate(3, "promotion equivariance", ok, clock(), 30)
 
 
 def test_criterion_4_crystal_coherence(clock):
-    rng = random.Random(0)
-    ok = True
-    for seq in CASES:
-        for p in paths.enumerate_paths(seq):
-            lhs = crystals.commutor_rotate(crystals.path_bijection(p)).factors
-            ok &= lhs == crystals.path_bijection(paths.rotate(p)).factors
-        pool = bat._crystal_sample(seq, rng)
-        for b in pool:
-            ok &= crystals.schutzenberger(crystals.schutzenberger(b)).factors == b.factors
-        policy_pool = pool
-        if len(policy_pool) > bat.CRYSTAL_SAMPLE:
-            policy_pool = [policy_pool[i] for i in
-                           rng.sample(range(len(policy_pool)), bat.CRYSTAL_SAMPLE)]
-
-        def scramble(options, _elem):
-            return rng.choice(options)
-
-        for b in policy_pool:
-            reference = crystals.schutzenberger(b).factors
-            for _ in range(bat.POLICY_TRIALS):
-                ok &= crystals.schutzenberger(b, policy=scramble).factors == reference
-    elapsed = clock()
-    _report(4, "crystal coherence", ok, elapsed, 120)
-    assert ok and elapsed < 120
+    ok = bat.suite_crystal_coherence(CASES, rng_seed=0).passed
+    _gate(4, "crystal coherence", ok, clock(), 120)
 
 
 def test_criterion_5_kostka_oracle(clock):
@@ -110,57 +69,22 @@ def test_criterion_5_kostka_oracle(clock):
         and kostka.kostka_foulkes((2, 2), (1, 1, 1, 1)).coeffs == (0, 0, 1, 0, 1)
         and kostka.kostka_foulkes((3,), (1, 1, 1)).coeffs == (0, 0, 0, 1)
     )
-    ok = result.passed and anchors
-    elapsed = clock()
-    _report(5, "kostka oracle equivalence", ok, elapsed, 120)
-    assert ok and elapsed < 120
+    _gate(5, "kostka oracle equivalence", result.passed and anchors, clock(), 120)
 
 
 def test_criterion_6_cyclic_sieving(clock):
-    ok = True
-    for seq in CASES:
-        if seq.rs.family != "A":
-            continue
-        lattice_ok = rootsys.in_root_lattice(seq.rs, seq.total())
-        for ell in bat.valid_shifts(seq):
-            if not lattice_ok:
-                # the battery includes one sequence whose total weight
-                # leaves the root lattice: no invariants, no polynomial
-                try:
-                    csp.csp_check(seq, ell)
-                    ok = False
-                except NotInRootLattice:
-                    ok &= not paths.enumerate_paths(seq)
-                continue
-            report = csp.csp_check(seq, ell)
-            ok &= report.verdict == "pass"
-            if str(seq.rs) == "A1" and len(seq) == 4 and ell == 1:
-                ok &= report.fixed_counts == (2, 0, 2, 0)
-                ok &= report.instance.poly.coeffs == (0, 0, 0, 0, 1, 0, 1)
-    elapsed = clock()
-    _report(6, "cyclic sieving", ok, elapsed, 120)
-    assert ok and elapsed < 120
+    ok = bat.suite_cyclic_sieving(CASES).passed
+    (a1_four,) = [s for s in CASES if str(s.rs) == "A1" and len(s) == 4]
+    report = csp.csp_check(a1_four, 1)
+    ok &= report.fixed_counts == (2, 0, 2, 0)
+    ok &= report.instance.poly.coeffs == (0, 0, 0, 0, 1, 0, 1)
+    _gate(6, "cyclic sieving", ok, clock(), 120)
 
 
 def test_criterion_7_exponent_identity(clock):
-    ok = True
-    for seq in CASES:
-        if seq.rs.family != "A":
-            continue
-        n = seq.rs.rank + 1
-        content = [w.index(1) + 1 for w in seq.weights]
-        doubled = n * sum(content) - sum(i * i for i in content)
-        ok &= doubled == rootsys.two_rho_pairing(seq.rs, seq.total())
-        if sum(content) % n == 0:
-            b = sum(content) // n
-            ok &= doubled == n * n * b - sum(i * i for i in content)
-    elapsed = clock()
-    _report(7, "exponent identity", ok, elapsed, 0)
-    assert ok
+    _gate(7, "exponent identity", bat.suite_exponent_identity(CASES).passed, clock(), 0)
 
 
 def test_criterion_8_stabilizer_lemma(clock):
     result = bat.suite_stabilizer_lemma(trials=500, rng_seed=0)
-    elapsed = clock()
-    _report(8, "stabilizer lemma", result.passed, elapsed, 10)
-    assert result.passed and elapsed < 10
+    _gate(8, "stabilizer lemma", result.passed, clock(), 10)

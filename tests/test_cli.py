@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 from minuscule import kostka
-from minuscule.cli import run
+from minuscule.cli import _build_parser, run
 from minuscule.poly import IntPolynomial
 
 
@@ -107,6 +108,28 @@ class TestRootAndCrystal:
             text='{"factors": [[1], [1]]}')
         assert code == 2 and "invariant" in err
 
+    @pytest.mark.parametrize("text", [
+        '{"factors": [[1.0], [-1]]}',   # float entry
+        '{"factors": [[true], [-1]]}',  # bool entry
+        '{"factors": 5}',               # not a list
+        '{"factors": [1, -1]}',         # factors that are not lists
+        "[1]",                          # not an object
+        '{"element": [[1], [-1]]}',     # no factors at all
+    ])
+    def test_crystal_rotate_rejects_malformed_factors(self, text):
+        code, out, err = invoke(
+            ["crystal", "rotate", "--type", "A", "--rank", "1", "--weights", "1,1"], text=text)
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_invariant_search_is_not_bounded_by_recursion(self):
+        # 1200 factors deep; the node cap, not the interpreter stack, stops it
+        proc = subprocess.run(
+            [sys.executable, "-m", "minuscule.cli", "crystal", "invariants", "--type", "A",
+             "--rank", "1", "--weights", ",".join(["1"] * 1200), "--cap", "20000"],
+            capture_output=True, text=True)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "exceeded 20000 nodes" in proc.stderr and "Traceback" not in proc.stderr
+
 
 class TestCap:
     COMMANDS = [
@@ -153,6 +176,18 @@ class TestTableauCommands:
     def test_invalid_tableau(self):
         code, _, err = invoke(["tableau", "promote"], text="[[2, 1]]")
         assert code == 2 and "increasing" in err
+
+    @pytest.mark.parametrize("command", ["promote", "to-path"])
+    @pytest.mark.parametrize("text", [
+        "[[1.5, 2], [3, 4]]",   # float entry
+        "[[true, 2], [3, 4]]",  # bool entry
+        '[[1, 2], "ab"]',       # a row that is not a list
+        "5",                    # not a list of rows
+        '{"rows": [[1, 2]]}',   # an object is not a tableau
+    ])
+    def test_malformed_tableau(self, command, text):
+        code, out, err = invoke(["tableau", command], text=text)
+        assert code == 2 and out == "" and err.startswith("error:")
 
 
 class TestKostkaCommand:
@@ -251,3 +286,53 @@ def test_run_accepts_intpolynomial_coeff_grammar():
          "--ell", "1", "--poly", "0,0,0,0,1,0,1"])
     assert code == 0 and json.loads(out)["verdict"] == "pass"
     assert IntPolynomial((0, 0, 0, 0, 1, 0, 1))(1) == 2
+
+
+def _leaves(parser, path=()):
+    """(subcommand path, parser) for every leaf subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+        return
+    for name, child in subs[0].choices.items():
+        yield from _leaves(child, path + (name,))
+
+
+def _option(parser, flag):
+    return next((a for a in parser._actions if flag in a.option_strings), None)
+
+
+A1_FOUR = ["--type", "A", "--rank", "1", "--weights", "1,1,1,1"]
+FORMAT_SAMPLES = {
+    ("root", "minuscule"): (["--type", "E", "--rank", "6"], ""),
+    ("paths", "enumerate"): (A1_FOUR, ""),
+    ("paths", "orbits"): (A1_FOUR, ""),
+    ("tableau", "promote"): ([], "[[1, 3], [2, 4]]"),
+    ("tableau", "from-path"): (A1_FOUR, '{"points": [[1], [2], [1], [0]]}'),
+    ("crystal", "invariants"): (A1_FOUR, ""),
+    ("kostka",): (["--shape", "2,2", "--content", "1,1,1,1"], ""),
+    ("csp", "check"): (A1_FOUR, ""),
+    ("battery",): (["--scope", "quick"], ""),
+}
+
+
+class TestNoIgnoredFlags:
+    def test_cap_only_on_the_bounded_searches(self):
+        with_cap = {path for path, p in _leaves(_build_parser()) if _option(p, "--cap")}
+        assert with_cap == {("paths", "enumerate"), ("crystal", "invariants")}
+
+    def test_every_format_flag_has_a_sample(self):
+        leaves = {path: p for path, p in _leaves(_build_parser()) if _option(p, "--format")}
+        assert set(leaves) == set(FORMAT_SAMPLES)
+        assert sum(len(_option(p, "--format").choices) for p in leaves.values()) == 19
+
+    @pytest.mark.parametrize("path", sorted(FORMAT_SAMPLES), ids="-".join)
+    def test_each_format_choice_changes_stdout(self, path):
+        parser = dict(_leaves(_build_parser()))[path]
+        argv, text = FORMAT_SAMPLES[path]
+        outs = []
+        for choice in _option(parser, "--format").choices:
+            code, out, _ = invoke(list(path) + argv + ["--format", choice], text)
+            assert code == 0 and out
+            outs.append(out)
+        assert len(set(outs)) == len(outs)

@@ -157,9 +157,10 @@ def test_weyl_orbit_examples():
 
 
 def test_weyl_orbit_cap():
-    rs = build_root_system("D", 4)
+    # rho is regular, so its orbit is all of W(E6): 51,840 > DEFAULT_ORBIT_CAP
+    rs = build_root_system("E", 6)
     with pytest.raises(OrbitTooLarge):
-        weyl_orbit(rs, (1, 1, 1, 1), cap=10)
+        weyl_orbit(rs, (1,) * 6)
 
 
 @pytest.mark.parametrize("family,rank", SMALL_TYPES)
