@@ -1,13 +1,15 @@
 """Kostka-Foulkes polynomials and two independent dimension oracles.
 
 The charge route enumerates column-strict tableaux and sums q^charge over
-their reading words (rows left to right, bottom row first).  The second
-route is a brute-force alternating sum over the symmetric group against a
-q-deformed partition function; the two must agree, and the test suite
-holds them to that.  A third routine computes invariant dimensions for
-arbitrary types by iterated tensoring with reflection signs, so path and
-crystal counts can be checked against something that shares no code with
-them.
+their reading words (rows left to right, bottom row first).  The tableaux
+are walked as chains of shapes, one horizontal strip per value, and
+within one enumeration the strips grown from each (shape, size) are
+computed once.  The second route is a brute-force alternating sum over
+the symmetric group against a q-deformed partition function; the two
+must agree, and the test suite holds them to that.  A third routine
+computes invariant dimensions for arbitrary types by iterated tensoring
+with reflection signs, so path and crystal counts can be checked against
+something that shares no code with them.
 
 Charge convention used throughout: within an extracted standard subword
 the index of 1 is 0 and the index of k+1 increments exactly when k+1
@@ -74,48 +76,69 @@ def charge(word) -> int:
     return total
 
 
-def _horizontal_strips(inner, outer_bound, size):
+def _horizontal_strips(inner, outer_bound, size) -> list[tuple[int, ...]]:
     """Partitions obtained from ``inner`` by adding ``size`` boxes, no two
-    in a column, staying under ``outer_bound`` row lengths."""
+    in a column, staying under ``outer_bound`` row lengths, in
+    lexicographic order."""
     n = len(outer_bound)
+    out: list[tuple[int, ...]] = []
+    prefix: list[int] = []
 
     def rec(row, remaining, above_prev):
         if row == n:
             if remaining == 0:
-                yield ()
+                out.append(tuple(prefix))
             return
         low = inner[row]
         high = min(outer_bound[row], above_prev, low + remaining)
         for length in range(low, high + 1):
-            for rest in rec(row + 1, remaining - (length - low), inner[row]):
-                yield (length,) + rest
+            prefix.append(length)
+            rec(row + 1, remaining - (length - low), low)
+            prefix.pop()
 
-    yield from rec(0, size, outer_bound[0])
+    rec(0, size, outer_bound[0] if n else 0)
+    return out
 
 
 def column_strict_tableaux(shape, content):
     """All fillings with weakly increasing rows and strictly increasing
-    columns, of the given shape and content, as row tuples."""
+    columns, of the given shape and content, as row tuples.
+
+    A tableau is a chain of shapes from the empty one to ``shape`` that
+    grows by a horizontal strip of ``content[v - 1]`` boxes for each value
+    v.  The chains are walked depth first with an explicit stack, children
+    in lexicographic order.  Many chains pass through the same shape, so
+    the strips grown from each (inner shape, size) are computed once per
+    call and kept in a dict that dies with the call.
+    """
     shape = tuple(shape)
     n = len(shape)
-
-    def rec(level, current):
-        if level == len(content):
-            if current == shape:
-                yield (current,)
-            return
-        for nxt in _horizontal_strips(current, shape, content[level]):
-            for chain in rec(level + 1, nxt):
-                yield (current,) + chain
-
-    start = (0,) * n
-    for chain in rec(0, start):
-        rows = [[] for _ in range(n)]
-        for value in range(1, len(content) + 1):
-            before, after = chain[value - 1], chain[value]
+    depth = len(content)
+    strips: dict[tuple, list[tuple[int, ...]]] = {}
+    # chain[v] is the shape filled with values 1..v on the current branch,
+    # and rows holds those values: a node cuts the rows back to its
+    # parent's shape and adds its own strip
+    chain: list[tuple[int, ...]] = [(0,) * n] * (depth + 1)
+    rows: list[list[int]] = [[] for _ in range(n)]
+    stack = [(0, chain[0])]
+    while stack:
+        level, current = stack.pop()
+        chain[level] = current
+        if level:
+            before = chain[level - 1]
             for r in range(n):
-                rows[r].extend([value] * (after[r] - before[r]))
-        yield tuple(tuple(r) for r in rows)
+                row = rows[r]
+                del row[before[r]:]
+                row.extend([level] * (current[r] - before[r]))
+        if level == depth:
+            if current == shape:
+                yield tuple(map(tuple, rows))
+            continue
+        key = (current, content[level])
+        grown = strips.get(key)
+        if grown is None:
+            grown = strips[key] = _horizontal_strips(current, shape, content[level])
+        stack.extend((level + 1, nxt) for nxt in reversed(grown))
 
 
 def reading_word(rows) -> tuple[int, ...]:

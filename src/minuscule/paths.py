@@ -30,6 +30,7 @@ from .rootsys import (
     RootSystem,
     Weight,
     apply_word,
+    in_root_lattice,
     minuscule_weights,
     to_dominant,
     two_rho_pairing,
@@ -188,8 +189,14 @@ def enumerate_paths(seq: WeightSequence, cap: int = DEFAULT_PATH_CAP) -> tuple[L
     exceeds what the remaining steps can cancel; that potential drops by
     at most <lambda_j, 2 rho_vee> per step, in every type.  The search
     keeps an explicit stack, so its depth is not bounded by recursion.
+
+    A closed path exists only if the total weight lies in the root
+    lattice; otherwise the answer is empty and no search is made, since
+    the cap counts found paths and would never stop it.
     """
     rs = seq.rs
+    if not in_root_lattice(rs, seq.total()):
+        return ()
     m = len(seq)
     zero = rs.zero()
     budget = [0] * (m + 1)

@@ -182,6 +182,15 @@ def apply_word(rs: RootSystem, word: WeylWord, w: Weight) -> Weight:
     return w
 
 
+@functools.lru_cache(maxsize=None)
+def _cartan_columns(rs: RootSystem):
+    """For each 0-based i, the pairs (j, cartan[j][i]) with j != i and a
+    nonzero entry: the off-diagonal support of column i."""
+    n = rs.rank
+    return tuple(tuple((j, rs.cartan[j][i]) for j in range(n) if j != i and rs.cartan[j][i])
+                 for i in range(n))
+
+
 def to_dominant(rs: RootSystem, w: Weight) -> tuple[Weight, WeylWord]:
     """Dominant representative of the orbit of ``w`` and a minimal word to it.
 
@@ -189,17 +198,29 @@ def to_dominant(rs: RootSystem, w: Weight) -> tuple[Weight, WeylWord]:
     policy yields the same representative; the smallest-index tie-break makes
     the word reproducible.  The word length equals the number of positive
     coroots pairing negatively with ``w``.
+
+    Each step is ``simple_reflection`` done in place on a list: coordinate
+    i with value x becomes -x, and only the coordinates j where column i of
+    the Cartan matrix is nonzero off the diagonal move, by -x * cartan[j][i].
+    ``simple_reflection`` stays the reference that ``apply_word`` uses.
     """
-    w = tuple(w)
+    columns = _cartan_columns(rs)
+    n = rs.rank
+    w = list(w)
     applied = []
     while True:
-        i = next((k for k in range(rs.rank) if w[k] < 0), None)
-        if i is None:
+        for i in range(n):
+            if w[i] < 0:
+                break
+        else:
             break
+        x = w[i]
+        w[i] = -x
+        for j, a in columns[i]:
+            w[j] -= x * a
         applied.append(i + 1)
-        w = simple_reflection(rs, i + 1, w)
     applied.reverse()
-    return w, WeylWord(tuple(applied))
+    return tuple(w), WeylWord(tuple(applied))
 
 
 def weyl_orbit(rs: RootSystem, w: Weight) -> tuple[Weight, ...]:

@@ -14,14 +14,22 @@ built with the unchecked ``RowStrictTableau._trusted``;
 ``path_to_tableau`` still checks that every step lifts to a 0/1 row
 vector and that the rows fill a rectangle, and ``promote`` that the gaps
 end in the last column.
+
+``path_to_tableau`` lifts steps through a table per (root system,
+weight), built once from the weight's Weyl orbit: each orbit element maps
+to the rows its entry lands in, computed by ``_lift_rows`` with its 0/1
+checks.  A step missing from the table has left its orbit, which is an
+``AlgorithmInvariantViolated`` as a failed lift is.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import AlgorithmInvariantViolated, InvalidTableau, TypeMismatch
 from .paths import LittelmannPath, WeightSequence, _int_lists, _sub
-from .rootsys import build_root_system
+from .rootsys import Weight, build_root_system, weyl_orbit
 
 
 @dataclass(frozen=True)
@@ -95,16 +103,28 @@ def _lift_rows(step, box_count, n) -> tuple[int, ...]:
     return tuple(r for r, occupied in enumerate(lift) if occupied)
 
 
+@functools.lru_cache(maxsize=None)
+def _lift_table(rs, lam) -> MappingProxyType[Weight, tuple[int, ...]]:
+    """Every step in the orbit of ``lam``, mapped to the rows its entry lands in."""
+    n, box_count = rs.rank + 1, lam.index(1) + 1
+    table = {step: _lift_rows(step, box_count, n) for step in weyl_orbit(rs, lam)}
+    return MappingProxyType(table)  # cached and shared: read only
+
+
 def path_to_tableau(p: LittelmannPath) -> RowStrictTableau:
     """Record, for each step, the rows in which its entry lands."""
     rs = p.seq.rs
     if rs.family != "A":
         raise TypeMismatch(f"tableaux need type A, got {rs}")
     n = rs.rank + 1
+    tables = {lam: _lift_table(rs, lam) for lam in set(p.seq.weights)}
     rows: list[list[int]] = [[] for _ in range(n)]
     prev = rs.zero()
     for j, (point, lam) in enumerate(zip(p.points, p.seq.weights), start=1):
-        for r in _lift_rows(_sub(point, prev), lam.index(1) + 1, n):
+        lifted = tables[lam].get(_sub(point, prev))
+        if lifted is None:
+            raise AlgorithmInvariantViolated(f"step into {point} leaves the orbit of {lam}")
+        for r in lifted:
             rows[r].append(j)
         prev = point
     if len({len(r) for r in rows}) != 1:

@@ -1,6 +1,8 @@
 import argparse
 import io
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -9,6 +11,15 @@ import pytest
 from minuscule import kostka
 from minuscule.cli import _build_parser, run
 from minuscule.poly import IntPolynomial
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def run_module(*args):
+    """``python -m minuscule.cli`` in a fresh interpreter that imports from ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "minuscule.cli", *args],
+                          capture_output=True, text=True, env=env)
 
 
 def invoke(argv, text=""):
@@ -65,12 +76,16 @@ class TestPathsCommands:
 
     def test_enumerate_deep_sequence_hits_the_cap_cleanly(self):
         # 1200 steps deep; under the default cap this would build 100k paths
-        proc = subprocess.run(
-            [sys.executable, "-m", "minuscule.cli", "paths", "enumerate", "--type", "A",
-             "--rank", "1", "--weights", ",".join(["1"] * 1200), "--cap", "50"],
-            capture_output=True, text=True)
+        proc = run_module("paths", "enumerate", "--type", "A", "--rank", "1",
+                          "--weights", ",".join(["1"] * 1200), "--cap", "50")
         assert proc.returncode == 2 and proc.stdout == ""
         assert "more than 50 paths" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_enumerate_outside_root_lattice_is_empty(self):
+        code, out, err = invoke(
+            ["paths", "enumerate", "--type", "A", "--rank", "1",
+             "--weights", ",".join(["1"] * 41), "--cap", "50"])
+        assert code == 0 and json.loads(out) == [] and err == ""
 
     def test_orbits(self):
         code, out, _ = invoke(
@@ -123,10 +138,8 @@ class TestRootAndCrystal:
 
     def test_invariant_search_is_not_bounded_by_recursion(self):
         # 1200 factors deep; the node cap, not the interpreter stack, stops it
-        proc = subprocess.run(
-            [sys.executable, "-m", "minuscule.cli", "crystal", "invariants", "--type", "A",
-             "--rank", "1", "--weights", ",".join(["1"] * 1200), "--cap", "20000"],
-            capture_output=True, text=True)
+        proc = run_module("crystal", "invariants", "--type", "A", "--rank", "1",
+                          "--weights", ",".join(["1"] * 1200), "--cap", "20000")
         assert proc.returncode == 2 and proc.stdout == ""
         assert "exceeded 20000 nodes" in proc.stderr and "Traceback" not in proc.stderr
 
@@ -231,6 +244,12 @@ class TestCspCommand:
             ["csp", "check", "--type", "D", "--rank", "4", "--weights", "1,1,1,1"])
         assert code == 2 and "automatic" in err
 
+    def test_supplied_poly_outside_root_lattice_is_invalid_input(self):
+        code, out, err = invoke(
+            ["csp", "check", "--type", "A", "--rank", "1",
+             "--weights", ",".join(["1"] * 41), "--ell", "1", "--poly", "1"])
+        assert code == 2 and out == "" and "root lattice" in err
+
 
 class TestBatteryCommand:
     def test_quick_passes(self):
@@ -271,10 +290,7 @@ class TestContract:
         assert invoke(argv) == invoke(argv)
 
     def test_module_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "minuscule.cli", "kostka",
-             "--shape", "2,2", "--content", "1,1,1,1"],
-            capture_output=True, text=True)
+        proc = run_module("kostka", "--shape", "2,2", "--content", "1,1,1,1")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "q^2 + q^4"
 

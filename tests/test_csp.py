@@ -144,6 +144,11 @@ class TestCspCheck:
         with pytest.raises(NotInRootLattice):
             csp_check(bad, 3, poly(0))
 
+    def test_supplied_polynomial_refused_without_a_search(self):
+        # 41 A1 steps: outside the root lattice, and far too many to search
+        with pytest.raises(NotInRootLattice):
+            csp_check(WeightSequence(A1, (W,) * 41), 1, poly(1))
+
     def test_report_schema(self):
         report = csp_check(WeightSequence(A1, (W,) * 4), 2)
         data = json.loads(json.dumps(report.to_json_dict()))

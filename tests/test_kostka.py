@@ -182,5 +182,66 @@ class TestInvariantDim:
         assert invariant_dim(seq) == len(enumerate_paths(seq))
 
 
+def recursive_column_strict_tableaux(shape, content):
+    """Reference: the recursive generator over chains of shapes, with the
+    strips regenerated at every node."""
+    shape = tuple(shape)
+    n = len(shape)
+
+    def strips(inner, size):
+        def rec(row, remaining, above_prev):
+            if row == n:
+                if remaining == 0:
+                    yield ()
+                return
+            low = inner[row]
+            for length in range(low, min(shape[row], above_prev, low + remaining) + 1):
+                for rest in rec(row + 1, remaining - (length - low), inner[row]):
+                    yield (length,) + rest
+        yield from rec(0, size, shape[0])
+
+    def rec(level, current):
+        if level == len(content):
+            if current == shape:
+                yield (current,)
+            return
+        for nxt in strips(current, content[level]):
+            for chain in rec(level + 1, nxt):
+                yield (current,) + chain
+
+    for chain in rec(0, (0,) * n):
+        rows = [[] for _ in range(n)]
+        for value in range(1, len(content) + 1):
+            for r in range(n):
+                rows[r].extend([value] * (chain[value][r] - chain[value - 1][r]))
+        yield tuple(tuple(r) for r in rows)
+
+
+class TestColumnStrictTableaux:
+    def test_same_tableaux_in_the_same_order(self):
+        cases = [(nu, gamma) for n in range(8) for nu in partitions(n) for gamma in partitions(n)]
+        cases += [((3, 3, 3), (2, 2, 2, 1, 1, 1)), ((4, 4, 4), (3, 3, 2, 2, 1, 1))]
+        for nu, gamma in cases:
+            assert list(column_strict_tableaux(nu, gamma)) == \
+                list(recursive_column_strict_tableaux(nu, gamma)), (nu, gamma)
+
+    def test_empty_shape(self):
+        assert list(column_strict_tableaux((), ())) == [()]
+        assert list(recursive_column_strict_tableaux((), ())) == [()]
+
+    @settings(max_examples=150, deadline=None)
+    @given(shapes_and_contents(max_size=8))
+    def test_every_tableau_is_column_strict_with_the_content(self, case):
+        shape, content = case
+        for rows in column_strict_tableaux(shape, content):
+            assert tuple(map(len, rows)) == shape
+            for row in rows:
+                assert all(a <= b for a, b in zip(row, row[1:]))
+            for upper, lower in zip(rows, rows[1:]):
+                assert all(a < b for a, b in zip(upper, lower))
+            entries = [x for row in rows for x in row]
+            assert [entries.count(v) for v in range(1, len(content) + 1)] == list(content)
+
+
 def test_reading_word_is_bottom_up():
     assert reading_word(((1, 2), (3, 4))) == (3, 4, 1, 2)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -97,6 +98,13 @@ class TestEnumerate:
     def test_cap(self):
         with pytest.raises(EnumerationTooLarge):
             enumerate_paths(seq_a1(8), cap=3)
+
+    def test_outside_root_lattice_makes_no_search(self):
+        # the cap counts found paths, so only the lattice test can stop a
+        # search with none to find; 41 steps would take hours to exhaust
+        start = time.perf_counter()
+        assert enumerate_paths(seq_a1(41), cap=50) == ()
+        assert time.perf_counter() - start < 0.5
 
     @pytest.mark.parametrize("seq", [
         seq_a1(2), seq_a1(4), seq_a1(6),

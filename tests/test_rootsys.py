@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import minuscule
 from minuscule.errors import InvalidIndex, InvalidType, OrbitTooLarge
@@ -145,6 +145,42 @@ def test_to_dominant_properties(family, rank):
             1 for c in rs.positive_coroots
             if sum(a * b for a, b in zip(w, c)) < 0)
         assert len(word) == inversions
+
+
+EVERY_FINITE_TYPE = ([("A", n) for n in range(1, 7)] + [("B", n) for n in range(2, 6)]
+                     + [("C", n) for n in range(2, 6)] + [("D", n) for n in range(4, 8)]
+                     + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+@st.composite
+def weights_in_any_type(draw):
+    family, rank = draw(st.sampled_from(EVERY_FINITE_TYPE))
+    w = draw(st.lists(st.integers(-4, 4), min_size=rank, max_size=rank))
+    return build_root_system(family, rank), tuple(w)
+
+
+def to_dominant_by_reflections(rs, w):
+    """Reference: reflect at the smallest negative index with
+    ``simple_reflection`` until dominant; the word applies right to left."""
+    letters = []
+    while min(w) < 0:
+        i = next(k for k, x in enumerate(w) if x < 0) + 1
+        w = simple_reflection(rs, i, w)
+        letters.append(i)
+    return w, tuple(reversed(letters))
+
+
+@settings(max_examples=400, deadline=None)
+@given(weights_in_any_type())
+def test_to_dominant_matches_repeated_simple_reflections(case):
+    # B, C, F4 and G2 have Cartan entries -2 and -3, where a sign slip shows
+    rs, w = case
+    dom, word = to_dominant(rs, w)
+    assert (dom, word.letters) == to_dominant_by_reflections(rs, w)
+    assert apply_word(rs, word, w) == dom
+    assert min(dom) >= 0
+    inversions = sum(1 for c in rs.positive_coroots if sum(a * b for a, b in zip(w, c)) < 0)
+    assert len(word) == inversions
 
 
 def test_weyl_orbit_examples():

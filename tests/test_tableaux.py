@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minuscule.errors import InvalidTableau, TypeMismatch
-from minuscule.paths import WeightSequence, enumerate_paths, rotate
+from minuscule.errors import AlgorithmInvariantViolated, InvalidTableau, TypeMismatch
+from minuscule.paths import LittelmannPath, WeightSequence, enumerate_paths, rotate
 from minuscule.rootsys import build_root_system
 from minuscule.tableaux import (
     RowStrictTableau,
@@ -79,6 +79,23 @@ class TestPathBijection:
     def test_single_row_rejected(self):
         with pytest.raises(InvalidTableau):
             tableau_to_path(RowStrictTableau(((1, 2, 3),)))
+
+    def test_step_outside_its_orbit_is_caught(self):
+        # (2,) is no weight of the A1 standard orbit {(1,), (-1,)}
+        bad = LittelmannPath._trusted(WeightSequence(A1, (W,) * 4), ((2,), (1,), (1,), (0,)))
+        with pytest.raises(AlgorithmInvariantViolated):
+            path_to_tableau(bad)
+        # steps (1,), (0,), (-1,), (0,): the two in the orbit alone fill a
+        # 2 x 1 rectangle, so only the orbit check can catch the (0,) steps
+        bad = LittelmannPath._trusted(WeightSequence(A1, (W,) * 4), ((1,), (1,), (0,), (0,)))
+        with pytest.raises(AlgorithmInvariantViolated):
+            path_to_tableau(bad)
+
+    def test_path_that_fills_no_rectangle_is_caught(self):
+        # every step is in its orbit, but both entries land in the first row
+        bad = LittelmannPath._trusted(WeightSequence(A1, (W, W)), ((1,), (2,)))
+        with pytest.raises(AlgorithmInvariantViolated):
+            path_to_tableau(bad)
 
     @pytest.mark.parametrize("seq", TYPE_A_SEQUENCES)
     def test_round_trip(self, seq):
