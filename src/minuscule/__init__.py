@@ -23,9 +23,7 @@ from .paths import (
     OrbitStructure,
     WeightSequence,
     enumerate_paths,
-    first_nondominant,
     orbit_structure,
-    raise_once,
     rotate,
     straighten,
 )
@@ -62,9 +60,7 @@ __all__ = [
     "OrbitStructure",
     "WeightSequence",
     "enumerate_paths",
-    "first_nondominant",
     "orbit_structure",
-    "raise_once",
     "rotate",
     "straighten",
     "TensorCrystalElement",

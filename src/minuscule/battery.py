@@ -149,7 +149,7 @@ def suite_crystal_coherence(cases, rng_seed: int = 0) -> SuiteResult:
             if crystals.schutzenberger(xi).factors != b.factors:
                 res.fail(f"{describe(seq)}: involution fails on {b.factors}")
 
-        def random_policy(options, _elem):
+        def random_policy(options):
             return rng.choice(options)
 
         policy_pool = _crystal_sample(seq, rng)
@@ -227,11 +227,9 @@ def suite_exponent_identity(cases) -> SuiteResult:
     for seq in cases:
         if seq.rs.family != "A":
             continue
-        n = seq.rs.rank + 1
-        content = [w.index(1) + 1 for w in seq.weights]
-        doubled = n * sum(content) - sum(i * i for i in content)
+        doubled, pairing = csp.exponent_identity(seq)
         res.checks += 1
-        if doubled != rootsys.two_rho_pairing(seq.rs, seq.total()):
+        if doubled != pairing:
             res.fail(f"{describe(seq)}: exponent identity fails")
     return res
 

@@ -17,6 +17,17 @@ reflects an element within its i-string; it flips the leftmost p - a '+'
 or the rightmost a - p '-'.  Along a reduced word of w0, the S_i carry a
 highest-weight element to the lowest-weight element of its component.
 
+Inside the operators each factor is an integer id: its index in the
+sorted union of the orbits of the sequence's own distinct weights.
+Read-only tables, built once per (root system, distinct weights), give
+each id's pairing with every simple coroot and its id after every simple
+reflection (``_tables``), so signatures, strings, S_i and the
+Schutzenberger replay are lookups over a list of ints.  Weights appear
+only at the ``TensorCrystalElement`` boundary: each public call encodes
+its input once (``_encode``) and decodes its result once (``_decode``).
+A random route through ``schutzenberger`` is a ``policy(options)``
+called with the indices that can still raise.
+
 Validation happens once, where data enters: the public
 ``TensorCrystalElement`` constructor checks that it gets a list of
 ``int`` weights, one per factor, each in its orbit.  Operators,
@@ -29,6 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import (
     AlgorithmInvariantViolated,
@@ -48,13 +60,6 @@ from .rootsys import (
 )
 
 DEFAULT_NODE_CAP = 5_000_000
-
-
-@functools.lru_cache(maxsize=None)
-def _w0_word(rs) -> tuple[int, ...]:
-    """A reduced word of the longest Weyl element: it sends -rho to rho."""
-    _, word = to_dominant(rs, (-1,) * rs.rank)
-    return word.letters
 
 
 @dataclass(frozen=True)
@@ -93,15 +98,64 @@ class TensorCrystalElement:
         return {"factors": [list(f) for f in self.factors]}
 
 
-def _signature(factors, i: int):
-    """Surviving signs after cancelling "+-": the indices of the factors
-    left with a '-' and of those left with a '+', both ascending.  Every
-    surviving '-' lies left of every surviving '+'."""
-    j = i - 1
+class _IdTables:
+    """Read-only id tables for the factors of a sequence over ``rs`` whose
+    distinct weights are ``lams``.
+
+    ``weights`` is the sorted union of the orbits of those weights, and a
+    factor's id is its position there; only these orbits are enumerated,
+    never those of the other minuscule weights, which can be far larger.
+    For the 0-based index j of alpha_(j+1): ``pair[j][id]`` is the pairing
+    of the weight with the coroot, in {-1, 0, 1}, and ``refl[j][id]`` is
+    the id after the simple reflection.  ``ups[id]`` and ``downs[id]``
+    list the j where the pairing is +1 and -1.  ``w0`` is a reduced word
+    of the longest element and ``dual[j]`` the dual index of j + 1.
+    """
+
+    __slots__ = ("weights", "index", "pair", "refl", "ups", "downs", "w0", "dual")
+
+    def __init__(self, rs, lams):
+        weights = tuple(sorted(set().union(*(weyl_orbit(rs, lam) for lam in lams))))
+        index = {w: k for k, w in enumerate(weights)}
+        span = range(rs.rank)
+        self.weights = weights
+        self.index = MappingProxyType(index)  # cached and shared: read only
+        self.pair = tuple(tuple(w[j] for w in weights) for j in span)
+        self.refl = tuple(tuple(index[simple_reflection(rs, j + 1, w)] for w in weights)
+                          for j in span)
+        self.ups = tuple(tuple(j for j in span if w[j] == 1) for w in weights)
+        self.downs = tuple(tuple(j for j in span if w[j] == -1) for w in weights)
+        self.w0 = to_dominant(rs, (-1,) * rs.rank)[1].letters  # w0 sends -rho to rho
+        self.dual = tuple(dual_index(rs, j + 1) for j in span)
+
+
+@functools.lru_cache(maxsize=None)
+def _tables(rs, lams: frozenset) -> _IdTables:
+    """The id tables of ``rs`` and a set of distinct weights, built once."""
+    return _IdTables(rs, lams)
+
+
+def _encode(b: TensorCrystalElement) -> tuple[_IdTables, list[int]]:
+    """The tables of ``b``'s sequence and its factors as a list of ids."""
+    t = _tables(b.seq.rs, frozenset(b.seq.weights))
+    index = t.index
+    return t, [index[f] for f in b.factors]
+
+
+def _decode(seq: WeightSequence, t: _IdTables, ids) -> TensorCrystalElement:
+    weights = t.weights
+    return TensorCrystalElement._trusted(seq, tuple([weights[x] for x in ids]))
+
+
+def _signature(t: _IdTables, ids, i: int):
+    """Surviving signs at alpha_i after cancelling "+-": the positions of
+    the factors left with a '-' and of those left with a '+', both
+    ascending.  Every surviving '-' lies left of every surviving '+'."""
+    pair = t.pair[i - 1]
     minus: list[int] = []
     plus: list[int] = []
-    for k, f in enumerate(factors):
-        a = f[j]
+    for k, x in enumerate(ids):
+        a = pair[x]
         if a == 1:
             plus.append(k)
         elif a == -1:
@@ -112,23 +166,43 @@ def _signature(factors, i: int):
     return minus, plus
 
 
-@functools.lru_cache(maxsize=None)
-def _reflected(rs, i: int, f: Weight) -> Weight:
-    # factors range over a few small orbits, so the same reflections recur
-    return simple_reflection(rs, i, f)
+def _unmatched(t: _IdTables, ids):
+    """Every index in one pass over the factors: for each 0-based j, the
+    number of surviving '+' (phi) and the position of the rightmost
+    surviving '-' (-1 when eps is 0)."""
+    n = len(t.pair)
+    plus = [0] * n
+    last = [-1] * n
+    ups, downs = t.ups, t.downs
+    for k, x in enumerate(ids):
+        for j in downs[x]:
+            if plus[j]:
+                plus[j] -= 1
+            else:
+                last[j] = k
+        for j in ups[x]:
+            plus[j] += 1
+    return plus, last
 
 
-def _flip(rs, factors: list, i: int, positions):
+def _is_invariant(t: _IdTables, ids) -> bool:
+    # weight zero and highest weight: every eps and then every phi is 0
+    plus, last = _unmatched(t, ids)
+    return not any(plus) and max(last) < 0
+
+
+def _flip(t: _IdTables, ids: list, i: int, positions):
     """Reflect the listed factors at alpha_i, in place."""
+    refl = t.refl[i - 1]
     for k in positions:
-        factors[k] = _reflected(rs, i, factors[k])
+        ids[k] = refl[ids[k]]
 
 
-def _reflect(rs, factors: list, i: int):
+def _reflect(t: _IdTables, ids: list, i: int):
     """Kashiwara's S_i in place: f_i^(p-a) or e_i^(a-p) along the i-string."""
-    minus, plus = _signature(factors, i)
+    minus, plus = _signature(t, ids, i)
     a, p = len(minus), len(plus)
-    _flip(rs, factors, i, plus[:p - a] if p > a else minus[p:])
+    _flip(t, ids, i, plus[:p - a] if p > a else minus[p:])
 
 
 def crystal_op(direction: str, i: int, b: TensorCrystalElement):
@@ -138,32 +212,32 @@ def crystal_op(direction: str, i: int, b: TensorCrystalElement):
         raise InvalidIndex(f"index {i} out of range for {rs}")
     if direction not in ("raise", "lower"):
         raise InvalidIndex(f"unknown direction {direction!r}")
-    minus, plus = _signature(b.factors, i)
-    if direction == "lower":
-        positions = plus[:1]
-    else:
-        positions = minus[-1:]
+    t, ids = _encode(b)
+    minus, plus = _signature(t, ids, i)
+    positions = plus[:1] if direction == "lower" else minus[-1:]
     if not positions:
         return None
-    factors = list(b.factors)
-    _flip(rs, factors, i, positions)
-    return TensorCrystalElement._trusted(b.seq, tuple(factors))
+    _flip(t, ids, i, positions)
+    return _decode(b.seq, t, ids)
 
 
 def epsilon(i: int, b: TensorCrystalElement) -> int:
-    return len(_signature(b.factors, i)[0])
+    t, ids = _encode(b)
+    return len(_signature(t, ids, i)[0])
 
 
 def phi(i: int, b: TensorCrystalElement) -> int:
-    return len(_signature(b.factors, i)[1])
+    t, ids = _encode(b)
+    return len(_signature(t, ids, i)[1])
 
 
 def is_highest_weight(b: TensorCrystalElement) -> bool:
-    return all(epsilon(i, b) == 0 for i in range(1, b.seq.rs.rank + 1))
+    _, last = _unmatched(*_encode(b))
+    return max(last) < 0
 
 
 def is_invariant(b: TensorCrystalElement) -> bool:
-    return not any(b.weight()) and is_highest_weight(b)
+    return _is_invariant(*_encode(b))
 
 
 def all_elements(seq: WeightSequence):
@@ -232,46 +306,61 @@ def invariant_elements(seq: WeightSequence, cap: int = DEFAULT_NODE_CAP) -> tupl
     return tuple(out)
 
 
-def _to_highest(b, policy=None):
-    """Raise to the top of the connected component, recording the indices
-    in application order.
+def _to_highest(t: _IdTables, ids: list, policy=None) -> list[int]:
+    """Raise ``ids`` in place to the top of its connected component and
+    return the indices applied, in order.
 
     Without a ``policy`` each step raises a whole string e_i^eps_i at the
     smallest index with eps_i > 0.  With one, each step is a single e_i at
-    the index ``policy(options, element)`` picks, so a random policy
-    exercises a different route.
+    the index ``policy(options)`` picks among those with eps_i > 0, so a
+    random policy exercises a different route; one pass over the factors
+    finds every index's rightmost surviving '-'.
     """
-    rs = b.seq.rs
     record: list[int] = []
     if policy is not None:
+        refl = t.refl
         while True:
-            options = [i for i in range(1, rs.rank + 1) if epsilon(i, b) > 0]
+            _, last = _unmatched(t, ids)
+            options = [j + 1 for j, k in enumerate(last) if k >= 0]
             if not options:
-                return b, record
-            i = policy(options, b)
+                return record
+            i = policy(options)
             record.append(i)
-            b = crystal_op("raise", i, b)
-    factors = list(b.factors)
+            k = last[i - 1]
+            ids[k] = refl[i - 1][ids[k]]
+    rank = len(t.pair)
     while True:
-        for i in range(1, rs.rank + 1):
-            minus, _ = _signature(factors, i)
+        for i in range(1, rank + 1):
+            minus, _ = _signature(t, ids, i)
             if minus:
-                _flip(rs, factors, i, minus)
+                _flip(t, ids, i, minus)
                 record.extend([i] * len(minus))
                 break
         else:
-            return TensorCrystalElement._trusted(b.seq, tuple(factors)), record
+            return record
 
 
-def _to_lowest(top):
-    """The lowest-weight element of the component of the highest-weight
-    element ``top``: Kashiwara's S_i along a reduced word of w0.  As w0 is
-    an involution, the word's letters may be applied in either order."""
-    rs = top.seq.rs
-    factors = list(top.factors)
-    for i in _w0_word(rs):
-        _reflect(rs, factors, i)
-    return TensorCrystalElement._trusted(top.seq, tuple(factors))
+def _to_lowest(t: _IdTables, ids: list):
+    """Move the highest-weight ``ids`` in place to the lowest-weight
+    element of its component: Kashiwara's S_i along a reduced word of w0.
+    As w0 is an involution, the word's letters may be applied in either
+    order."""
+    for i in t.w0:
+        _reflect(t, ids, i)
+
+
+def _xi(t: _IdTables, ids: list, policy=None):
+    """Schutzenberger's involution on ``ids``, in place."""
+    record = _to_highest(t, ids, policy)
+    _to_lowest(t, ids)
+    dual = t.dual
+    for i, run in itertools.groupby(reversed(record)):
+        j = dual[i - 1]
+        c = sum(1 for _ in run)
+        minus, _ = _signature(t, ids, j)
+        if len(minus) < c:  # pragma: no cover - would signal a bug
+            raise AlgorithmInvariantViolated("replay of the raising record left the crystal")
+        _flip(t, ids, j, minus[len(minus) - c:])
 
 
 def schutzenberger(b: TensorCrystalElement, policy=None) -> TensorCrystalElement:
@@ -282,37 +371,35 @@ def schutzenberger(b: TensorCrystalElement, policy=None) -> TensorCrystalElement
     along a reduced word of w0, then replay the record backwards through
     raising operators at the dual indices, each run of equal entries as
     one string e_{i*}^c.  Without a ``policy`` the ascent raises whole
-    strings; a ``policy`` picks every single step instead.  The result
-    does not depend on the route; ``policy`` exists so tests can
-    randomize it.  The input was validated when it was built, and every
-    step reflects factors inside their orbits, so nothing is re-checked.
+    strings; a ``policy`` is called as ``policy(options)`` with the
+    ascending indices i that have eps_i > 0 and picks every single step
+    instead.  The result does not depend on the route; ``policy`` exists
+    so tests can randomize it.
+
+    The work happens on factor ids: ``b`` is encoded once on the way in
+    and the result decoded once on the way out.  The input was validated
+    when it was built, and every step maps ids inside their orbits, so
+    nothing is re-checked.
     """
-    rs = b.seq.rs
-    top, record = _to_highest(b, policy)
-    x = list(_to_lowest(top).factors)
-    for i, run in itertools.groupby(reversed(record)):
-        j = dual_index(rs, i)
-        c = sum(1 for _ in run)
-        minus, _ = _signature(x, j)
-        if len(minus) < c:  # pragma: no cover - would signal a bug
-            raise AlgorithmInvariantViolated("replay of the raising record left the crystal")
-        _flip(rs, x, j, minus[len(minus) - c:])
-    return TensorCrystalElement._trusted(b.seq, tuple(x))
+    t, ids = _encode(b)
+    _xi(t, ids, policy)
+    return _decode(b.seq, t, ids)
 
 
 def commutor_rotate(b: TensorCrystalElement) -> TensorCrystalElement:
-    """Send b_1 (x) rest to xi(rest) (x) xi(b_1), staying inside invariants."""
-    if not is_invariant(b):
+    """Send b_1 (x) rest to xi(rest) (x) xi(b_1), staying inside invariants.
+
+    Both parts are factors of one sequence, so one encoding serves both."""
+    t, ids = _encode(b)
+    if not _is_invariant(t, ids):
         raise NotInvariant("commutor rotation is defined on invariant elements only")
-    seq = b.seq
-    rs = seq.rs
-    head = TensorCrystalElement._trusted(WeightSequence(rs, seq.weights[:1]), b.factors[:1])
-    tail = TensorCrystalElement._trusted(WeightSequence(rs, seq.weights[1:]), b.factors[1:])
-    out = TensorCrystalElement._trusted(
-        seq.rotated(1), schutzenberger(tail).factors + schutzenberger(head).factors)
-    if not is_invariant(out):  # pragma: no cover - would signal a bug
+    head, tail = ids[:1], ids[1:]
+    _xi(t, head)
+    _xi(t, tail)
+    out = tail + head
+    if not _is_invariant(t, out):  # pragma: no cover - would signal a bug
         raise AlgorithmInvariantViolated("rotated element is no longer invariant")
-    return out
+    return _decode(b.seq.rotated(1), t, out)
 
 
 def path_bijection(p: LittelmannPath) -> TensorCrystalElement:

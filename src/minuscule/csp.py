@@ -61,12 +61,24 @@ def _type_a_content(seq: WeightSequence) -> tuple[int, ...]:
     return tuple(w.index(1) + 1 for w in seq.weights)
 
 
+def exponent_identity(seq: WeightSequence) -> tuple[int, int]:
+    """Both sides of n * sum(i_j) - sum(i_j^2) = <total, 2 rho_vee> for a
+    type-A sequence of content (i_1..i_m), computed independently.  When
+    sum(i_j) = n*b the left side is n^2 b - sum(i_j^2), twice the q-power
+    of the sieving polynomial."""
+    content = _type_a_content(seq)
+    n = seq.rs.rank + 1
+    return (n * sum(content) - sum(i * i for i in content),
+            two_rho_pairing(seq.rs, seq.total()))
+
+
 def type_a_csp_polynomial(seq: WeightSequence) -> IntPolynomial:
     """q-power times Kostka-Foulkes, the sieving polynomial in type A.
 
     For content (i_1..i_m) with sum n*b the exponent is
     (n^2 b - sum i_j^2)/2, which equals the pairing of the total weight
-    with the half-sum of positive coroots; both are computed and compared.
+    with the half-sum of positive coroots; ``exponent_identity`` computes
+    both and they are compared.
     """
     content = _type_a_content(seq)
     n = seq.rs.rank + 1
@@ -75,8 +87,7 @@ def type_a_csp_polynomial(seq: WeightSequence) -> IntPolynomial:
     if rem:
         raise NotInRootLattice(
             f"content sum {total_boxes} is not a multiple of {n}; no invariants exist")
-    exponent2 = n * n * b - sum(i * i for i in content)
-    pairing = two_rho_pairing(seq.rs, seq.total())
+    exponent2, pairing = exponent_identity(seq)
     if exponent2 != pairing or exponent2 % 2 or exponent2 < 0:
         raise AlgorithmInvariantViolated(
             f"exponent identity failed: {exponent2} vs <total, 2 rho_vee> = {pairing}")

@@ -21,10 +21,6 @@ class EnumerationTooLarge(MinusculeError):
     """Path or crystal enumeration exceeded the configured cap."""
 
 
-class NotApplicable(MinusculeError):
-    """Operation requires a non-dominant path but received a dominant one."""
-
-
 class AlgorithmInvariantViolated(MinusculeError):
     """An internal assertion failed; this always signals a bug, never bad input."""
 

@@ -41,9 +41,7 @@ def _as_partition(parts) -> tuple[int, ...]:
 def charge(word) -> int:
     """Lascoux-Schutzenberger charge of a word with partition content."""
     word = tuple(int(x) for x in word)
-    if not word:
-        return 0
-    top = max(word)
+    top = max(word, default=0)
     mult = [0] * top
     for x in word:
         if x < 1:
@@ -51,7 +49,14 @@ def charge(word) -> int:
         mult[x - 1] += 1
     if any(mult[i] < mult[i + 1] for i in range(top - 1)) or 0 in mult:
         raise InvalidContent(f"content {tuple(mult)} is not a partition")
+    return _charge(word)
 
+
+def _charge(word) -> int:
+    """``charge`` without checks: ``word`` is a tuple of positive ints
+    whose content is a partition, as is every reading word of a
+    column-strict tableau of partition content."""
+    top = max(word, default=0)
     # ascending positions of each letter; every round removes one of each
     # letter 1..top, so the content stays a partition and top only falls
     where: list[list[int]] = [[] for _ in range(top + 1)]
@@ -164,7 +169,7 @@ def kostka_foulkes(nu, gamma) -> IntPolynomial:
     content = tuple(sorted((g for g in gamma if g), reverse=True))
     coeffs: dict[int, int] = {}
     for rows in column_strict_tableaux(nu, content):
-        c = charge(reading_word(rows))
+        c = _charge(reading_word(rows))
         coeffs[c] = coeffs.get(c, 0) + 1
     if not coeffs:
         return IntPolynomial()

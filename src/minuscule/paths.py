@@ -23,7 +23,6 @@ from .errors import (
     EnumerationTooLarge,
     InvalidPath,
     InvalidSequence,
-    NotApplicable,
     SequenceNotPeriodic,
 )
 from .rootsys import (
@@ -46,10 +45,6 @@ def _add(a, b):
 
 def _sub(a, b):
     return tuple(map(operator.sub, a, b))
-
-
-def _is_dominant(w):
-    return min(w) >= 0
 
 
 def _all_dominant(points):
@@ -231,42 +226,14 @@ def enumerate_paths(seq: WeightSequence, cap: int = DEFAULT_PATH_CAP) -> tuple[L
     return tuple(LittelmannPath._trusted(seq, pts) for pts in found)
 
 
-def first_nondominant(p) -> int:
-    """0-based index of the first non-dominant point (the straightening locus).
-
-    Accepts a path or a bare list of points.
-    """
-    points = p.points if isinstance(p, MinusculePath) else p
-    for k, point in enumerate(points):
-        if not _is_dominant(point):
-            return k
-    raise NotApplicable("path is already dominant")
-
-
-def raise_once_points(rs, points) -> tuple[Weight, ...]:
-    """One straightening step on bare points: shift the tail of the list so
-    the first non-dominant point becomes the dominant member of its orbit."""
-    points = tuple(tuple(q) for q in points)
-    k = first_nondominant(points)
-    bad = points[k]
-    dom, _ = to_dominant(rs, bad)
-    shift = _sub(dom, bad)
-    return points[:k] + tuple(_add(q, shift) for q in points[k:])
-
-
-def raise_once(p: MinusculePath) -> MinusculePath:
-    """One straightening step; successive differences stay in their orbits."""
-    return MinusculePath(p.seq, raise_once_points(p.seq.rs, p.points))
-
-
 def _straightened(rs, points, shift) -> list[Weight]:
     """``points`` translated by ``shift`` and straightened in one sweep.
 
-    ``raise_once`` always shifts the whole tail from the first non-dominant
-    point, and that index strictly increases, so repeating it until the
-    path is dominant amounts to one left-to-right pass that carries the
-    accumulated shift and adds to_dominant(q) - q at each point q that is
-    still non-dominant.
+    A single straightening step shifts the whole tail from the first
+    non-dominant point q by to_dominant(q) - q, and that index strictly
+    increases, so repeating the step until the path is dominant amounts to
+    one left-to-right pass that carries the accumulated shift and adds
+    to_dominant(q) - q at each point q that is still non-dominant.
     """
     out = []
     for q in points:
@@ -280,7 +247,7 @@ def _straightened(rs, points, shift) -> list[Weight]:
 
 
 def straighten(p: MinusculePath) -> MinusculePath:
-    """Repeat ``raise_once`` until dominant, done as one sweep.
+    """Repeat the single straightening step until dominant, done as one sweep.
 
     Reflecting a tail keeps every step in its orbit, so the result is
     built unchecked; a path that is already dominant comes back as is.

@@ -261,7 +261,8 @@ class TestBatteryCommand:
         assert all(s["passed"] for s in data["suites"])
 
     def test_broken_charge_is_caught_and_named(self, monkeypatch):
-        monkeypatch.setattr(kostka, "charge", lambda word: 0)
+        # the unchecked kernel is the one kostka_foulkes, and so the oracle suite, runs
+        monkeypatch.setattr(kostka, "_charge", lambda word: 0)
         code, out, _ = invoke(["battery", "--scope", "quick"])
         assert code == 1
         data = json.loads(out)

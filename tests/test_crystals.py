@@ -6,7 +6,10 @@ from hypothesis import given, settings, strategies as st
 from minuscule.crystals import (
     DEFAULT_NODE_CAP,
     TensorCrystalElement,
+    _decode,
+    _encode,
     _reflect,
+    _tables,
     _to_highest,
     _to_lowest,
     all_elements,
@@ -21,10 +24,17 @@ from minuscule.crystals import (
     phi,
     schutzenberger,
 )
-from minuscule.errors import EnumerationTooLarge, InvalidIndex, NotInvariant
+from minuscule.errors import EnumerationTooLarge, InvalidIndex, NotInvariant, OrbitTooLarge
 from minuscule.kostka import invariant_dim
 from minuscule.paths import WeightSequence, enumerate_paths, rotate
-from minuscule.rootsys import build_root_system, dual_index, minuscule_weights, weyl_orbit
+from minuscule.rootsys import (
+    build_root_system,
+    dual_index,
+    in_root_lattice,
+    minuscule_weights,
+    simple_reflection,
+    weyl_orbit,
+)
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -109,9 +119,9 @@ class TestCrystalOp:
                 x = b
                 for _ in range(abs(n)):
                     x = crystal_op("lower" if n > 0 else "raise", i, x)
-                factors = list(b.factors)
-                _reflect(rs, factors, i)
-                assert tuple(factors) == x.factors
+                t, ids = _encode(b)
+                _reflect(t, ids, i)
+                assert _decode(seq, t, ids).factors == x.factors
 
 
 class TestHighestLowest:
@@ -187,7 +197,7 @@ class TestSchutzenberger:
     def test_policy_independence(self, seq):
         rng = random.Random(5)
 
-        def chaotic(options, _elem):
+        def chaotic(options):
             return rng.choice(options)
 
         for b in all_elements(seq):
@@ -257,6 +267,18 @@ def sequences(draw, types=MINUSCULE_TYPES):
     return WeightSequence(rs, tuple(picked))
 
 
+def _closed(seq):
+    """``seq``, with one minuscule weight appended when its total lies
+    outside the root lattice (it would have no paths at all)."""
+    rs = seq.rs
+    total = seq.total()
+    if in_root_lattice(rs, total):
+        return seq
+    lam = next(lam for lam in minuscule_weights(rs)
+               if in_root_lattice(rs, tuple(a + b for a, b in zip(total, lam))))
+    return WeightSequence(rs, seq.weights + (lam,))
+
+
 @st.composite
 def elements(draw):
     seq = draw(sequences())
@@ -274,15 +296,17 @@ class TestProperties:
     @given(elements())
     def test_string_route_equals_single_steps_and_is_an_involution(self, b):
         xi = schutzenberger(b)
-        assert xi.factors == schutzenberger(b, policy=lambda options, _: options[0]).factors
+        assert xi.factors == schutzenberger(b, policy=lambda options: options[0]).factors
         assert schutzenberger(xi).factors == b.factors
 
     @settings(max_examples=80, deadline=None)
     @given(elements())
     def test_lowest_of_top_has_no_phi(self, b):
-        top, _ = _to_highest(b)
-        assert is_highest_weight(top)
-        low = _to_lowest(top)
+        t, ids = _encode(b)
+        _to_highest(t, ids)
+        assert is_highest_weight(_decode(b.seq, t, ids))
+        _to_lowest(t, ids)
+        low = _decode(b.seq, t, ids)
         assert all(phi(i, low) == 0 for i in range(1, b.seq.rs.rank + 1))
 
     @settings(max_examples=80, deadline=None)
@@ -304,3 +328,43 @@ class TestProperties:
         for b in found:
             image = commutor_rotate(b)
             assert revalidated(image) == image
+
+    @settings(max_examples=60, deadline=None)
+    @given(sequences().map(_closed))
+    def test_commutor_is_rotation(self, seq):
+        for p in enumerate_paths(seq):
+            assert commutor_rotate(path_bijection(p)) == path_bijection(rotate(p))
+
+
+class TestIdTables:
+    @pytest.mark.parametrize("family,rank", MINUSCULE_TYPES)
+    def test_tables_reproduce_reflections_and_pairings(self, family, rank):
+        rs = build_root_system(family, rank)
+        lams = minuscule_weights(rs)
+        t = _tables(rs, frozenset(lams))
+        assert t.weights == tuple(sorted(set().union(*(weyl_orbit(rs, lam) for lam in lams))))
+        for k, w in enumerate(t.weights):
+            assert t.index[w] == k
+            for i in range(1, rs.rank + 1):
+                reflected = simple_reflection(rs, i, w)
+                # s_i(w) = w - <w, alpha_i_vee> alpha_i, and alpha_i has 2 at i
+                pairing = (w[i - 1] - reflected[i - 1]) // 2
+                assert t.pair[i - 1][k] == pairing in (-1, 0, 1)
+                assert t.weights[t.refl[i - 1][k]] == reflected
+                assert (i - 1 in t.ups[k], i - 1 in t.downs[k]) == (pairing == 1, pairing == -1)
+
+    def test_tables_cover_only_the_sequences_own_orbits(self):
+        # A15 also has omega_8, whose orbit of 12,870 weights is past the
+        # orbit cap; the tables of (omega_1, omega_15) must never touch it
+        A15 = build_root_system("A", 15)
+        with pytest.raises(OrbitTooLarge):
+            weyl_orbit(A15, A15.fundamental_weight(8))
+        seq = WeightSequence(A15, (A15.fundamental_weight(1), A15.fundamental_weight(15)))
+        assert len(_tables(A15, frozenset(seq.weights)).weights) == 32
+        for b in all_elements(seq):
+            xi = schutzenberger(b)
+            assert schutzenberger(xi) == b
+            assert xi.weight() == tuple(-x for x in reversed(b.weight()))
+        (p,) = enumerate_paths(seq)
+        assert invariant_elements(seq) == (path_bijection(p),)
+        assert commutor_rotate(path_bijection(p)) == path_bijection(rotate(p))

@@ -7,9 +7,16 @@ from minuscule.csp import (
     csp_check,
     cyclotomic,
     eval_matches,
+    exponent_identity,
     type_a_csp_polynomial,
 )
-from minuscule.errors import NotInRootLattice, PolynomialUnavailable, SequenceNotPeriodic
+from minuscule import battery, csp
+from minuscule.errors import (
+    AlgorithmInvariantViolated,
+    NotInRootLattice,
+    PolynomialUnavailable,
+    SequenceNotPeriodic,
+)
 from minuscule.paths import WeightSequence, orbit_structure
 from minuscule.poly import IntPolynomial
 from minuscule.rootsys import build_root_system, two_rho_pairing
@@ -83,6 +90,21 @@ class TestTypeAPolynomial:
             shape = (n,) * (sum(content) // n)
             shift = two_rho_pairing(seq.rs, seq.total()) // 2
             assert type_a_csp_polynomial(seq) == kostka_foulkes(shape, content).shift(shift)
+
+    def test_exponent_identity_holds_on_every_content(self):
+        # linear in the weights: omega_i pairs with 2 rho_vee to i(n - i)
+        for rs in (A1, A2, A3):
+            for i in range(1, rs.rank + 1):
+                lam = rs.fundamental_weight(i)
+                for m in range(1, 4):
+                    doubled, pairing = exponent_identity(WeightSequence(rs, (lam,) * m))
+                    assert doubled == pairing == m * i * (rs.rank + 1 - i)
+
+    def test_one_exponent_identity_serves_polynomial_and_suite(self, monkeypatch):
+        monkeypatch.setattr(csp, "exponent_identity", lambda seq: (2, 0))
+        with pytest.raises(AlgorithmInvariantViolated):
+            type_a_csp_polynomial(WeightSequence(A1, (W,) * 4))
+        assert not battery.suite_exponent_identity(battery.quick_battery()).passed
 
     def test_rejects_incompatible_content(self):
         with pytest.raises(NotInRootLattice):
