@@ -52,6 +52,7 @@ from .errors import (
 from .paths import LittelmannPath, WeightSequence, _add, _int_lists, _orbit_set, _sub
 from .rootsys import (
     Weight,
+    _check_index,
     dual_index,
     simple_reflection,
     to_dominant,
@@ -207,9 +208,7 @@ def _reflect(t: _IdTables, ids: list, i: int):
 
 def crystal_op(direction: str, i: int, b: TensorCrystalElement):
     """Apply a raising or lowering operator; ``None`` is the crystal zero."""
-    rs = b.seq.rs
-    if not 1 <= i <= rs.rank:
-        raise InvalidIndex(f"index {i} out of range for {rs}")
+    _check_index(b.seq.rs, i)
     if direction not in ("raise", "lower"):
         raise InvalidIndex(f"unknown direction {direction!r}")
     t, ids = _encode(b)
@@ -222,11 +221,13 @@ def crystal_op(direction: str, i: int, b: TensorCrystalElement):
 
 
 def epsilon(i: int, b: TensorCrystalElement) -> int:
+    _check_index(b.seq.rs, i)
     t, ids = _encode(b)
     return len(_signature(t, ids, i)[0])
 
 
 def phi(i: int, b: TensorCrystalElement) -> int:
+    _check_index(b.seq.rs, i)
     t, ids = _encode(b)
     return len(_signature(t, ids, i)[1])
 

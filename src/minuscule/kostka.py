@@ -40,12 +40,12 @@ def _as_partition(parts) -> tuple[int, ...]:
 
 def charge(word) -> int:
     """Lascoux-Schutzenberger charge of a word with partition content."""
-    word = tuple(int(x) for x in word)
+    word = tuple(word)
+    if any(type(x) is not int or x < 1 for x in word):
+        raise InvalidContent(f"letters must be positive integers, not {word!r}")
     top = max(word, default=0)
     mult = [0] * top
     for x in word:
-        if x < 1:
-            raise InvalidContent("letters must be positive integers")
         mult[x - 1] += 1
     if any(mult[i] < mult[i + 1] for i in range(top - 1)) or 0 in mult:
         raise InvalidContent(f"content {tuple(mult)} is not a partition")

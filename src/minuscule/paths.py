@@ -11,6 +11,24 @@ origin.  Enumeration, straightening and rotation produce paths that are
 correct by construction, so they build them with the unchecked
 ``_trusted``; rotation still checks its output exactly once, and a
 failure there is an ``AlgorithmInvariantViolated``.
+
+Enumeration and rotation visit the same few thousand dominant points
+over and over, so each (root system, minuscule weight lambda) has one
+``_PathTables`` (built by the ``lru_cache``d ``_tables`` on first use,
+nothing at import) holding three memos, each filled on a miss by the
+exact computation it replaces:
+
+* ``succ``: a dominant point -> the dominant points one step in
+  W.lambda away, with each step's pairing with 2 rho_vee, in the order
+  the enumeration stack pops them;
+* ``carry``: (dominant point beta, shift id s) -> (the point beta + s
+  straightened, the shift carried on), where shift ids index the orbit
+  of -lambda.  By the stabilizer lemma the straightening word of
+  beta + s fixes beta, so the carried shift stays in that orbit and
+  rotation is a walk on finitely many (point, shift) pairs;
+* ``verified``: the (prev, point) pairs whose difference has passed the
+  exact test ``in _orbit_set(rs, lambda)``; ``_step_defect`` runs that
+  test only on pairs it has not seen.
 """
 from __future__ import annotations
 
@@ -63,6 +81,67 @@ def _orbit_set(rs, lam):
     return frozenset(weyl_orbit(rs, lam))
 
 
+class _PathTables:
+    """Lazily filled path memos of one minuscule weight ``lam`` over ``rs``.
+
+    ``orbit`` is the frozenset W.lam and ``moves`` its steps with their
+    pairings, reversed so they pop from a stack in sorted order.
+    ``shifts`` is the sorted orbit of -lam and ``shift_id`` its index.
+    ``succ``, ``carry`` (one dict per shift id, keyed on the point) and
+    ``verified`` are the memos of the module docstring.
+    """
+
+    __slots__ = ("rs", "lam", "orbit", "moves", "shifts", "shift_id", "succ", "carry",
+                 "verified")
+
+    def __init__(self, rs, lam):
+        self.rs = rs
+        self.lam = lam
+        self.orbit = _orbit_set(rs, lam)
+        self.moves = tuple((step, two_rho_pairing(rs, step))
+                           for step in reversed(weyl_orbit(rs, lam)))
+        self.shifts = tuple(sorted(tuple(-x for x in step) for step in self.orbit))
+        self.shift_id = {s: k for k, s in enumerate(self.shifts)}
+        self.succ: dict[Weight, tuple[tuple[Weight, int], ...]] = {}
+        self.carry: tuple[dict[Weight, tuple[Weight, int]], ...] = tuple(
+            {} for _ in self.shifts)
+        self.verified: set[tuple[Weight, Weight]] = set()
+
+    def successors(self, point):
+        """The dominant points one step from ``point``, with the steps'
+        pairings, in stack-pop order."""
+        nexts = []
+        for step, rise in self.moves:
+            nxt = _add(point, step)
+            if min(nxt) >= 0:
+                nexts.append((nxt, rise))
+        hit = self.succ[point] = tuple(nexts)
+        return hit
+
+    def carried(self, beta, s):
+        """``beta`` plus shift ``s``, straightened by one sweep step, and
+        the id of the shift carried on from it."""
+        shift = self.shifts[s]
+        q = _add(beta, shift)
+        if min(q) < 0:
+            q = to_dominant(self.rs, q)[0]
+            nxt = self.shift_id.get(_sub(q, beta))
+            if nxt is None:
+                raise AlgorithmInvariantViolated(
+                    f"straightening {beta} + {shift} carried the shift {_sub(q, beta)} "
+                    f"out of the orbit of -{self.lam}")
+        else:
+            nxt = s
+        hit = self.carry[s][beta] = (q, nxt)
+        return hit
+
+
+@functools.lru_cache(maxsize=None)
+def _tables(rs, lam) -> _PathTables:
+    """The path memos of ``rs`` and the minuscule weight ``lam``, built once."""
+    return _PathTables(rs, lam)
+
+
 @dataclass(frozen=True)
 class WeightSequence:
     """A sequence of dominant minuscule weights over a fixed root system."""
@@ -105,11 +184,15 @@ class WeightSequence:
 def _step_defect(seq: WeightSequence, points) -> str | None:
     """Why some step of ``points`` leaves its orbit, or None."""
     rs = seq.rs
-    orbits = {lam: _orbit_set(rs, lam) for lam in set(seq.weights)}
+    tables = {lam: _tables(rs, lam) for lam in set(seq.weights)}
     prev = rs.zero()
     for point, lam in zip(points, seq.weights):
-        if _sub(point, prev) not in orbits[lam]:
-            return f"step into {point} leaves the orbit of {lam}"
+        pair = (prev, point)
+        t = tables[lam]
+        if pair not in t.verified:
+            if _sub(point, prev) not in t.orbit:
+                return f"step into {point} leaves the orbit of {lam}"
+            t.verified.add(pair)
         prev = point
     return None
 
@@ -185,6 +268,11 @@ def enumerate_paths(seq: WeightSequence, cap: int = DEFAULT_PATH_CAP) -> tuple[L
     at most <lambda_j, 2 rho_vee> per step, in every type.  The search
     keeps an explicit stack, so its depth is not bounded by recursion.
 
+    The dominant children of a point, with their pairings, come from the
+    ``succ`` memo of the step's weight, filled once per (weight, point);
+    the last step closes the path exactly when the point lies in the
+    orbit of minus the last weight, its ``shift_id`` index.
+
     A closed path exists only if the total weight lies in the root
     lattice; otherwise the answer is empty and no search is made, since
     the cap counts found paths and would never stop it.
@@ -197,10 +285,9 @@ def enumerate_paths(seq: WeightSequence, cap: int = DEFAULT_PATH_CAP) -> tuple[L
     budget = [0] * (m + 1)
     for k in range(m - 1, -1, -1):
         budget[k] = budget[k + 1] + two_rho_pairing(rs, seq.weights[k])
-    # each step with its pairing, reversed so steps pop in sorted order
-    moves = [[(step, two_rho_pairing(rs, step)) for step in reversed(weyl_orbit(rs, lam))]
-             for lam in seq.weights]
-    last_orbit = _orbit_set(rs, seq.weights[-1])
+    tables = [_tables(rs, lam) for lam in seq.weights]
+    # -point is in W.lambda_m exactly when point is in W.(-lambda_m)
+    closing = tables[-1].shift_id
 
     found: list[tuple[Weight, ...]] = []
     # prefix holds gamma_1..gamma_k while the node (k, gamma_k) is expanded
@@ -212,15 +299,18 @@ def enumerate_paths(seq: WeightSequence, cap: int = DEFAULT_PATH_CAP) -> tuple[L
             prefix[k - 1:] = [point]
         if k == m - 1:
             # final step forced: it must land exactly on the origin
-            if _sub(zero, point) in last_orbit:
+            if point in closing:
                 found.append(tuple(prefix) + (zero,))
                 if len(found) > cap:
                     raise EnumerationTooLarge(f"more than {cap} paths of type {seq.weights}")
             continue
-        room = budget[k + 1]
-        for step, rise in moves[k]:
-            nxt = _add(point, step)
-            if min(nxt) >= 0 and height + rise <= room:
+        t = tables[k]
+        nexts = t.succ.get(point)
+        if nexts is None:
+            nexts = t.successors(point)
+        room = budget[k + 1] - height
+        for nxt, rise in nexts:
+            if rise <= room:
                 stack.append((k + 1, nxt, height + rise))
     found.sort()
     return tuple(LittelmannPath._trusted(seq, pts) for pts in found)
@@ -261,17 +351,30 @@ def straighten(p: MinusculePath) -> MinusculePath:
 def rotate(p: LittelmannPath) -> LittelmannPath:
     """The rotation bijection onto the paths of the once-rotated type.
 
-    Drop the first step, translate the rest back to the origin, straighten
-    it and close the loop.  The output is checked once, exactly.
+    Drop the first step mu_1, translate the rest back to the origin,
+    straighten it and close the loop.  The sweep of ``_straightened``
+    carries a shift that starts at -mu_1, and by the stabilizer lemma
+    the straightening word of beta + shift fixes the dominant point beta,
+    so every carried shift stays in the orbit of -lambda_1.  Each point
+    is then one lookup in the ``carry`` memo of lambda_1, keyed on
+    (point, shift id).  The output is checked once, exactly: every step
+    against its orbit (a step already in a ``verified`` memo passed that
+    test before), dominance and closure.
     """
     seq = p.seq
     rs = seq.rs
-    mu1 = p.points[0]
-    flat = _straightened(rs, p.points[1:], _sub(rs.zero(), mu1))
-    flat.append(rs.zero())
+    zero = rs.zero()
+    t = _tables(rs, seq.weights[0])
+    s = t.shift_id[_sub(zero, p.points[0])]
+    carry = t.carry
+    flat = []
+    for beta in p.points[1:]:
+        q, s = carry[s].get(beta) or t.carried(beta, s)
+        flat.append(q)
+    flat.append(zero)
     target = seq.rotated(1)
     defect = _step_defect(target, flat) or _closed_defect(flat)
-    if defect:  # pragma: no cover - would signal a bug
+    if defect:
         raise AlgorithmInvariantViolated(f"rotation of {p.points}: {defect}")
     return LittelmannPath._trusted(target, tuple(flat))
 

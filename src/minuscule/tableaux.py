@@ -158,7 +158,6 @@ def tableau_to_path(t: RowStrictTableau) -> LittelmannPath:
 def promote(t: RowStrictTableau) -> RowStrictTableau:
     """Jeu-de-taquin promotion: delete the 1s, slide each next value left
     then up into the gaps while relabelling down, refill the last column."""
-    n, b = t.n_rows, t.n_cols
     top = max(max(row) for row in t.rows)
     grid: list[list[int | None]] = [list(row) for row in t.rows]
     # one scan finds every value's cells: a value only moves on its own turn
@@ -170,23 +169,23 @@ def promote(t: RowStrictTableau) -> RowStrictTableau:
         grid[r][c] = None
     first_count = len(cells_of[1])
     for value in range(2, top + 1):
-        # left slides: rows are independent, at most one box per row
-        slid = []
+        # at most one box per row, listed top to bottom: each slides left
+        # within its row, then up, so a cell vacated above frees the one
+        # below it; the box is written once, where it stops
         for r, c in cells_of[value]:
             row = grid[r]
-            while c > 0 and row[c - 1] is None:
-                row[c - 1], row[c] = row[c], None
+            row[c] = None
+            while c and row[c - 1] is None:
                 c -= 1
-            slid.append((r, c))
-        # up slides: top to bottom, so a vacated cell frees the one below it
-        for r, c in sorted(slid):
-            while r > 0 and grid[r - 1][c] is None:
-                grid[r - 1][c], grid[r][c] = grid[r][c], None
+            while r and grid[r - 1][c] is None:
                 r -= 1
             grid[r][c] = value - 1
-    gaps = [(r, c) for r in range(n) for c in range(b) if grid[r][c] is None]
-    if len(gaps) != first_count or any(c != b - 1 for _, c in gaps):
+    # one pass counts and refills the gaps in the last column
+    gaps = 0
+    for row in grid:
+        if row[-1] is None:
+            row[-1] = top
+            gaps += 1
+    if gaps != first_count or any(None in row for row in grid):
         raise AlgorithmInvariantViolated("gaps did not migrate to the last column")
-    for r, c in gaps:
-        grid[r][c] = top
     return RowStrictTableau._trusted(tuple(map(tuple, grid)))

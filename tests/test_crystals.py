@@ -79,6 +79,15 @@ class TestCrystalOp:
         with pytest.raises(InvalidIndex):
             crystal_op("sideways", 1, elem(seq, (1,)))
 
+    @pytest.mark.parametrize("i", [0, -1, 3])
+    def test_string_statistics_check_the_index(self, i):
+        # 0 and -1 would read alpha_2 from the end; 3 is rank + 1 in A2
+        b = elem(WeightSequence(A2, ((1, 0),)), (0, -1))
+        with pytest.raises(InvalidIndex):
+            epsilon(i, b)
+        with pytest.raises(InvalidIndex):
+            phi(i, b)
+
     @pytest.mark.parametrize("seq", SMALL_SEQUENCES[:5])
     def test_raise_lower_mutually_inverse(self, seq):
         for b in all_elements(seq):

@@ -55,6 +55,14 @@ class TestCharge:
     def test_empty_word(self):
         assert charge(()) == 0
 
+    @pytest.mark.parametrize("word", [[1.5, 1], ["2", "1", True], [2, True], [1, None]])
+    def test_rejects_letters_that_are_not_ints(self, word):
+        with pytest.raises(InvalidContent):
+            charge(word)
+
+    def test_accepts_any_iterable_of_ints(self):
+        assert charge(int(c) for c in "2311") == charge([2, 3, 1, 1]) == 1
+
 
 class TestKostkaFoulkes:
     def test_anchors(self):

@@ -1,11 +1,17 @@
-import itertools
+import functools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings
 
+from minuscule import paths
 from minuscule.errors import (
+    AlgorithmInvariantViolated,
     EnumerationTooLarge,
     InvalidPath,
     InvalidSequence,
@@ -29,6 +35,7 @@ A2 = build_root_system("A", 2)
 A3 = build_root_system("A", 3)
 D4 = build_root_system("D", 4)
 W = (1,)
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def seq_a1(m):
@@ -61,19 +68,21 @@ def raise_once(p):
 
 
 def brute_force_paths(seq):
-    """Reference enumeration with no pruning at all."""
+    """Reference enumeration from the definition alone: every choice of
+    steps, one orbit at a time, kept while all its points are dominant
+    (no later step can repair a non-dominant point).  It uses no bound on
+    what the remaining steps can cancel and no memo."""
     rs = seq.rs
-    orbits = [weyl_orbit(rs, lam) for lam in seq.weights]
-    out = []
-    for steps in itertools.product(*orbits):
-        points = []
-        here = rs.zero()
-        for s in steps:
-            here = tuple(a + b for a, b in zip(here, s))
-            points.append(here)
-        if all(all(x >= 0 for x in p) for p in points) and not any(points[-1]):
-            out.append(tuple(points))
-    return sorted(out)
+    prefixes = [((), rs.zero())]
+    for lam in seq.weights:
+        grown = []
+        for points, here in prefixes:
+            for step in weyl_orbit(rs, lam):
+                nxt = tuple(a + b for a, b in zip(here, step))
+                if min(nxt) >= 0:
+                    grown.append((points + (nxt,), nxt))
+        prefixes = grown
+    return sorted(points for points, here in prefixes if not any(here))
 
 
 class TestWeightSequence:
@@ -134,6 +143,11 @@ class TestEnumerate:
         WeightSequence(A3, ((0, 1, 0),) * 4),
     ])
     def test_matches_unpruned_search(self, seq):
+        assert [p.points for p in enumerate_paths(seq)] == brute_force_paths(seq)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sequences().map(_closed))
+    def test_matches_unpruned_search_in_every_type(self, seq):
         assert [p.points for p in enumerate_paths(seq)] == brute_force_paths(seq)
 
     def test_lexicographic_order(self):
@@ -240,6 +254,55 @@ class TestRotate:
             target = {p.points for p in enumerate_paths(seq.rotated(1))}
             images = {rotate(p).points for p in source}
             assert images == target and len(images) == len(source)
+
+
+class TestPathTables:
+    def test_corrupted_carry_entry_is_caught(self, monkeypatch):
+        p = enumerate_paths(seq_a1(6))[0]
+        assert p.points[:2] == ((1,), (0,))
+        rotate(p)  # the carry memo now holds every step of this rotation
+        t = paths._tables(A1, W)
+        s = t.shift_id[(-1,)]
+        q, nxt = t.carry[s][(0,)]
+        assert q == (1,)
+        # one step of 2 from the origin: outside the orbit of omega_1
+        monkeypatch.setitem(t.carry[s], (0,), ((2,), nxt))
+        with pytest.raises(AlgorithmInvariantViolated):
+            rotate(p)
+
+    def test_shift_leaving_its_orbit_is_an_invariant_violation(self, monkeypatch):
+        # fresh tables, so the broken straightening is met on a miss
+        monkeypatch.setattr(paths, "_tables", functools.lru_cache(maxsize=None)(
+            paths._PathTables))
+        monkeypatch.setattr(paths, "to_dominant", lambda rs, q: ((5,), None))
+        p = enumerate_paths(seq_a1(4))[0]
+        with pytest.raises(AlgorithmInvariantViolated, match="out of the orbit"):
+            rotate(p)
+
+    def test_import_builds_no_tables(self):
+        code = ("import minuscule, minuscule.paths as p; "
+                "print(p._tables.cache_info().currsize)")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=env, check=True).stdout
+        assert out == "0\n"
+
+    def test_memos_match_the_computations_they_replace(self):
+        seq = WeightSequence(D4, (D4.fundamental_weight(1),) * 6)
+        for p in enumerate_paths(seq):
+            rotate(p)
+        t = paths._tables(D4, D4.fundamental_weight(1))
+        for point, nexts in t.succ.items():
+            steps = (tuple(a + b for a, b in zip(point, step))
+                     for step in reversed(weyl_orbit(D4, t.lam)))
+            assert [q for q, _ in nexts] == [q for q in steps if min(q) >= 0]
+        for s, memo in enumerate(t.carry):
+            for beta, (q, nxt) in memo.items():
+                shifted = tuple(a + b for a, b in zip(beta, t.shifts[s]))
+                assert q == to_dominant(D4, shifted)[0]
+                assert t.shifts[nxt] == tuple(a - b for a, b in zip(q, beta))
+        for prev, point in t.verified:
+            assert tuple(a - b for a, b in zip(point, prev)) in weyl_orbit(D4, t.lam)
 
 
 class TestOrbitStructure:
