@@ -18,8 +18,11 @@ Grammar (``TYPE`` stands for ``--type A --rank 1 --weights 1,1,1,1``)::
 Weight sequences are comma-separated fundamental-weight indices, 1-based,
 Bourbaki numbering.  Output is JSON on stdout; ``--format`` offers only the
 encodings a subcommand produces.  Exit codes are 0 for success or a passing
-verification, 1 for a verification failure, 2 for invalid input.  Every
-output is exact and byte-deterministic.
+verification, 1 for a verification failure, 2 for invalid input and 3 for an
+internal error: a result that failed its own invariant check
+(``AlgorithmInvariantViolated``), reported as one JSON line on stderr with
+the ``argv`` and the ``message``.  Every output is exact and
+byte-deterministic.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ import sys
 
 from . import battery as battery_mod
 from . import crystals, csp, kostka, paths, rootsys, tableaux
-from .errors import MinusculeError
+from .errors import AlgorithmInvariantViolated, MinusculeError
 from .paths import LittelmannPath, WeightSequence
 from .poly import IntPolynomial
 
@@ -336,6 +339,10 @@ def run(argv, stdout=None, stderr=None, stdin=None) -> int:
         print(f"error: {exc}", file=err)
         parser.print_usage(err)
         return 2
+    except AlgorithmInvariantViolated as exc:  # a bug, not bad input: before MinusculeError
+        print(json.dumps({"error": "AlgorithmInvariantViolated", "argv": list(argv),
+                          "message": str(exc)}), file=err)
+        return 3
     except (MinusculeError, FileNotFoundError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=err)
         return 2

@@ -17,16 +17,22 @@ reflects an element within its i-string; it flips the leftmost p - a '+'
 or the rightmost a - p '-'.  Along a reduced word of w0, the S_i carry a
 highest-weight element to the lowest-weight element of its component.
 
+The commutor b_1 (x) c -> xi(c) (x) xi(b_1) needs none of that on an
+invariant.  There b_1 = lambda_1 and c is lowest weight in its component
+(phi_i(c) = 0 for every i, see ``commutor_rotate``), so xi(c) is the top
+of c's component, one string ascent away, and xi(b_1) = w0.lambda_1 is a
+table lookup.  ``schutzenberger`` stays the general algorithm.
+
 Inside the operators each factor is an integer id: its index in the
 sorted union of the orbits of the sequence's own distinct weights.
 Read-only tables, built once per (root system, distinct weights), give
-each id's pairing with every simple coroot and its id after every simple
-reflection (``_tables``), so signatures, strings, S_i and the
-Schutzenberger replay are lookups over a list of ints.  Weights appear
-only at the ``TensorCrystalElement`` boundary: each public call encodes
-its input once (``_encode``) and decodes its result once (``_decode``).
-A random route through ``schutzenberger`` is a ``policy(options)``
-called with the indices that can still raise.
+each id's pairing with every simple coroot, its id after every simple
+reflection and its id after w0 (``_tables``), so signatures, strings,
+S_i and the Schutzenberger replay are lookups over a list of ints.
+Weights appear only at the ``TensorCrystalElement`` boundary: each
+public call encodes its input once (``_encode``) and decodes its result
+once (``_decode``).  A random route through ``schutzenberger`` is a
+``policy(options)`` called with the indices that can still raise.
 
 Validation happens once, where data enters: the public
 ``TensorCrystalElement`` constructor checks that it gets a list of
@@ -110,10 +116,12 @@ class _IdTables:
     of the weight with the coroot, in {-1, 0, 1}, and ``refl[j][id]`` is
     the id after the simple reflection.  ``ups[id]`` and ``downs[id]``
     list the j where the pairing is +1 and -1.  ``w0`` is a reduced word
-    of the longest element and ``dual[j]`` the dual index of j + 1.
+    of the longest element, ``w0_image[id]`` the id of w0 applied to the
+    weight, and ``dual[j]`` the dual index of j + 1.
     """
 
-    __slots__ = ("weights", "index", "pair", "refl", "ups", "downs", "w0", "dual")
+    __slots__ = ("weights", "index", "pair", "refl", "ups", "downs", "w0", "w0_image",
+                 "dual")
 
     def __init__(self, rs, lams):
         weights = tuple(sorted(set().union(*(weyl_orbit(rs, lam) for lam in lams))))
@@ -127,6 +135,11 @@ class _IdTables:
         self.ups = tuple(tuple(j for j in span if w[j] == 1) for w in weights)
         self.downs = tuple(tuple(j for j in span if w[j] == -1) for w in weights)
         self.w0 = to_dominant(rs, (-1,) * rs.rank)[1].letters  # w0 sends -rho to rho
+        image = list(range(len(weights)))
+        for i in reversed(self.w0):
+            refl = self.refl[i - 1]
+            image = [refl[x] for x in image]
+        self.w0_image = tuple(image)
         self.dual = tuple(dual_index(rs, j + 1) for j in span)
 
 
@@ -350,20 +363,6 @@ def _to_lowest(t: _IdTables, ids: list):
         _reflect(t, ids, i)
 
 
-def _xi(t: _IdTables, ids: list, policy=None):
-    """Schutzenberger's involution on ``ids``, in place."""
-    record = _to_highest(t, ids, policy)
-    _to_lowest(t, ids)
-    dual = t.dual
-    for i, run in itertools.groupby(reversed(record)):
-        j = dual[i - 1]
-        c = sum(1 for _ in run)
-        minus, _ = _signature(t, ids, j)
-        if len(minus) < c:  # pragma: no cover - would signal a bug
-            raise AlgorithmInvariantViolated("replay of the raising record left the crystal")
-        _flip(t, ids, j, minus[len(minus) - c:])
-
-
 def schutzenberger(b: TensorCrystalElement, policy=None) -> TensorCrystalElement:
     """The involution swapping highest and lowest weight elements.
 
@@ -383,21 +382,42 @@ def schutzenberger(b: TensorCrystalElement, policy=None) -> TensorCrystalElement
     nothing is re-checked.
     """
     t, ids = _encode(b)
-    _xi(t, ids, policy)
+    record = _to_highest(t, ids, policy)
+    _to_lowest(t, ids)
+    dual = t.dual
+    for i, run in itertools.groupby(reversed(record)):
+        j = dual[i - 1]
+        c = sum(1 for _ in run)
+        minus, _ = _signature(t, ids, j)
+        if len(minus) < c:  # pragma: no cover - would signal a bug
+            raise AlgorithmInvariantViolated("replay of the raising record left the crystal")
+        _flip(t, ids, j, minus[len(minus) - c:])
     return _decode(b.seq, t, ids)
 
 
 def commutor_rotate(b: TensorCrystalElement) -> TensorCrystalElement:
-    """Send b_1 (x) rest to xi(rest) (x) xi(b_1), staying inside invariants.
+    """Send b_1 (x) c to xi(c) (x) xi(b_1), staying inside invariants.
 
-    Both parts are factors of one sequence, so one encoding serves both."""
+    This is the Henriques-Kamnitzer commutor, and on an invariant both
+    halves are known without running Schutzenberger.  Let b = b_1 (x) c be
+    highest weight of weight zero.  Its one-factor prefix b_1 is highest
+    weight, so dominant, so b_1 = lambda_1.  The eps_i(c) signs '-' that
+    survive inside c must each cancel a '+' of b_1, so eps_i(c) <=
+    <lambda_1, alpha_i_vee>; with wt(c) = -lambda_1 that gives
+    phi_i(c) = eps_i(c) - <lambda_1, alpha_i_vee> <= 0 for every i: c is
+    the lowest-weight element of its component.
+    Then xi(c) is the top of that component, which one string ascent
+    reaches, and xi(b_1) = w0.lambda_1, one lookup in ``w0_image``.  The
+    descent by S_i and the replay of the general involution never run.
+
+    Both parts are factors of one sequence, so one encoding serves both.
+    The input must be invariant and the output is checked to be."""
     t, ids = _encode(b)
     if not _is_invariant(t, ids):
         raise NotInvariant("commutor rotation is defined on invariant elements only")
-    head, tail = ids[:1], ids[1:]
-    _xi(t, head)
-    _xi(t, tail)
-    out = tail + head
+    out = ids[1:]
+    _to_highest(t, out)
+    out.append(t.w0_image[ids[0]])
     if not _is_invariant(t, out):  # pragma: no cover - would signal a bug
         raise AlgorithmInvariantViolated("rotated element is no longer invariant")
     return _decode(b.seq.rotated(1), t, out)

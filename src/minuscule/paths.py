@@ -26,9 +26,11 @@ exact computation it replaces:
   of -lambda.  By the stabilizer lemma the straightening word of
   beta + s fixes beta, so the carried shift stays in that orbit and
   rotation is a walk on finitely many (point, shift) pairs;
-* ``verified``: the (prev, point) pairs whose difference has passed the
-  exact test ``in _orbit_set(rs, lambda)``; ``_step_defect`` runs that
-  test only on pairs it has not seen.
+* ``verified``: the (prev, point) pairs of ``rotate``'s outputs whose
+  difference has passed the exact test ``in _orbit_set(rs, lambda)``;
+  ``_step_defect`` runs that test only on pairs it has not seen.  The
+  public constructors read this memo but never add to it, so validating
+  user paths, non-dominant ones included, does not grow the process.
 """
 from __future__ import annotations
 
@@ -181,8 +183,9 @@ class WeightSequence:
         return total
 
 
-def _step_defect(seq: WeightSequence, points) -> str | None:
-    """Why some step of ``points`` leaves its orbit, or None."""
+def _step_defect(seq: WeightSequence, points, remember: bool = False) -> str | None:
+    """Why some step of ``points`` leaves its orbit, or None; with
+    ``remember``, the steps that pass go into the ``verified`` memos."""
     rs = seq.rs
     tables = {lam: _tables(rs, lam) for lam in set(seq.weights)}
     prev = rs.zero()
@@ -192,7 +195,8 @@ def _step_defect(seq: WeightSequence, points) -> str | None:
         if pair not in t.verified:
             if _sub(point, prev) not in t.orbit:
                 return f"step into {point} leaves the orbit of {lam}"
-            t.verified.add(pair)
+            if remember:
+                t.verified.add(pair)
         prev = point
     return None
 
@@ -373,7 +377,7 @@ def rotate(p: LittelmannPath) -> LittelmannPath:
         flat.append(q)
     flat.append(zero)
     target = seq.rotated(1)
-    defect = _step_defect(target, flat) or _closed_defect(flat)
+    defect = _step_defect(target, flat, remember=True) or _closed_defect(flat)
     if defect:
         raise AlgorithmInvariantViolated(f"rotation of {p.points}: {defect}")
     return LittelmannPath._trusted(target, tuple(flat))

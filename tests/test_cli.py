@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
-from minuscule import kostka
+from minuscule import crystals, kostka
 from minuscule.cli import _build_parser, run
+from minuscule.errors import AlgorithmInvariantViolated
 from minuscule.poly import IntPolynomial
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -135,6 +136,19 @@ class TestRootAndCrystal:
         code, out, err = invoke(
             ["crystal", "rotate", "--type", "A", "--rank", "1", "--weights", "1,1"], text=text)
         assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_internal_error_exits_3_with_one_json_line(self, monkeypatch):
+        def broken(b):
+            raise AlgorithmInvariantViolated("rotated element is no longer invariant")
+
+        monkeypatch.setattr(crystals, "commutor_rotate", broken)
+        argv = ["crystal", "rotate", "--type", "A", "--rank", "1", "--weights", "1,1"]
+        code, out, err = invoke(argv, text='{"factors": [[1], [-1]]}')
+        assert code == 3 and out == ""
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        report = json.loads(err)
+        assert report["argv"] == argv
+        assert report["message"] == "rotated element is no longer invariant"
 
     def test_invariant_search_is_not_bounded_by_recursion(self):
         # 1200 factors deep; the node cap, not the interpreter stack, stops it

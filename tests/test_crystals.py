@@ -28,6 +28,8 @@ from minuscule.errors import EnumerationTooLarge, InvalidIndex, NotInvariant, Or
 from minuscule.kostka import invariant_dim
 from minuscule.paths import WeightSequence, enumerate_paths, rotate
 from minuscule.rootsys import (
+    WeylWord,
+    apply_word,
     build_root_system,
     dual_index,
     in_root_lattice,
@@ -340,6 +342,20 @@ class TestProperties:
 
     @settings(max_examples=60, deadline=None)
     @given(sequences().map(_closed))
+    def test_commutor_matches_its_definition(self, seq):
+        # Henriques-Kamnitzer: b_1 (x) c -> xi(c) (x) xi(b_1), each xi on its own factors
+        rs = seq.rs
+        for b in invariant_elements(seq):
+            head = TensorCrystalElement(WeightSequence(rs, seq.weights[:1]), b.factors[:1])
+            tail = TensorCrystalElement(WeightSequence(rs, seq.weights[1:]), b.factors[1:])
+            assert b.factors[0] == seq.weights[0]
+            assert all(phi(i, tail) == 0 for i in range(1, rs.rank + 1))
+            image = commutor_rotate(b)
+            assert image.seq.weights == seq.rotated(1).weights
+            assert image.factors == schutzenberger(tail).factors + schutzenberger(head).factors
+
+    @settings(max_examples=60, deadline=None)
+    @given(sequences().map(_closed))
     def test_commutor_is_rotation(self, seq):
         for p in enumerate_paths(seq):
             assert commutor_rotate(path_bijection(p)) == path_bijection(rotate(p))
@@ -361,6 +377,24 @@ class TestIdTables:
                 assert t.pair[i - 1][k] == pairing in (-1, 0, 1)
                 assert t.weights[t.refl[i - 1][k]] == reflected
                 assert (i - 1 in t.ups[k], i - 1 in t.downs[k]) == (pairing == 1, pairing == -1)
+
+    @pytest.mark.parametrize("family,rank", MINUSCULE_TYPES)
+    def test_w0_column(self, family, rank):
+        rs = build_root_system(family, rank)
+        lams = minuscule_weights(rs)
+        t = _tables(rs, frozenset(lams))
+        w0 = WeylWord(t.w0)
+        # rho has trivial stabilizer, so only w0 sends it to -rho
+        assert apply_word(rs, w0, (1,) * rank) == (-1,) * rank
+        for k, w in enumerate(t.weights):
+            image = t.w0_image[k]
+            assert t.weights[image] == apply_word(rs, w0, w)
+            assert t.w0_image[image] == k
+        for lam in lams:
+            seq = WeightSequence(rs, (lam,))
+            for w in weyl_orbit(rs, lam):
+                lowest = t.weights[t.w0_image[t.index[w]]]
+                assert schutzenberger(elem(seq, w)).factors == (lowest,)
 
     def test_tables_cover_only_the_sequences_own_orbits(self):
         # A15 also has omega_8, whose orbit of 12,870 weights is past the

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import os
 import pathlib
@@ -278,6 +279,25 @@ class TestPathTables:
         p = enumerate_paths(seq_a1(4))[0]
         with pytest.raises(AlgorithmInvariantViolated, match="out of the orbit"):
             rotate(p)
+
+    def test_constructors_read_but_never_fill_the_verified_memo(self, monkeypatch):
+        monkeypatch.setattr(paths, "_tables", functools.lru_cache(maxsize=None)(
+            paths._PathTables))
+        lam = A3.fundamental_weight(2)
+        seq = WeightSequence(A3, (lam,) * 4)
+        t = paths._tables(A3, lam)
+        before = len(t.verified)
+        built = set()
+        for steps in itertools.product(weyl_orbit(A3, lam), repeat=4):
+            points = list(itertools.accumulate(
+                steps, lambda a, b: tuple(x + y for x, y in zip(a, b))))
+            built.add(MinusculePath(seq, points).points)  # non-dominant points too
+        closed = enumerate_paths(seq)
+        for p in closed:
+            LittelmannPath(seq, [list(q) for q in p.points])
+        assert len(built) == 6 ** 4 and len(t.verified) == before
+        rotate(closed[0])
+        assert len(t.verified) > before
 
     def test_import_builds_no_tables(self):
         code = ("import minuscule, minuscule.paths as p; "
