@@ -34,6 +34,7 @@ from .crystals import (
     invariant_elements,
     path_bijection,
     schutzenberger,
+    schutzenberger_all,
 )
 from .tableaux import RowStrictTableau, path_to_tableau, promote, tableau_to_path
 from .kostka import charge, invariant_dim, kostka_foulkes, q_kostant
@@ -69,6 +70,7 @@ __all__ = [
     "invariant_elements",
     "path_bijection",
     "schutzenberger",
+    "schutzenberger_all",
     "RowStrictTableau",
     "path_to_tableau",
     "promote",

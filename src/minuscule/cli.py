@@ -16,12 +16,15 @@ Grammar (``TYPE`` stands for ``--type A --rank 1 --weights 1,1,1,1``)::
     minuscule battery [--scope quick|full] [--seed N] [--format json|text]
 
 Weight sequences are comma-separated fundamental-weight indices, 1-based,
-Bourbaki numbering.  Output is JSON on stdout; ``--format`` offers only the
-encodings a subcommand produces.  Exit codes are 0 for success or a passing
-verification, 1 for a verification failure, 2 for invalid input and 3 for an
-internal error: a result that failed its own invariant check
-(``AlgorithmInvariantViolated``), reported as one JSON line on stderr with
-the ``argv`` and the ``message``.  Every output is exact and
+Bourbaki numbering; ``--rank`` is at most ``rootsys.MAX_RANK`` (32).  Output
+is JSON on stdout; ``--format`` offers only the encodings a subcommand
+produces.  Exit codes are 0 for success or a passing verification, 1 for a
+verification failure, 2 for invalid input, reported as one ``error:`` line
+on stderr (a ``MinusculeError``, or ``--input`` data that cannot be read or
+parsed; a malformed flag adds the usage line), and 3 for an internal error:
+a result that failed its own invariant check (``AlgorithmInvariantViolated``)
+or any other exception, reported as one JSON line on stderr with the
+``error`` type, the ``argv`` and the ``message``.  Every output is exact and
 byte-deterministic.
 """
 from __future__ import annotations
@@ -39,6 +42,10 @@ from .poly import IntPolynomial
 
 class _UsageError(Exception):
     pass
+
+
+class _InputError(MinusculeError):
+    """``--input`` data that cannot be read or is not JSON of the expected shape."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -164,15 +171,19 @@ def _sequence(args) -> WeightSequence:
 
 
 def _read_json(source: str, stdin):
-    if source == "-":
-        text = stdin.read()
-    else:
-        with open(source, encoding="utf-8") as handle:
-            text = handle.read()
+    """Parse JSON from a file, or from ``stdin`` when ``source`` is "-"."""
+    try:
+        if source == "-":
+            text = stdin.read()
+        else:
+            with open(source, encoding="utf-8") as handle:
+                text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _InputError(f"cannot read input {source!r}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _UsageError(f"invalid JSON input: {exc}") from exc
+        raise _InputError(f"invalid JSON input: {exc}") from exc
 
 
 def _path_from_json(seq: WeightSequence, data) -> LittelmannPath:
@@ -180,9 +191,9 @@ def _path_from_json(seq: WeightSequence, data) -> LittelmannPath:
     an optional ``type``; the constructor validates the points."""
     if isinstance(data, dict):
         if "type" in data and data["type"] != [list(w) for w in seq.weights]:
-            raise _UsageError("path type in the input disagrees with --weights")
+            raise _InputError("path type in the input disagrees with --weights")
         if "points" not in data:
-            raise _UsageError("path input has no \"points\" list")
+            raise _InputError("path input has no \"points\" list")
         data = data["points"]
     return LittelmannPath(seq, data)
 
@@ -191,7 +202,7 @@ def _element_from_json(seq: WeightSequence, data) -> crystals.TensorCrystalEleme
     """A crystal element read as JSON, an object with a ``factors`` list;
     the constructor validates the factors."""
     if not isinstance(data, dict) or "factors" not in data:
-        raise _UsageError("element input is not an object with a \"factors\" list")
+        raise _InputError("element input is not an object with a \"factors\" list")
     return crystals.TensorCrystalElement(seq, data["factors"])
 
 
@@ -314,6 +325,13 @@ def _cmd_battery(args, out):
     return 0 if payload["verdict"] == "pass" else 1
 
 
+def _internal_error(exc, argv, err) -> int:
+    """Report a bug as one JSON line on stderr; exit code 3."""
+    print(json.dumps({"error": type(exc).__name__, "argv": list(argv),
+                      "message": str(exc)}), file=err)
+    return 3
+
+
 def run(argv, stdout=None, stderr=None, stdin=None) -> int:
     """Dispatch one invocation; returns the exit code instead of exiting."""
     out = stdout if stdout is not None else sys.stdout
@@ -340,12 +358,12 @@ def run(argv, stdout=None, stderr=None, stdin=None) -> int:
         parser.print_usage(err)
         return 2
     except AlgorithmInvariantViolated as exc:  # a bug, not bad input: before MinusculeError
-        print(json.dumps({"error": "AlgorithmInvariantViolated", "argv": list(argv),
-                          "message": str(exc)}), file=err)
-        return 3
-    except (MinusculeError, FileNotFoundError, KeyError, TypeError) as exc:
+        return _internal_error(exc, argv, err)
+    except MinusculeError as exc:
         print(f"error: {exc}", file=err)
         return 2
+    except Exception as exc:  # anything else, on any input, is a bug
+        return _internal_error(exc, argv, err)
 
 
 def main() -> None:

@@ -17,11 +17,17 @@ reflects an element within its i-string; it flips the leftmost p - a '+'
 or the rightmost a - p '-'.  Along a reduced word of w0, the S_i carry a
 highest-weight element to the lowest-weight element of its component.
 
+The Schutzenberger involution xi is fixed one component at a time: every
+element of a component rises to the same top, and the descent from that
+top depends on nothing else.  ``schutzenberger_all`` therefore ascends and
+replays per element but descends once per top met in the call, in a map
+that lives only for the call; ``schutzenberger`` is its one-element case.
+
 The commutor b_1 (x) c -> xi(c) (x) xi(b_1) needs none of that on an
 invariant.  There b_1 = lambda_1 and c is lowest weight in its component
 (phi_i(c) = 0 for every i, see ``commutor_rotate``), so xi(c) is the top
 of c's component, one string ascent away, and xi(b_1) = w0.lambda_1 is a
-table lookup.  ``schutzenberger`` stays the general algorithm.
+table lookup.  ``schutzenberger_all`` stays the general algorithm.
 
 Inside the operators each factor is an integer id: its index in the
 sorted union of the orbits of the sequence's own distinct weights.
@@ -31,7 +37,7 @@ reflection and its id after w0 (``_tables``), so signatures, strings,
 S_i and the Schutzenberger replay are lookups over a list of ints.
 Weights appear only at the ``TensorCrystalElement`` boundary: each
 public call encodes its input once (``_encode``) and decodes its result
-once (``_decode``).  A random route through ``schutzenberger`` is a
+once (``_decode``).  A random route through ``schutzenberger_all`` is a
 ``policy(options)`` called with the indices that can still raise.
 
 Validation happens once, where data enters: the public
@@ -363,36 +369,60 @@ def _to_lowest(t: _IdTables, ids: list):
         _reflect(t, ids, i)
 
 
-def schutzenberger(b: TensorCrystalElement, policy=None) -> TensorCrystalElement:
-    """The involution swapping highest and lowest weight elements.
+def schutzenberger_all(elements, policy=None) -> list[TensorCrystalElement]:
+    """The involution swapping highest and lowest weight elements, applied
+    to each of ``elements`` in order.
 
-    Raise ``b`` to the top of its component recording indices i_1..i_k in
-    application order, move to the component's bottom by Kashiwara's S_i
-    along a reduced word of w0, then replay the record backwards through
-    raising operators at the dual indices, each run of equal entries as
-    one string e_{i*}^c.  Without a ``policy`` the ascent raises whole
-    strings; a ``policy`` is called as ``policy(options)`` with the
-    ascending indices i that have eps_i > 0 and picks every single step
-    instead.  The result does not depend on the route; ``policy`` exists
-    so tests can randomize it.
+    Raise an element to the top of its component recording indices
+    i_1..i_k in application order, move to the component's bottom by
+    Kashiwara's S_i along a reduced word of w0, then replay the record
+    backwards through raising operators at the dual indices, each run of
+    equal entries as one string e_{i*}^c.  Without a ``policy`` the ascent
+    raises whole strings; a ``policy`` is called as ``policy(options)``
+    with the ascending indices i that have eps_i > 0 and picks every
+    single step instead.  The result does not depend on the route;
+    ``policy`` exists so tests can randomize it.
 
-    The work happens on factor ids: ``b`` is encoded once on the way in
-    and the result decoded once on the way out.  The input was validated
-    when it was built, and every step maps ids inside their orbits, so
-    nothing is re-checked.
+    Every element of a component rises to the same top, and the descent
+    from that top depends on nothing else, so it runs once per top met in
+    this call: ``lowest`` maps (tables, top ids) to the bottom's ids and
+    is dropped when the call returns.  Only the ascent and the replay are
+    per element.
+
+    The work happens on factor ids: each element is encoded once on the
+    way in and its image decoded once on the way out.  The input was
+    validated when it was built, and every step maps ids inside their
+    orbits, so nothing is re-checked.
     """
-    t, ids = _encode(b)
-    record = _to_highest(t, ids, policy)
-    _to_lowest(t, ids)
-    dual = t.dual
-    for i, run in itertools.groupby(reversed(record)):
-        j = dual[i - 1]
-        c = sum(1 for _ in run)
-        minus, _ = _signature(t, ids, j)
-        if len(minus) < c:  # pragma: no cover - would signal a bug
-            raise AlgorithmInvariantViolated("replay of the raising record left the crystal")
-        _flip(t, ids, j, minus[len(minus) - c:])
-    return _decode(b.seq, t, ids)
+    lowest: dict = {}
+    out = []
+    for b in elements:
+        t, ids = _encode(b)
+        record = _to_highest(t, ids, policy)
+        key = (t, tuple(ids))
+        bottom = lowest.get(key)
+        if bottom is None:
+            _to_lowest(t, ids)
+            bottom = lowest[key] = tuple(ids)
+        ids = list(bottom)
+        dual = t.dual
+        for i, run in itertools.groupby(reversed(record)):
+            j = dual[i - 1]
+            c = sum(1 for _ in run)
+            minus, _ = _signature(t, ids, j)
+            if len(minus) < c:  # would signal a bug
+                raise AlgorithmInvariantViolated("replay of the raising record left the crystal")
+            _flip(t, ids, j, minus[len(minus) - c:])
+        out.append(_decode(b.seq, t, ids))
+    return out
+
+
+def schutzenberger(b: TensorCrystalElement, policy=None) -> TensorCrystalElement:
+    """The involution on one element, ``schutzenberger_all((b,), policy)[0]``.
+
+    To map many elements, call ``schutzenberger_all`` once: it runs one
+    descent per component instead of one per element."""
+    return schutzenberger_all((b,), policy)[0]
 
 
 def commutor_rotate(b: TensorCrystalElement) -> TensorCrystalElement:

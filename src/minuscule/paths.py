@@ -435,12 +435,10 @@ def orbit_structure(seq: WeightSequence, ell: int) -> OrbitStructure:
             j = perm[j]
         orbits.append(tuple(cycle))
 
-    fixed_counts = []
-    power = list(range(len(paths)))
-    for _ in range(r):
-        fixed_counts.append(sum(1 for i, j in enumerate(power) if i == j))
-        power = [perm[j] for j in power]
-    return OrbitStructure(seq, ell, r, tuple(orbits), tuple(fixed_counts))
+    # a path on an orbit of length L is fixed by the d-th power iff L | d
+    lengths = [len(cycle) for cycle in orbits]
+    fixed_counts = tuple(sum(n for n in lengths if d % n == 0) for d in range(r))
+    return OrbitStructure(seq, ell, r, tuple(orbits), fixed_counts)
 
 
 def stabilizer_word_fixes_base(rs: RootSystem, beta: Weight, x: Weight) -> bool:

@@ -27,6 +27,12 @@ Weight = tuple  # tuple[int, ...] in the fundamental-weight basis
 
 DEFAULT_ORBIT_CAP = 10_000
 
+# Largest rank ``build_root_system`` accepts.  The positive coroots grow
+# quadratically with the rank and their closure costs far more, so a
+# huge rank would exhaust time and memory before any orbit cap could act;
+# every family builds in a fraction of a second at this rank.
+MAX_RANK = 32
+
 
 @dataclass(frozen=True)
 class WeylWord:
@@ -152,10 +158,14 @@ def _positive_coroots(cartan):
 
 @functools.lru_cache(maxsize=None)
 def build_root_system(family: str, rank: int) -> RootSystem:
-    """Construct the Cartan data for a finite type, Bourbaki numbered."""
+    """Construct the Cartan data for a finite type, Bourbaki numbered.
+
+    Ranks above ``MAX_RANK`` are refused before anything is built."""
     check = _RANK_CONSTRAINTS.get(family)
     if check is None or not isinstance(rank, int) or not check(rank):
         raise InvalidType(f"no finite root system of type {family}{rank}")
+    if rank > MAX_RANK:
+        raise InvalidType(f"rank {rank} is above the largest supported rank {MAX_RANK}")
     cartan = _cartan_matrix(family, rank)
     coroots = _positive_coroots(cartan)
     two_rho = tuple(sum(c[i] for c in coroots) for i in range(rank))

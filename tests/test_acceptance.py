@@ -13,7 +13,8 @@ import time
 import pytest
 
 from minuscule import battery as bat
-from minuscule import csp, kostka, paths
+from minuscule import crystals, csp, kostka, paths
+from minuscule.errors import AlgorithmInvariantViolated
 
 CASES = bat.standard_battery()
 
@@ -60,6 +61,33 @@ def test_criterion_3_promotion_equivariance(clock):
 def test_criterion_4_crystal_coherence(clock):
     ok = bat.suite_crystal_coherence(CASES, rng_seed=0).passed
     _gate(4, "crystal coherence", ok, clock(), 120)
+
+
+def test_criterion_4_catches_a_descent_that_skips_a_letter(monkeypatch):
+    # without the last S_i of w0 the descent stops short of the bottom, and
+    # replaying the raising record from there leaves the crystal
+    def short(t, ids):
+        for i in t.w0[:-1]:
+            crystals._reflect(t, ids, i)
+
+    monkeypatch.setattr(crystals, "_to_lowest", short)
+    with pytest.raises(AlgorithmInvariantViolated, match="replay"):
+        bat.suite_crystal_coherence(CASES, rng_seed=0)
+
+
+def test_criterion_4_catches_a_xi_that_is_not_an_involution(monkeypatch):
+    # xi followed by one e_1 where it applies stays inside the crystal, and
+    # only reading xi(xi(b)) off the map can tell that it is wrong
+    xi_all = crystals.schutzenberger_all
+
+    def skewed(elements, policy=None):
+        return [crystals.crystal_op("raise", 1, x) or x for x in xi_all(elements, policy)]
+
+    monkeypatch.setattr(crystals, "schutzenberger_all", skewed)
+    result = bat.suite_crystal_coherence(CASES, rng_seed=0)
+    assert not result.passed and result.checks == 16695
+    assert all(": involution fails on " in f for f in result.failures)
+    assert {f.split(":")[0] for f in result.failures} >= {"A1", "D4", "E6"}
 
 
 def test_criterion_5_kostka_oracle(clock):

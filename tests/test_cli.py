@@ -150,6 +150,20 @@ class TestRootAndCrystal:
         assert report["argv"] == argv
         assert report["message"] == "rotated element is no longer invariant"
 
+    @pytest.mark.parametrize("exc_type", [TypeError, ValueError, KeyError])
+    def test_stray_exception_from_a_kernel_exits_3(self, monkeypatch, exc_type):
+        def broken(seq, cap):
+            raise exc_type("stray kernel error")
+
+        monkeypatch.setattr(crystals, "invariant_elements", broken)
+        argv = ["crystal", "invariants", "--type", "A", "--rank", "1", "--weights", "1,1"]
+        code, out, err = invoke(argv)
+        assert code == 3 and out == ""
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        report = json.loads(err)
+        assert report["error"] == exc_type.__name__ and report["argv"] == argv
+        assert "stray kernel error" in report["message"]
+
     def test_invariant_search_is_not_bounded_by_recursion(self):
         # 1200 factors deep; the node cap, not the interpreter stack, stops it
         proc = run_module("crystal", "invariants", "--type", "A", "--rank", "1",
@@ -298,6 +312,26 @@ class TestContract:
         code, _, _ = invoke(
             ["paths", "enumerate", "--type", "A", "--rank", "1", "--weights", "2,2"])
         assert code == 2
+
+    def test_directory_input_is_invalid_input(self, tmp_path):
+        code, out, err = invoke(["tableau", "promote", "--input", str(tmp_path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_missing_undecodable_and_malformed_inputs_are_invalid_input(self, tmp_path):
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe[[1]]")
+        truncated = tmp_path / "truncated.json"
+        truncated.write_text("[[1")
+        for source in (tmp_path / "absent.json", binary, truncated):
+            code, out, err = invoke(["tableau", "promote", "--input", str(source)])
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_rank_above_the_maximum_is_invalid_input(self):
+        code, out, err = invoke(
+            ["paths", "enumerate", "--type", "A", "--rank", "99999", "--weights", "1"])
+        assert code == 2 and out == "" and "largest supported rank" in err
 
     def test_byte_determinism(self):
         argv = ["csp", "check", "--type", "A", "--rank", "2",

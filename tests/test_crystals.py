@@ -23,7 +23,9 @@ from minuscule.crystals import (
     path_bijection,
     phi,
     schutzenberger,
+    schutzenberger_all,
 )
+from minuscule import crystals
 from minuscule.errors import EnumerationTooLarge, InvalidIndex, NotInvariant, OrbitTooLarge
 from minuscule.kostka import invariant_dim
 from minuscule.paths import WeightSequence, enumerate_paths, rotate
@@ -359,6 +361,74 @@ class TestProperties:
     def test_commutor_is_rotation(self, seq):
         for p in enumerate_paths(seq):
             assert commutor_rotate(path_bijection(p)) == path_bijection(rotate(p))
+
+
+@st.composite
+def samples(draw):
+    """A sequence and a sample of its crystal: drawn elements together with
+    some of their neighbours under single operators, so that several
+    elements share a component and the sample spans several components."""
+    seq = draw(sequences())
+    rank = seq.rs.rank
+    sample = []
+    for _ in range(draw(st.integers(1, 6))):
+        factors = tuple(draw(st.sampled_from(weyl_orbit(seq.rs, lam))) for lam in seq.weights)
+        b = TensorCrystalElement(seq, factors)
+        sample.append(b)
+        for _ in range(draw(st.integers(0, 3))):
+            image = crystal_op(draw(st.sampled_from(("raise", "lower"))),
+                               draw(st.integers(1, rank)), b)
+            if image is not None:
+                sample.append(image)
+    return seq, draw(st.permutations(sample))
+
+
+class TestSchutzenbergerAll:
+    @settings(max_examples=80, deadline=None)
+    @given(samples())
+    def test_one_call_equals_one_call_per_element(self, drawn):
+        _, sample = drawn
+        assert schutzenberger_all(sample) == [schutzenberger(b) for b in sample]
+
+    @settings(max_examples=60, deadline=None)
+    @given(samples(), st.integers(0, 2 ** 32 - 1))
+    def test_seeded_random_route_equals_one_call_per_element(self, drawn, seed):
+        _, sample = drawn
+        rng = random.Random(seed)
+
+        def route(options):
+            return rng.choice(options)
+
+        assert schutzenberger_all(sample, policy=route) == [schutzenberger(b) for b in sample]
+
+    def test_empty_sample(self):
+        assert schutzenberger_all(()) == []
+
+    def test_one_descent_per_top_and_the_memo_dies_with_the_call(self, monkeypatch):
+        seq = WeightSequence(A1, (W,) * 4)
+        sample = list(all_elements(seq))
+        # V^4 = V(4) + 3 V(2) + 2 V(0): six components, six tops
+        tops = sum(1 for b in sample if is_highest_weight(b))
+        assert tops == 6
+        expected = [schutzenberger(b) for b in sample]
+        descents = []
+
+        def counted(t, ids):
+            descents.append(tuple(ids))
+            _to_lowest(t, ids)
+
+        before = dict(vars(crystals))
+        tables = crystals._tables.cache_info().currsize
+        monkeypatch.setattr(crystals, "_to_lowest", counted)
+        for _ in range(2):
+            descents.clear()
+            assert schutzenberger_all(sample) == expected
+            assert len(descents) == len(set(descents)) == tops
+        monkeypatch.undo()
+        # nothing new at module level, no binding replaced, no table built
+        assert vars(crystals).keys() == before.keys()
+        assert all(vars(crystals)[name] is value for name, value in before.items())
+        assert crystals._tables.cache_info().currsize == tables
 
 
 class TestIdTables:

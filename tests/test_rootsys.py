@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import minuscule
+from minuscule import rootsys
 from minuscule.errors import InvalidIndex, InvalidType, OrbitTooLarge
 from minuscule.rootsys import (
     apply_word,
@@ -91,6 +92,25 @@ def test_g2_has_six_positive_coroots():
 def test_invalid_types(family, rank):
     with pytest.raises(InvalidType):
         build_root_system(family, rank)
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_rank_above_the_maximum_is_refused_before_any_cartan_data(family, monkeypatch):
+    def unbuildable(*args):
+        raise AssertionError("Cartan data built for a refused rank")
+
+    monkeypatch.setattr(rootsys, "_cartan_matrix", unbuildable)
+    monkeypatch.setattr(rootsys, "_positive_coroots", unbuildable)
+    with pytest.raises(InvalidType, match="largest supported rank"):
+        build_root_system(family, 10 ** 12)
+    with pytest.raises(InvalidType):
+        build_root_system(family, rootsys.MAX_RANK + 1)
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_every_family_builds_at_the_maximum_rank(family):
+    rs = build_root_system(family, rootsys.MAX_RANK)
+    assert rs.rank == rootsys.MAX_RANK
 
 
 def test_simple_reflection_examples():
