@@ -25,6 +25,7 @@ from .paths import (
     enumerate_paths,
     orbit_structure,
     rotate,
+    rotate_all,
     straighten,
 )
 from .crystals import (
@@ -63,6 +64,7 @@ __all__ = [
     "enumerate_paths",
     "orbit_structure",
     "rotate",
+    "rotate_all",
     "straighten",
     "TensorCrystalElement",
     "commutor_rotate",

@@ -73,8 +73,14 @@ def _random_element(seq, rng):
     return crystals.TensorCrystalElement(seq, factors)
 
 
+def _exhaustive(seq) -> bool:
+    return crystals.crystal_size(seq) <= EXHAUSTIVE_CRYSTAL_LIMIT
+
+
 def _crystal_sample(seq, rng):
-    if crystals.crystal_size(seq) <= EXHAUSTIVE_CRYSTAL_LIMIT:
+    """Every element of a small crystal, which draws nothing from ``rng``;
+    else the invariants and a seeded random sample."""
+    if _exhaustive(seq):
         return list(crystals.all_elements(seq))
     sample = list(crystals.invariant_elements(seq))
     sample.extend(_random_element(seq, rng) for _ in range(CRYSTAL_SAMPLE))
@@ -97,10 +103,8 @@ def suite_rotation_order(cases) -> SuiteResult:
     res = SuiteResult("rotation-order", True, 0)
     for seq in cases:
         m = len(seq)
-        for p in paths.enumerate_paths(seq):
-            q = p
-            for _ in range(m):
-                q = paths.rotate(q)
+        found = paths.enumerate_paths(seq)
+        for p, q in zip(found, paths.rotate_all(found, m)):
             res.checks += 1
             if q.points != p.points:
                 res.fail(f"{describe(seq)}: rotation^{m} moved {p.points} to {q.points}")
@@ -112,9 +116,10 @@ def suite_promotion_equivariance(cases) -> SuiteResult:
     for seq in cases:
         if seq.rs.family != "A":
             continue
-        for p in paths.enumerate_paths(seq):
+        found = paths.enumerate_paths(seq)
+        for p, rotated in zip(found, paths.rotate_all(found)):
             lhs = tableaux.promote(tableaux.path_to_tableau(p))
-            rhs = tableaux.path_to_tableau(paths.rotate(p))
+            rhs = tableaux.path_to_tableau(rotated)
             res.checks += 1
             if lhs.rows != rhs.rows:
                 res.fail(f"{describe(seq)}: promote/rotate disagree on {p.points}")
@@ -137,9 +142,9 @@ def suite_crystal_coherence(cases, rng_seed: int = 0) -> SuiteResult:
         res.checks += 1
         if images != invariants:
             res.fail(f"{describe(seq)}: path images differ from invariant elements")
-        for p in enumerated:
+        for p, rotated in zip(enumerated, paths.rotate_all(enumerated)):
             lhs = crystals.commutor_rotate(crystals.path_bijection(p))
-            rhs = crystals.path_bijection(paths.rotate(p))
+            rhs = crystals.path_bijection(rotated)
             res.checks += 1
             if lhs.factors != rhs.factors:
                 res.fail(f"{describe(seq)}: commutor/rotation disagree on {p.points}")
@@ -161,6 +166,8 @@ def _check_involution(seq, rng, res):
     sample in one call, then only the images and route-pool elements that
     are not in the sample yet (the sampled E6 case).  xi(xi(b)) and every
     route's reference are read from that map, which dies with the case.
+    An exhaustive sample drew nothing from ``rng``, so a second draw would
+    build the same list again: it is the route pool as it stands.
     """
     sample = _crystal_sample(seq, rng)
     image = {}
@@ -174,7 +181,7 @@ def _check_involution(seq, rng, res):
     def random_policy(options):
         return rng.choice(options)
 
-    policy_pool = _crystal_sample(seq, rng)
+    policy_pool = sample if _exhaustive(seq) else _crystal_sample(seq, rng)
     if len(policy_pool) > CRYSTAL_SAMPLE:
         policy_pool = [policy_pool[i] for i in
                        rng.sample(range(len(policy_pool)), CRYSTAL_SAMPLE)]

@@ -26,11 +26,23 @@ exact computation it replaces:
   of -lambda.  By the stabilizer lemma the straightening word of
   beta + s fixes beta, so the carried shift stays in that orbit and
   rotation is a walk on finitely many (point, shift) pairs;
-* ``verified``: the (prev, point) pairs of ``rotate``'s outputs whose
-  difference has passed the exact test ``in _orbit_set(rs, lambda)``;
-  ``_step_defect`` runs that test only on pairs it has not seen.  The
-  public constructors read this memo but never add to it, so validating
-  user paths, non-dominant ones included, does not grow the process.
+* ``verified``: the (prev, point) pairs of rotation outputs whose point
+  is dominant and whose difference has passed the exact test
+  ``in _orbit_set(rs, lambda)``; rotation and ``_step_defect`` run that
+  test only on pairs not in it.  The public constructors read this memo
+  but never add to it, so validating user paths, non-dominant ones
+  included, does not grow the process.
+
+Rotation works on a whole set of paths of one type: ``rotate_all(paths,
+k)`` returns every path's k-fold rotation in one call, ``rotate`` is its
+one-path case and ``orbit_structure`` makes one call on its enumeration.
+Output point i of a rotation depends only on input points 0..i+1, so
+the call keeps, per level and only while it runs, the previous path's
+output points and carried shift ids, and recomputes from the first
+input point that differs.  Sorted paths, as ``enumerate_paths`` returns
+them, share long prefixes.  A shared output prefix is made of the same
+(prev, point) pairs that passed the check for the previous path, so it
+needs no second check; every point computed anew is checked as before.
 """
 from __future__ import annotations
 
@@ -183,20 +195,15 @@ class WeightSequence:
         return total
 
 
-def _step_defect(seq: WeightSequence, points, remember: bool = False) -> str | None:
-    """Why some step of ``points`` leaves its orbit, or None; with
-    ``remember``, the steps that pass go into the ``verified`` memos."""
+def _step_defect(seq: WeightSequence, points) -> str | None:
+    """Why some step of ``points`` leaves its orbit, or None."""
     rs = seq.rs
     tables = {lam: _tables(rs, lam) for lam in set(seq.weights)}
     prev = rs.zero()
     for point, lam in zip(points, seq.weights):
-        pair = (prev, point)
         t = tables[lam]
-        if pair not in t.verified:
-            if _sub(point, prev) not in t.orbit:
-                return f"step into {point} leaves the orbit of {lam}"
-            if remember:
-                t.verified.add(pair)
+        if (prev, point) not in t.verified and _sub(point, prev) not in t.orbit:
+            return f"step into {point} leaves the orbit of {lam}"
         prev = point
     return None
 
@@ -352,35 +359,109 @@ def straighten(p: MinusculePath) -> MinusculePath:
     return MinusculePath._trusted(p.seq, tuple(_straightened(rs, p.points, rs.zero())))
 
 
-def rotate(p: LittelmannPath) -> LittelmannPath:
-    """The rotation bijection onto the paths of the once-rotated type.
+def rotate_all(paths, k: int = 1) -> list[LittelmannPath]:
+    """The k-fold rotation of each of ``paths``, all of one type, in order.
 
-    Drop the first step mu_1, translate the rest back to the origin,
-    straighten it and close the loop.  The sweep of ``_straightened``
-    carries a shift that starts at -mu_1, and by the stabilizer lemma
-    the straightening word of beta + shift fixes the dominant point beta,
-    so every carried shift stays in the orbit of -lambda_1.  Each point
-    is then one lookup in the ``carry`` memo of lambda_1, keyed on
-    (point, shift id).  The output is checked once, exactly: every step
-    against its orbit (a step already in a ``verified`` memo passed that
-    test before), dominance and closure.
+    Rotation drops the first step mu_1, translates the rest back to the
+    origin, straightens it and closes the loop.  The sweep of
+    ``_straightened`` carries a shift that starts at -mu_1, and by the
+    stabilizer lemma the straightening word of beta + shift fixes the
+    dominant point beta, so every carried shift stays in the orbit of
+    -lambda_1.  Each output point is then one lookup in the ``carry`` memo
+    of lambda_1, keyed on (input point, shift id).
+
+    Each of the k levels keeps the previous path's output points and the
+    shift id used at each (``flat``, ``kept``): when a path's input agrees
+    with the previous one on its first L points, the level starts at point
+    L-1 with the kept shift, and the first output point that differs gives
+    L for the next level.  Every point computed anew is checked by
+    ``_check_step`` unless its pair is in the ``verified`` memo; the step
+    into the origin closes the path.  A failure is an
+    ``AlgorithmInvariantViolated`` that names the input path.
     """
-    seq = p.seq
+    if k < 0:
+        raise ValueError(f"the number of rotations must be at least 0, got {k}")
+    paths = tuple(paths)
+    if not paths or not k:
+        return list(paths)
+    seq = paths[0].seq
     rs = seq.rs
+    weights = seq.weights
+    m = len(weights)
     zero = rs.zero()
-    t = _tables(rs, seq.weights[0])
-    s = t.shift_id[_sub(zero, p.points[0])]
-    carry = t.carry
-    flat = []
-    for beta in p.points[1:]:
-        q, s = carry[s].get(beta) or t.carried(beta, s)
-        flat.append(q)
-    flat.append(zero)
-    target = seq.rotated(1)
-    defect = _step_defect(target, flat, remember=True) or _closed_defect(flat)
-    if defect:
-        raise AlgorithmInvariantViolated(f"rotation of {p.points}: {defect}")
-    return LittelmannPath._trusted(target, tuple(flat))
+    tables = {lam: _tables(rs, lam) for lam in set(weights)}
+    levels = []
+    for j in range(k):
+        t = tables[weights[j % m]]
+        r = (j + 1) % m
+        checks = [tables[lam] for lam in weights[r:] + weights[:r]]
+        levels.append((t.carry, t.carried, t.shift_id, checks, [zero] * m, [0] * m))
+    target = seq.rotated(k)
+    out = []
+    prev = None
+    try:
+        for p in paths:
+            if p.seq is not seq and p.seq != seq:
+                raise InvalidPath(f"rotate_all takes paths of one type, got {p.seq.weights} "
+                                  f"after {seq.weights}")
+            pts = p.points
+            # how many leading input points agree with the previous input
+            agree = 0
+            shared = prev is not None
+            if shared:
+                while agree < m and pts[agree] == prev[agree]:
+                    agree += 1
+            prev = pts
+            for level, (carry, carried, shift_id, checks, flat, kept) in enumerate(levels):
+                same = shared
+                if agree:
+                    start = agree - 1
+                    s = kept[start]
+                else:
+                    start = 0
+                    s = shift_id[_sub(zero, pts[0])]
+                for i in range(start, m - 1):
+                    beta = pts[i + 1]
+                    kept[i] = s
+                    q, s = carry[s].get(beta) or carried(beta, s)
+                    if same:
+                        if q == flat[i]:
+                            continue
+                        same = False
+                        agree = i
+                    pair = (flat[i - 1] if i else zero, q)
+                    if pair not in checks[i].verified:
+                        _check_step(checks[i], pair)
+                    flat[i] = q
+                if same:
+                    agree = m
+                else:
+                    pair = (flat[m - 2] if m > 1 else zero, zero)
+                    if pair not in checks[m - 1].verified:
+                        _check_step(checks[m - 1], pair)
+                pts = flat
+            out.append(LittelmannPath._trusted(target, tuple(pts)))
+    except AlgorithmInvariantViolated as exc:
+        raise AlgorithmInvariantViolated(
+            f"rotation of {p.points} (step {level + 1} of {k}): {exc}") from None
+    return out
+
+
+def _check_step(t: _PathTables, pair):
+    """Pass when the step of ``pair`` = (prev, point) is in ``t``'s orbit
+    and ``point`` is dominant, and remember the pair in ``t.verified``."""
+    prev, point = pair
+    if _sub(point, prev) not in t.orbit:
+        raise AlgorithmInvariantViolated(f"step into {point} leaves the orbit of {t.lam}")
+    if min(point) < 0:
+        raise AlgorithmInvariantViolated("all points of the path must be dominant")
+    t.verified.add(pair)
+
+
+def rotate(p: LittelmannPath) -> LittelmannPath:
+    """The rotation bijection onto the paths of the once-rotated type: the
+    one-path case of ``rotate_all``."""
+    return rotate_all((p,), 1)[0]
 
 
 @dataclass(frozen=True)
@@ -414,13 +495,7 @@ def orbit_structure(seq: WeightSequence, ell: int) -> OrbitStructure:
     r = len(seq) // ell
     paths = enumerate_paths(seq)
     index = {p.points: i for i, p in enumerate(paths)}
-
-    def rot_ell(p):
-        for _ in range(ell):
-            p = rotate(p)
-        return p
-
-    perm = [index[rot_ell(p).points] for p in paths]
+    perm = [index[q.points] for q in rotate_all(paths, ell)]
 
     orbits = []
     seen = set()

@@ -8,6 +8,7 @@ suite does not state.  All comparisons are exact; the only tolerances
 are wall-clock budgets.  Run with ``pytest tests/test_acceptance.py -v -s``
 to see the lines.
 """
+import collections
 import time
 
 import pytest
@@ -61,6 +62,23 @@ def test_criterion_3_promotion_equivariance(clock):
 def test_criterion_4_crystal_coherence(clock):
     ok = bat.suite_crystal_coherence(CASES, rng_seed=0).passed
     _gate(4, "crystal coherence", ok, clock(), 120)
+
+
+def test_criterion_4_builds_each_exhaustive_crystal_once(monkeypatch):
+    # the route pool of an exhaustive case is its involution sample
+    built = collections.Counter()
+    all_elements = crystals.all_elements
+
+    def counted(seq):
+        built[bat.describe(seq)] += 1
+        return all_elements(seq)
+
+    monkeypatch.setattr(crystals, "all_elements", counted)
+    result = bat.suite_crystal_coherence(CASES, rng_seed=0)
+    assert result.passed and result.checks == 16695
+    exhaustive = [bat.describe(s) for s in CASES
+                  if crystals.crystal_size(s) <= bat.EXHAUSTIVE_CRYSTAL_LIMIT]
+    assert len(exhaustive) == 10 and built == collections.Counter(exhaustive)
 
 
 def test_criterion_4_catches_a_descent_that_skips_a_letter(monkeypatch):

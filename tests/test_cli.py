@@ -7,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from minuscule import crystals, kostka
 from minuscule.cli import _build_parser, run
@@ -401,3 +403,103 @@ class TestNoIgnoredFlags:
             assert code == 0 and out
             outs.append(out)
         assert len(set(outs)) == len(outs)
+
+
+# ---- argv fuzz: every subcommand, its choices and malformed flag values
+
+def _joined(values):
+    return ",".join(map(str, values))
+
+
+def _one_in(n):
+    """True about one time in ``n``; a sample shrinks to False."""
+    return st.sampled_from((False,) * (n - 1) + (True,))
+
+
+# (family, rank, weight indices, most factors): small enough that every
+# draw finishes at once; F4 and G2 have no minuscule weight
+FUZZ_TYPES = [("A", 1, (1,), 6), ("A", 2, (1, 2), 4), ("A", 3, (1, 2, 3), 4),
+              ("B", 3, (3,), 3), ("C", 3, (1,), 3), ("D", 4, (1, 3, 4), 3),
+              ("E", 6, (1, 6), 3), ("E", 7, (7,), 2), ("F", 4, (1,), 2), ("G", 2, (1, 2), 2)]
+MALFORMED = ["", " ", "x", "1.5", "-1", "0", "1,,2", ",", "--", "99999999999999999999"]
+# malformed values per option dest; huge numbers only where they set no size
+FUZZ_BAD = {
+    "family": ["Z", "a", "AA", ""],
+    "rank": MALFORMED + ["33", "7"],
+    "weights": MALFORMED + ["1,-1", "9"],
+    "cap": MALFORMED,
+    "ell": MALFORMED + ["5"],
+    "poly": MALFORMED,
+    "shape": MALFORMED[:-1] + ["1,2", "3,-1"],
+    "content": MALFORMED[:-1] + ["0,0"],
+    "seed": MALFORMED,
+    # the full scope is the slow gate itself, so it is never drawn
+    "scope": ["wide", "", "Quick"],
+    "input": ["no-such-file.json", ""],
+    "format": ["xml", "", "JSON"],
+}
+STDIN_SAMPLES = ["", "null", "{}", "[]", "[[", "[[1, 3], [2, 4]]", "[[1], [0]]",
+                 "[[1], [2], [1], [0]]", '{"points": [[1], [0], [1], [0]]}',
+                 '{"points": [[1], [2]], "type": [[1]]}', '{"factors": [[1], [-1]]}',
+                 '{"factors": [[1], ["x"]]}', "[[true]]", '"text"', "1e400"]
+
+
+@st.composite
+def argvs(draw):
+    """One argv over a leaf subcommand of ``_build_parser()``: each option is
+    present or not, and its value is well formed or, one time in five,
+    drawn from ``FUZZ_BAD``; sometimes the command is cut short or gets an
+    unknown token."""
+    leaves = sorted(_leaves(_build_parser()), key=lambda leaf: leaf[0])
+    path, parser = draw(st.sampled_from(leaves))
+    family, rank, indices, longest = draw(st.sampled_from(FUZZ_TYPES))
+    parts = sorted(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)), reverse=True)
+    good = {
+        "family": family,
+        "rank": str(rank),
+        "weights": _joined(draw(st.lists(st.sampled_from(indices), min_size=1,
+                                         max_size=longest))),
+        "cap": draw(st.sampled_from(["1000", "3", "1"])),
+        "ell": draw(st.sampled_from(["1", "2", "3"])),
+        "poly": _joined(draw(st.lists(st.integers(-2, 3), min_size=1, max_size=7))),
+        "shape": _joined(parts),
+        "content": _joined(draw(st.permutations(parts))),
+        "seed": draw(st.sampled_from(["0", "1", "7"])),
+        "scope": "quick",
+        "input": "-",
+    }
+    argv = list(path)
+    if draw(_one_in(10)):
+        argv = argv[:draw(st.integers(0, len(argv)))]
+    for action in parser._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        if draw(_one_in(10 if action.required else 2)):
+            continue
+        flag, dest = action.option_strings[0], action.dest
+        if action.nargs == 0:
+            argv.append(flag)
+        elif draw(_one_in(5)):
+            argv += [flag, draw(st.sampled_from(FUZZ_BAD[dest]))]
+        elif dest == "format":
+            argv += [flag, draw(st.sampled_from(action.choices))]
+        else:
+            argv += [flag, good[dest]]
+    if draw(_one_in(10)):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "x"])))
+    return argv
+
+
+class TestArgvFuzz:
+    def test_every_option_has_values(self):
+        dests = {a.dest for _, p in _leaves(_build_parser()) for a in p._actions
+                 if a.option_strings and a.nargs != 0 and a.dest != "help"}
+        assert dests == set(FUZZ_BAD)
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(argvs(), st.sampled_from(STDIN_SAMPLES))
+    def test_exit_code_is_0_1_or_2_without_traceback(self, argv, text):
+        code, _, err = invoke(argv, text)
+        assert code in (0, 1, 2), (argv, text, err)
+        assert "Traceback" not in err

@@ -3,12 +3,14 @@ import itertools
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minuscule import paths
 from minuscule.errors import (
@@ -24,7 +26,9 @@ from minuscule.paths import (
     WeightSequence,
     enumerate_paths,
     orbit_structure,
+    periods,
     rotate,
+    rotate_all,
     straighten,
 )
 from minuscule.rootsys import build_root_system, to_dominant, weyl_orbit
@@ -248,6 +252,14 @@ class TestRotate:
                     q = rotate(q)
                 assert q.points == p.points
 
+    def test_rotate_all_edge_cases(self):
+        found = enumerate_paths(seq_a1(4))
+        assert rotate_all((), 3) == [] and rotate_all(found, 0) == list(found)
+        with pytest.raises(ValueError):
+            rotate_all(found, -1)
+        with pytest.raises(InvalidPath, match="one type"):
+            rotate_all(found + enumerate_paths(seq_a1(2)), 1)
+
     def test_bijection_across_whole_battery(self):
         from minuscule.battery import standard_battery
         for seq in standard_battery():
@@ -279,6 +291,31 @@ class TestPathTables:
         p = enumerate_paths(seq_a1(4))[0]
         with pytest.raises(AlgorithmInvariantViolated, match="out of the orbit"):
             rotate(p)
+
+    def test_corrupted_carry_entry_past_a_shared_prefix_is_caught(self, monkeypatch):
+        monkeypatch.setattr(paths, "_tables", functools.lru_cache(maxsize=None)(
+            paths._PathTables))
+        first, second = enumerate_paths(seq_a1(6))[:2]
+        assert first.points[:3] == second.points[:3] != first.points[:4]
+        # the second path's rotation reaches input point (2,) with the shift
+        # (1,) only after the three input points it shares with the first,
+        # and the first never looks (2,) up
+        assert rotate(second).points == ((1,), (2,), (3,), (2,), (1,), (0,))
+        t = paths._tables(A1, W)
+        s = t.shift_id[(1,)]
+        assert (2,) not in first.points
+        monkeypatch.setitem(t.carry[s], (2,), ((4,), s))
+        assert rotate_all([first], 1)[0].points == rotate(first).points
+        with pytest.raises(AlgorithmInvariantViolated,
+                           match=re.escape(f"rotation of {second.points}")):
+            rotate_all([first, second], 1)
+
+    def test_shift_leaving_its_orbit_is_caught_through_orbit_structure(self, monkeypatch):
+        monkeypatch.setattr(paths, "_tables", functools.lru_cache(maxsize=None)(
+            paths._PathTables))
+        monkeypatch.setattr(paths, "to_dominant", lambda rs, q: ((5,), None))
+        with pytest.raises(AlgorithmInvariantViolated, match="out of the orbit"):
+            orbit_structure(seq_a1(6), 1)
 
     def test_constructors_read_but_never_fill_the_verified_memo(self, monkeypatch):
         monkeypatch.setattr(paths, "_tables", functools.lru_cache(maxsize=None)(
@@ -381,6 +418,14 @@ def rotate_by_raise_once(p):
     return tail.points + (p.seq.rs.zero(),)
 
 
+def rotate_k_by_raise_once(p, k):
+    """The points of ``rotate_by_raise_once`` applied ``k`` times."""
+    points = p.points
+    for j in range(k):
+        points = rotate_by_raise_once(LittelmannPath(p.seq.rotated(j), points))
+    return points
+
+
 TYPE_A = [t for t in MINUSCULE_TYPES if t[0] == "A"]
 
 
@@ -421,3 +466,18 @@ class TestProperties:
     def test_promotion_is_rotation(self, seq):
         for p in enumerate_paths(seq):
             assert promote(path_to_tableau(p)) == path_to_tableau(rotate(p))
+
+    @settings(max_examples=100, deadline=None)
+    @given(sequences().map(_closed), st.randoms(use_true_random=False))
+    def test_rotate_all_matches_raise_once_in_any_order(self, seq, rng):
+        found = enumerate_paths(seq)
+        shuffled = list(found)
+        rng.shuffle(shuffled)
+        for ell in periods(seq):
+            want = {p.points: rotate_k_by_raise_once(p, ell) for p in found}
+            for order in (found, found[::-1], shuffled):
+                got = rotate_all(order, ell)
+                assert [q.points for q in got] == [want[p.points] for p in order]
+                assert all(q.seq.weights == seq.rotated(ell).weights for q in got)
+        whole_turn = rotate_all(found, len(seq))
+        assert [q.points for q in whole_turn] == [p.points for p in found]
