@@ -4,9 +4,12 @@ The charge route enumerates column-strict tableaux and sums q^charge over
 their reading words (rows left to right, bottom row first).  The tableaux
 are walked as chains of shapes, one horizontal strip per value, and
 within one enumeration the strips grown from each (shape, size) are
-computed once.  The second route is a brute-force alternating sum over
-the symmetric group against a q-deformed partition function; the two
-must agree, and the test suite holds them to that.  A third routine
+computed once.  Charge is carried down the same walk, one strip at a
+time, so a tableau costs one strip rather than a pass over its word.
+The second route is the alternating sum over the symmetric group
+against a q-deformed partition function, walked position by position so
+that permutations with a negative prefix of beta are never built; the
+two must agree, and the test suite holds them to that.  A third routine
 computes invariant dimensions for arbitrary types by iterated tensoring
 with reflection signs, so path and crystal counts can be checked against
 something that shares no code with them.
@@ -31,11 +34,28 @@ DEFAULT_WEYL_SUM_CAP = 8
 
 
 def _as_partition(parts) -> tuple[int, ...]:
-    parts = tuple(int(p) for p in parts)
+    parts = tuple(parts)
+    if any(type(p) is not int for p in parts):
+        raise InvalidContent(f"parts must be ints, not {parts!r}")
     trimmed = tuple(p for p in parts if p != 0)
     if any(p < 0 for p in parts) or any(a < b for a, b in zip(trimmed, trimmed[1:])):
         raise InvalidContent(f"{parts} is not a partition")
     return trimmed
+
+
+def _shape_and_content(nu, gamma) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``nu`` as a partition and ``gamma`` sorted to one, of equal size.
+
+    Both routes depend only on the multiset of entries of gamma."""
+    nu = _as_partition(nu)
+    gamma = tuple(gamma)
+    if any(type(g) is not int for g in gamma):
+        raise InvalidContent(f"content entries must be ints, not {gamma!r}")
+    if any(g < 0 for g in gamma):
+        raise InvalidContent("content entries must be nonnegative")
+    if sum(nu) != sum(gamma):
+        raise SizeMismatch(f"|{nu}| != |{gamma}|")
+    return nu, tuple(sorted((g for g in gamma if g), reverse=True))
 
 
 def charge(word) -> int:
@@ -105,45 +125,112 @@ def _horizontal_strips(inner, outer_bound, size) -> list[tuple[int, ...]]:
     return out
 
 
-def column_strict_tableaux(shape, content):
-    """All fillings with weakly increasing rows and strictly increasing
-    columns, of the given shape and content, as row tuples.
+def _chain_walk(shape, content, start, grow):
+    """Yield what ``grow`` carries down each chain of shapes from the
+    empty one to ``shape`` that grows by a horizontal strip of
+    ``content[v - 1]`` boxes for each value v.
 
-    A tableau is a chain of shapes from the empty one to ``shape`` that
-    grows by a horizontal strip of ``content[v - 1]`` boxes for each value
-    v.  The chains are walked depth first with an explicit stack, children
-    in lexicographic order.  Many chains pass through the same shape, so
-    the strips grown from each (inner shape, size) are computed once per
-    call and kept in a dict that dies with the call.
+    A box is named by its position in the reading word of ``shape``
+    (rows left to right, bottom row first).  ``start`` is the empty
+    shape's carry and ``grow(carry, v, spots)`` a child's, from its
+    parent's and the ascending positions of the strip of v between the
+    two.  The chains are walked depth first with an explicit stack,
+    children in lexicographic order.  Many chains pass through the same
+    shape, so the strips grown from each (inner shape, size), with their
+    positions, are computed once per call and kept in a dict that dies
+    with the call.
     """
     shape = tuple(shape)
     n = len(shape)
+    below = [sum(shape[r + 1:]) for r in range(n)]
     depth = len(content)
-    strips: dict[tuple, list[tuple[int, ...]]] = {}
-    # chain[v] is the shape filled with values 1..v on the current branch,
-    # and rows holds those values: a node cuts the rows back to its
-    # parent's shape and adds its own strip
-    chain: list[tuple[int, ...]] = [(0,) * n] * (depth + 1)
-    rows: list[list[int]] = [[] for _ in range(n)]
-    stack = [(0, chain[0])]
+    strips: dict[tuple, list] = {}
+    stack = [(0, (0,) * n, start)]
     while stack:
-        level, current = stack.pop()
-        chain[level] = current
-        if level:
-            before = chain[level - 1]
-            for r in range(n):
-                row = rows[r]
-                del row[before[r]:]
-                row.extend([level] * (current[r] - before[r]))
+        level, current, carry = stack.pop()
         if level == depth:
             if current == shape:
-                yield tuple(map(tuple, rows))
+                yield carry
             continue
         key = (current, content[level])
         grown = strips.get(key)
         if grown is None:
-            grown = strips[key] = _horizontal_strips(current, shape, content[level])
-        stack.extend((level + 1, nxt) for nxt in reversed(grown))
+            # reversed, so that the stack pops them in lexicographic order
+            grown = strips[key] = [
+                (nxt, tuple(below[r] + c for r in range(n - 1, -1, -1)
+                            for c in range(current[r], nxt[r])))
+                for nxt in reversed(_horizontal_strips(current, shape, content[level]))]
+        level += 1
+        stack.extend([(level, nxt, grow(carry, level, spots)) for nxt, spots in grown])
+
+
+def _fill(word, value, spots):
+    word = list(word)
+    for p in spots:
+        word[p] = value
+    return word
+
+
+def column_strict_tableaux(shape, content):
+    """All fillings with weakly increasing rows and strictly increasing
+    columns, of the given shape and content, as row tuples.
+
+    A tableau is a chain of shapes whose strip for value v holds the
+    v's; ``_chain_walk`` fills in the reading word, in its order.
+    """
+    shape = tuple(shape)
+    size = sum(shape)
+    for word in _chain_walk(shape, content, [0] * size, _fill):
+        rows, end = [], size
+        for length in shape:
+            rows.append(tuple(word[end - length:end]))
+            end -= length
+        yield tuple(rows)
+
+
+def _charge_strip(carry, value, spots):
+    """Extend every live standard subword of charge by one box of the
+    strip of ``value``, whose reading-word positions are ``spots``.
+
+    Charge extracts its subwords in turn, but subword j's choice of a
+    letter depends only on smaller letters and on what subwords before j
+    took of the same letter, and the reading order of boxes is fixed once
+    they are placed.  So the extraction can run letter by letter along
+    the chain walk.  ``carry`` is (last position of each live subword,
+    its index, charge so far).  As in ``_charge``, subword j takes the
+    next box leftward from its last one, or wraps to the rightmost box,
+    raising its index, if there is none.  ``value`` itself is not needed.
+    """
+    last, index, total = carry
+    spots = list(spots)
+    # content is a partition, so the first len(spots) subwords live on
+    out_last: list[int] = []
+    out_index: list[int] = []
+    for here, i in zip(last, index):
+        if not spots:
+            break
+        k = bisect.bisect_left(spots, here)
+        if k:
+            here = spots.pop(k - 1)
+        else:
+            here = spots.pop()
+            i += 1
+        total += i
+        out_last.append(here)
+        out_index.append(i)
+    return out_last, out_index, total
+
+
+def _charges(shape, content):
+    """The charge of each tableau of ``column_strict_tableaux(shape,
+    content)``, in the same order, for a partition ``content``."""
+    size = sum(shape)
+    live = content[0] if content else 0
+    # position ``size`` lies right of every box, so subword j's 1 is the
+    # j-th box from the right
+    start = ([size] * live, [0] * live, 0)
+    for _, _, total in _chain_walk(shape, content, start, _charge_strip):
+        yield total
 
 
 def reading_word(rows) -> tuple[int, ...]:
@@ -158,18 +245,12 @@ def kostka_foulkes(nu, gamma) -> IntPolynomial:
     """Charge generating function over column-strict tableaux of shape nu.
 
     The content is sorted to a partition first; the polynomial only
-    depends on the multiset of entries of gamma.
+    depends on the multiset of entries of gamma.  Charge is carried along
+    the tableau walk (``_charge_strip``), not recomputed per word.
     """
-    nu = _as_partition(nu)
-    gamma = tuple(int(g) for g in gamma)
-    if any(g < 0 for g in gamma):
-        raise InvalidContent("content entries must be nonnegative")
-    if sum(nu) != sum(gamma):
-        raise SizeMismatch(f"|{nu}| != |{gamma}|")
-    content = tuple(sorted((g for g in gamma if g), reverse=True))
+    nu, content = _shape_and_content(nu, gamma)
     coeffs: dict[int, int] = {}
-    for rows in column_strict_tableaux(nu, content):
-        c = _charge(reading_word(rows))
+    for c in _charges(nu, content):
         coeffs[c] = coeffs.get(c, 0) + 1
     if not coeffs:
         return IntPolynomial()
@@ -188,15 +269,6 @@ def _type_a_positive_roots(m):
             vec[i], vec[j] = 1, -1
             roots.append((i, j, tuple(vec)))
     return tuple(roots)
-
-
-def _prefixes_ok(beta):
-    total = 0
-    for x in beta:
-        total += x
-        if total < 0:
-            return False
-    return total == 0
 
 
 @functools.lru_cache(maxsize=None)
@@ -232,29 +304,49 @@ def _q_partition(beta: tuple, idx: int) -> tuple:
     return tuple(out)
 
 
-def _sign_from_decreasing(perm) -> int:
-    """Parity of the rearrangement relative to the strictly decreasing
-    arrangement of the same entries."""
-    sign = 1
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] < perm[b]:
-                sign = -sign
-    return sign
+def _pruned_terms(lam_rho, target):
+    """Yield (sign, beta) for each permutation ``perm`` of the strictly
+    decreasing ``lam_rho`` whose beta = perm - target has no negative
+    prefix sum, the only terms with a nonzero q-partition count.
+
+    The permutation is built one position at a time and a branch is cut
+    as soon as its prefix sum goes negative; since ``lam_rho`` decreases,
+    so would every later choice at that position.  ``sign`` is the parity
+    of ``perm`` against the decreasing order: the entry chosen at a
+    position comes before each larger entry still unused, an inversion
+    for each unused index it skips.
+    """
+    m = len(lam_rho)
+    unused = list(range(m))
+    beta = [0] * m
+
+    def walk(pos, total, sign):
+        if pos == m:
+            yield sign, tuple(beta)
+            return
+        want = target[pos]
+        for skipped in range(len(unused)):
+            i = unused[skipped]
+            step = lam_rho[i] - want
+            if total + step < 0:
+                break
+            beta[pos] = step
+            del unused[skipped]
+            yield from walk(pos + 1, total + step, -sign if skipped % 2 else sign)
+            unused.insert(skipped, i)
+
+    return walk(0, 0, 1)
 
 
 def q_kostant(nu, gamma, cap: int = DEFAULT_WEYL_SUM_CAP) -> IntPolynomial:
     """Alternating Weyl sum against the q-deformed partition function.
 
-    Independent of the charge route; exponential in the number of parts,
-    hence the cap.
+    Independent of the charge route.  The sum runs over S_m, m the
+    number of parts, but is walked position by position and only reaches
+    the permutations with no negative prefix in beta
+    (``_pruned_terms``).  It is still exponential in m, hence the cap.
     """
-    nu = _as_partition(nu)
-    if any(int(g) < 0 for g in gamma):
-        raise InvalidContent("content entries must be nonnegative")
-    gamma_sorted = tuple(sorted((int(g) for g in gamma if g), reverse=True))
-    if sum(nu) != sum(gamma_sorted):
-        raise SizeMismatch(f"|{nu}| != |{tuple(gamma)}|")
+    nu, gamma_sorted = _shape_and_content(nu, gamma)
     m = max(len(nu), len(gamma_sorted), 1)
     if m > cap:
         raise OracleTooLarge(f"would sum over S_{m}; cap is {cap}")
@@ -264,15 +356,14 @@ def q_kostant(nu, gamma, cap: int = DEFAULT_WEYL_SUM_CAP) -> IntPolynomial:
     lam_rho = tuple(a + b for a, b in zip(lam, rho))
     target = tuple(a + b for a, b in zip(mu, rho))
 
-    total = IntPolynomial()
-    for perm in itertools.permutations(lam_rho):
-        beta = tuple(a - b for a, b in zip(perm, target))
-        if not _prefixes_ok(beta):
-            continue
+    coeffs: list[int] = []
+    for sign, beta in _pruned_terms(lam_rho, target):
         part = _q_partition(beta, 0)
-        if part:
-            total = total + _sign_from_decreasing(perm) * IntPolynomial(part)
-    return total
+        if len(coeffs) < len(part):
+            coeffs.extend([0] * (len(part) - len(coeffs)))
+        for e, c in enumerate(part):
+            coeffs[e] += sign * c
+    return IntPolynomial(coeffs)
 
 
 def invariant_dim(seq: WeightSequence) -> int:

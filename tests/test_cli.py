@@ -18,10 +18,10 @@ from minuscule.poly import IntPolynomial
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
-def run_module(*args):
-    """``python -m minuscule.cli`` in a fresh interpreter that imports from ``src``."""
+def run_module(*args, module="minuscule.cli"):
+    """``python -m <module>`` in a fresh interpreter that imports from ``src``."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    return subprocess.run([sys.executable, "-m", "minuscule.cli", *args],
+    return subprocess.run([sys.executable, "-m", module, *args],
                           capture_output=True, text=True, env=env)
 
 
@@ -291,8 +291,9 @@ class TestBatteryCommand:
         assert all(s["passed"] for s in data["suites"])
 
     def test_broken_charge_is_caught_and_named(self, monkeypatch):
-        # the unchecked kernel is the one kostka_foulkes, and so the oracle suite, runs
-        monkeypatch.setattr(kostka, "_charge", lambda word: 0)
+        # kostka_foulkes, and so the oracle suite, runs charge one strip at
+        # a time; a step that carries no charge makes every tableau charge 0
+        monkeypatch.setattr(kostka, "_charge_strip", lambda carry, value, spots: ([], [], 0))
         code, out, _ = invoke(["battery", "--scope", "quick"])
         assert code == 1
         data = json.loads(out)
@@ -344,6 +345,15 @@ class TestContract:
         proc = run_module("kostka", "--shape", "2,2", "--content", "1,1,1,1")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "q^2 + q^4"
+
+    @pytest.mark.parametrize("argv,want", [
+        (("kostka", "--shape", "2,2", "--content", "1,1,1,1"), 0),
+        (("kostka", "--shape", "2,x", "--content", "1,1,1,1"), 2),
+    ])
+    def test_package_entry_point(self, argv, want):
+        proc = run_module(*argv, module="minuscule")
+        assert proc.returncode == want
+        assert (proc.stdout.strip() == "q^2 + q^4") == (want == 0)
 
 
 def test_run_accepts_intpolynomial_coeff_grammar():

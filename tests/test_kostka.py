@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from minuscule.errors import InvalidContent, OracleTooLarge, SizeMismatch
 from minuscule.kostka import (
+    _charge,
+    _charges,
+    _pruned_terms,
+    _q_partition,
     charge,
     column_strict_tableaux,
     invariant_dim,
@@ -96,6 +101,21 @@ class TestKostkaFoulkes:
                 if not k.is_zero():
                     assert k.degree == weighted(gamma) - weighted(nu)
 
+    @pytest.mark.parametrize("nu,gamma", [
+        ((2.5,), (2,)),
+        ((2,), (2.5,)),
+        ((2.7,), (2.2,)),
+        ((2,), ("2",)),
+        (("2",), (2,)),
+        ((True, True), (1, 1)),
+        ((2,), (True, True)),
+    ])
+    def test_rejects_entries_that_are_not_ints(self, nu, gamma):
+        with pytest.raises(InvalidContent):
+            kostka_foulkes(nu, gamma)
+        with pytest.raises(InvalidContent):
+            q_kostant(nu, gamma)
+
     def test_content_permutation_invariance(self):
         rng = random.Random(1)
         for gamma in ((2, 1, 1), (3, 1, 2), (1, 2, 2, 1)):
@@ -152,6 +172,73 @@ def shapes_and_contents(draw, max_size=10):
 def test_charge_route_matches_alternating_sum(case):
     shape, content = case
     assert kostka_foulkes(shape, content) == q_kostant(shape, content)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shapes_and_contents())
+def test_carried_charge_is_the_charge_of_each_reading_word(case):
+    shape, content = case
+    content = tuple(sorted((c for c in content if c), reverse=True))
+    tableaux = list(column_strict_tableaux(shape, content))
+    carried = list(_charges(shape, content))
+    assert carried == [_charge(reading_word(rows)) for rows in tableaux]
+
+
+def _prefixes_ok(beta):
+    total = 0
+    for x in beta:
+        total += x
+        if total < 0:
+            return False
+    return total == 0
+
+
+def _sign_from_decreasing(perm):
+    sign = 1
+    for a in range(len(perm)):
+        for b in range(a + 1, len(perm)):
+            if perm[a] < perm[b]:
+                sign = -sign
+    return sign
+
+
+def _weyl_vectors(shape, content):
+    """lambda + rho and mu + rho over m = max(parts, 1) coordinates."""
+    mu = tuple(sorted((c for c in content if c), reverse=True))
+    m = max(len(shape), len(mu), 1)
+    rho = range(m - 1, -1, -1)
+    lam_rho = tuple(a + b for a, b in zip(shape + (0,) * (m - len(shape)), rho))
+    target = tuple(a + b for a, b in zip(mu + (0,) * (m - len(mu)), rho))
+    return lam_rho, target
+
+
+def brute_force_terms(shape, content):
+    """Reference: (sign, permutation) over all of S_m, filtered by prefix sums."""
+    lam_rho, target = _weyl_vectors(shape, content)
+    for perm in itertools.permutations(lam_rho):
+        if _prefixes_ok(tuple(a - b for a, b in zip(perm, target))):
+            yield _sign_from_decreasing(perm), perm
+
+
+def brute_force_q_kostant(shape, content):
+    lam_rho, target = _weyl_vectors(shape, content)
+    total = IntPolynomial()
+    for sign, perm in brute_force_terms(shape, content):
+        part = _q_partition(tuple(a - b for a, b in zip(perm, target)), 0)
+        total = total + sign * IntPolynomial(part)
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(shapes_and_contents())
+def test_pruned_walk_reaches_exactly_the_filtered_permutations(case):
+    shape, content = case
+    lam_rho, target = _weyl_vectors(shape, content)
+    walked = [(sign, tuple(b + t for b, t in zip(beta, target)))
+              for sign, beta in _pruned_terms(lam_rho, target)]
+    assert len(walked) == len(set(walked))
+    assert sorted(walked) == sorted(brute_force_terms(shape, content))
+    assert q_kostant(shape, content) == brute_force_q_kostant(shape, content)
 
 
 class TestInvariantDim:
