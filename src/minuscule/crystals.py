@@ -26,7 +26,7 @@ that lives only for the call; ``schutzenberger`` is its one-element case.
 The commutor b_1 (x) c -> xi(c) (x) xi(b_1) needs none of that on an
 invariant.  There b_1 = lambda_1 and c is lowest weight in its component
 (phi_i(c) = 0 for every i, see ``commutor_rotate``), so xi(c) is the top
-of c's component, one string ascent away, and xi(b_1) = w0.lambda_1 is a
+of c's component, one ascent away, and xi(b_1) = w0.lambda_1 is a
 table lookup.  ``schutzenberger_all`` stays the general algorithm.
 
 Inside the operators each factor is an integer id: its index in the
@@ -37,8 +37,10 @@ reflection and its id after w0 (``_tables``), so signatures, strings,
 S_i and the Schutzenberger replay are lookups over a list of ints.
 Weights appear only at the ``TensorCrystalElement`` boundary: each
 public call encodes its input once (``_encode``) and decodes its result
-once (``_decode``).  A random route through ``schutzenberger_all`` is a
-``policy(options)`` called with the indices that can still raise.
+once (``_decode``).  The ascent to a component's top takes one e_i per
+step, found by one pass over the factors (``_to_highest``): the smallest
+index that can still raise, or the one that a ``policy(options)`` picks
+among those indices, which is how a random route is drawn.
 
 Validation happens once, where data enters: the public
 ``TensorCrystalElement`` constructor checks that it gets a list of
@@ -330,34 +332,23 @@ def _to_highest(t: _IdTables, ids: list, policy=None) -> list[int]:
     """Raise ``ids`` in place to the top of its connected component and
     return the indices applied, in order.
 
-    Without a ``policy`` each step raises a whole string e_i^eps_i at the
-    smallest index with eps_i > 0.  With one, each step is a single e_i at
-    the index ``policy(options)`` picks among those with eps_i > 0, so a
-    random policy exercises a different route; one pass over the factors
-    finds every index's rightmost surviving '-'.
+    Each step is a single e_i.  One pass over the factors gives
+    ``options``, the ascending indices with eps_i > 0, and every index's
+    rightmost surviving '-'; ``i`` is the smallest option, or
+    ``policy(options)`` when a policy is given, so a random policy
+    exercises a different route.
     """
     record: list[int] = []
-    if policy is not None:
-        refl = t.refl
-        while True:
-            _, last = _unmatched(t, ids)
-            options = [j + 1 for j, k in enumerate(last) if k >= 0]
-            if not options:
-                return record
-            i = policy(options)
-            record.append(i)
-            k = last[i - 1]
-            ids[k] = refl[i - 1][ids[k]]
-    rank = len(t.pair)
+    refl = t.refl
     while True:
-        for i in range(1, rank + 1):
-            minus, _ = _signature(t, ids, i)
-            if minus:
-                _flip(t, ids, i, minus)
-                record.extend([i] * len(minus))
-                break
-        else:
+        _, last = _unmatched(t, ids)
+        options = [j + 1 for j, k in enumerate(last) if k >= 0]
+        if not options:
             return record
+        i = options[0] if policy is None else policy(options)
+        record.append(i)
+        k = last[i - 1]
+        ids[k] = refl[i - 1][ids[k]]
 
 
 def _to_lowest(t: _IdTables, ids: list):
@@ -377,11 +368,11 @@ def schutzenberger_all(elements, policy=None) -> list[TensorCrystalElement]:
     i_1..i_k in application order, move to the component's bottom by
     Kashiwara's S_i along a reduced word of w0, then replay the record
     backwards through raising operators at the dual indices, each run of
-    equal entries as one string e_{i*}^c.  Without a ``policy`` the ascent
-    raises whole strings; a ``policy`` is called as ``policy(options)``
-    with the ascending indices i that have eps_i > 0 and picks every
-    single step instead.  The result does not depend on the route;
-    ``policy`` exists so tests can randomize it.
+    equal entries as one string e_{i*}^c.  The ascent takes one e_i per
+    step, at the smallest index i with eps_i > 0; a ``policy`` is called
+    as ``policy(options)`` with the ascending indices i that have
+    eps_i > 0 and picks the step instead.  The result does not depend on
+    the route; ``policy`` exists so tests can randomize it.
 
     Every element of a component rises to the same top, and the descent
     from that top depends on nothing else, so it runs once per top met in
@@ -436,7 +427,7 @@ def commutor_rotate(b: TensorCrystalElement) -> TensorCrystalElement:
     <lambda_1, alpha_i_vee>; with wt(c) = -lambda_1 that gives
     phi_i(c) = eps_i(c) - <lambda_1, alpha_i_vee> <= 0 for every i: c is
     the lowest-weight element of its component.
-    Then xi(c) is the top of that component, which one string ascent
+    Then xi(c) is the top of that component, which one ascent
     reaches, and xi(b_1) = w0.lambda_1, one lookup in ``w0_image``.  The
     descent by S_i and the replay of the general involution never run.
 

@@ -1,11 +1,12 @@
 """Kostka-Foulkes polynomials and two independent dimension oracles.
 
-The charge route enumerates column-strict tableaux and sums q^charge over
-their reading words (rows left to right, bottom row first).  The tableaux
+The charge route sums q^charge over the reading words (rows left to
+right, bottom row first) of the column-strict tableaux.  The tableaux
 are walked as chains of shapes, one horizontal strip per value, and
-within one enumeration the strips grown from each (shape, size) are
-computed once.  Charge is carried down the same walk, one strip at a
-time, so a tableau costs one strip rather than a pass over its word.
+within one walk the strips grown from each (shape, size) are computed
+once.  The walk carries only charge, one strip at a time, so a tableau
+costs one strip and is never written out; ``charge`` on a whole word
+stays as the validating route and ``_charge`` as the reference.
 The second route is the alternating sum over the symmetric group
 against a q-deformed partition function, walked position by position so
 that permutations with a negative prefix of beta are never built; the
@@ -30,7 +31,7 @@ from .poly import IntPolynomial
 from .rootsys import to_dominant, weyl_orbit
 from .paths import WeightSequence, _add
 
-DEFAULT_WEYL_SUM_CAP = 8
+WEYL_SUM_CAP = 8
 
 
 def _as_partition(parts) -> tuple[int, ...]:
@@ -64,6 +65,11 @@ def charge(word) -> int:
     if any(type(x) is not int or x < 1 for x in word):
         raise InvalidContent(f"letters must be positive integers, not {word!r}")
     top = max(word, default=0)
+    # partition content uses every letter up to the largest; refuse before
+    # sizing a count list by a letter that no word this long can reach
+    if top > len(word):
+        raise InvalidContent(f"letter {top} exceeds the word length {len(word)}, "
+                             "so the content is not a partition")
     mult = [0] * top
     for x in word:
         mult[x - 1] += 1
@@ -125,69 +131,6 @@ def _horizontal_strips(inner, outer_bound, size) -> list[tuple[int, ...]]:
     return out
 
 
-def _chain_walk(shape, content, start, grow):
-    """Yield what ``grow`` carries down each chain of shapes from the
-    empty one to ``shape`` that grows by a horizontal strip of
-    ``content[v - 1]`` boxes for each value v.
-
-    A box is named by its position in the reading word of ``shape``
-    (rows left to right, bottom row first).  ``start`` is the empty
-    shape's carry and ``grow(carry, v, spots)`` a child's, from its
-    parent's and the ascending positions of the strip of v between the
-    two.  The chains are walked depth first with an explicit stack,
-    children in lexicographic order.  Many chains pass through the same
-    shape, so the strips grown from each (inner shape, size), with their
-    positions, are computed once per call and kept in a dict that dies
-    with the call.
-    """
-    shape = tuple(shape)
-    n = len(shape)
-    below = [sum(shape[r + 1:]) for r in range(n)]
-    depth = len(content)
-    strips: dict[tuple, list] = {}
-    stack = [(0, (0,) * n, start)]
-    while stack:
-        level, current, carry = stack.pop()
-        if level == depth:
-            if current == shape:
-                yield carry
-            continue
-        key = (current, content[level])
-        grown = strips.get(key)
-        if grown is None:
-            # reversed, so that the stack pops them in lexicographic order
-            grown = strips[key] = [
-                (nxt, tuple(below[r] + c for r in range(n - 1, -1, -1)
-                            for c in range(current[r], nxt[r])))
-                for nxt in reversed(_horizontal_strips(current, shape, content[level]))]
-        level += 1
-        stack.extend([(level, nxt, grow(carry, level, spots)) for nxt, spots in grown])
-
-
-def _fill(word, value, spots):
-    word = list(word)
-    for p in spots:
-        word[p] = value
-    return word
-
-
-def column_strict_tableaux(shape, content):
-    """All fillings with weakly increasing rows and strictly increasing
-    columns, of the given shape and content, as row tuples.
-
-    A tableau is a chain of shapes whose strip for value v holds the
-    v's; ``_chain_walk`` fills in the reading word, in its order.
-    """
-    shape = tuple(shape)
-    size = sum(shape)
-    for word in _chain_walk(shape, content, [0] * size, _fill):
-        rows, end = [], size
-        for length in shape:
-            rows.append(tuple(word[end - length:end]))
-            end -= length
-        yield tuple(rows)
-
-
 def _charge_strip(carry, value, spots):
     """Extend every live standard subword of charge by one box of the
     strip of ``value``, whose reading-word positions are ``spots``.
@@ -222,23 +165,47 @@ def _charge_strip(carry, value, spots):
 
 
 def _charges(shape, content):
-    """The charge of each tableau of ``column_strict_tableaux(shape,
-    content)``, in the same order, for a partition ``content``."""
+    """Yield the charge of each column-strict tableau of ``shape`` and the
+    partition ``content``.
+
+    A tableau is a chain of shapes from the empty one to ``shape`` that
+    grows by a horizontal strip of ``content[v - 1]`` boxes for each
+    value v.  A box is named by its position in the reading word of
+    ``shape`` (rows left to right, bottom row first), and each child's
+    charge carry is its parent's extended by ``_charge_strip`` with the
+    ascending positions of the strip between the two.  The chains are
+    walked depth first with an explicit stack, children in lexicographic
+    order.  Many chains pass through the same shape, so the strips grown
+    from each (inner shape, size), with their positions, are computed
+    once per call and kept in a dict that dies with the call.
+    """
+    shape = tuple(shape)
+    n = len(shape)
     size = sum(shape)
+    below = [sum(shape[r + 1:]) for r in range(n)]
+    depth = len(content)
     live = content[0] if content else 0
+    strips: dict[tuple, list] = {}
     # position ``size`` lies right of every box, so subword j's 1 is the
     # j-th box from the right
-    start = ([size] * live, [0] * live, 0)
-    for _, _, total in _chain_walk(shape, content, start, _charge_strip):
-        yield total
-
-
-def reading_word(rows) -> tuple[int, ...]:
-    """Rows left to right, bottom row first."""
-    out = []
-    for row in reversed(rows):
-        out.extend(row)
-    return tuple(out)
+    stack = [(0, (0,) * n, ([size] * live, [0] * live, 0))]
+    while stack:
+        level, current, carry = stack.pop()
+        if level == depth:
+            if current == shape:
+                yield carry[2]
+            continue
+        key = (current, content[level])
+        grown = strips.get(key)
+        if grown is None:
+            # reversed, so that the stack pops them in lexicographic order
+            grown = strips[key] = [
+                (nxt, tuple(below[r] + c for r in range(n - 1, -1, -1)
+                            for c in range(current[r], nxt[r])))
+                for nxt in reversed(_horizontal_strips(current, shape, content[level]))]
+        level += 1
+        stack.extend([(level, nxt, _charge_strip(carry, level, spots))
+                      for nxt, spots in grown])
 
 
 def kostka_foulkes(nu, gamma) -> IntPolynomial:
@@ -246,7 +213,7 @@ def kostka_foulkes(nu, gamma) -> IntPolynomial:
 
     The content is sorted to a partition first; the polynomial only
     depends on the multiset of entries of gamma.  Charge is carried along
-    the tableau walk (``_charge_strip``), not recomputed per word.
+    the tableau walk (``_charges``), not recomputed per word.
     """
     nu, content = _shape_and_content(nu, gamma)
     coeffs: dict[int, int] = {}
@@ -262,13 +229,8 @@ def kostka_foulkes(nu, gamma) -> IntPolynomial:
 
 @functools.lru_cache(maxsize=None)
 def _type_a_positive_roots(m):
-    roots = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            vec = [0] * m
-            vec[i], vec[j] = 1, -1
-            roots.append((i, j, tuple(vec)))
-    return tuple(roots)
+    """The roots e_i - e_j, i < j, of A_(m-1) as index pairs (i, j)."""
+    return tuple((i, j) for i in range(m) for j in range(i + 1, m))
 
 
 @functools.lru_cache(maxsize=None)
@@ -279,20 +241,19 @@ def _q_partition(beta: tuple, idx: int) -> tuple:
     roots = _type_a_positive_roots(m)
     if idx == len(roots):
         return (1,) if not any(beta) else ()
-    i, j, _ = roots[idx]
+    i, j = roots[idx]
     # roots from idx on never touch coordinates before i
-    if any(beta[t] for t in range(i)):
+    if any(beta[:i]):
         return ()
-    prefix = list(itertools.accumulate(beta))
-    kmax = min(prefix[i:j])
+    # so beta's prefix sums through positions i..j-1 are those of beta[i:j]
+    kmax = min(itertools.accumulate(beta[i:j]))
     if kmax < 0:
         return ()
+    head, middle, tail = beta[:i], beta[i + 1:j], beta[j + 1:]
+    at_i, at_j = beta[i], beta[j]
     out: list[int] = []
     for k in range(kmax + 1):
-        shifted = list(beta)
-        shifted[i] -= k
-        shifted[j] += k
-        sub = _q_partition(tuple(shifted), idx + 1)
+        sub = _q_partition(head + (at_i - k,) + middle + (at_j + k,) + tail, idx + 1)
         if sub:
             need = k + len(sub)
             if len(out) < need:
@@ -338,18 +299,19 @@ def _pruned_terms(lam_rho, target):
     return walk(0, 0, 1)
 
 
-def q_kostant(nu, gamma, cap: int = DEFAULT_WEYL_SUM_CAP) -> IntPolynomial:
+def q_kostant(nu, gamma) -> IntPolynomial:
     """Alternating Weyl sum against the q-deformed partition function.
 
     Independent of the charge route.  The sum runs over S_m, m the
     number of parts, but is walked position by position and only reaches
     the permutations with no negative prefix in beta
-    (``_pruned_terms``).  It is still exponential in m, hence the cap.
+    (``_pruned_terms``).  It is still exponential in m, hence the cap
+    ``WEYL_SUM_CAP`` on m.
     """
     nu, gamma_sorted = _shape_and_content(nu, gamma)
     m = max(len(nu), len(gamma_sorted), 1)
-    if m > cap:
-        raise OracleTooLarge(f"would sum over S_{m}; cap is {cap}")
+    if m > WEYL_SUM_CAP:
+        raise OracleTooLarge(f"would sum over S_{m}; cap is {WEYL_SUM_CAP}")
     lam = nu + (0,) * (m - len(nu))
     mu = gamma_sorted + (0,) * (m - len(gamma_sorted))
     rho = tuple(range(m - 1, -1, -1))

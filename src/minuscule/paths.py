@@ -28,10 +28,11 @@ exact computation it replaces:
   rotation is a walk on finitely many (point, shift) pairs;
 * ``verified``: the (prev, point) pairs of rotation outputs whose point
   is dominant and whose difference has passed the exact test
-  ``in _orbit_set(rs, lambda)``; rotation and ``_step_defect`` run that
-  test only on pairs not in it.  The public constructors read this memo
-  but never add to it, so validating user paths, non-dominant ones
-  included, does not grow the process.
+  ``in _orbit_set(rs, lambda)``; rotation runs that test only on pairs
+  not in it.  The public constructors neither read nor grow this memo:
+  data from outside is tested step by step against its orbit
+  (``_step_defect``), never taken on a memo's word, and validating user
+  paths, non-dominant ones included, does not grow the process.
 
 Rotation works on a whole set of paths of one type: ``rotate_all(paths,
 k)`` returns every path's k-fold rotation in one call, ``rotate`` is its
@@ -196,13 +197,13 @@ class WeightSequence:
 
 
 def _step_defect(seq: WeightSequence, points) -> str | None:
-    """Why some step of ``points`` leaves its orbit, or None."""
+    """Why some step of ``points`` leaves its orbit, or None.
+
+    Every step is tested against its orbit; no memo is consulted."""
     rs = seq.rs
-    tables = {lam: _tables(rs, lam) for lam in set(seq.weights)}
     prev = rs.zero()
     for point, lam in zip(points, seq.weights):
-        t = tables[lam]
-        if (prev, point) not in t.verified and _sub(point, prev) not in t.orbit:
+        if _sub(point, prev) not in _orbit_set(rs, lam):
             return f"step into {point} leaves the orbit of {lam}"
         prev = point
     return None

@@ -137,6 +137,11 @@ def tableau_to_path(t: RowStrictTableau) -> LittelmannPath:
     n = t.n_rows
     if n < 2:
         raise InvalidTableau("need at least two rows to define a rank >= 1 path")
+    # the values 1..max (max in the last box, as rows strictly and columns
+    # weakly increase) all appear only if max is at most the box count;
+    # refuse before ``content`` sizes a list by the maximum
+    if t.rows[-1][-1] > n * t.n_cols:
+        raise InvalidTableau("every entry value up to the maximum must appear")
     rs = build_root_system("A", n - 1)
     content = t.content
     m = len(content)
@@ -157,29 +162,31 @@ def tableau_to_path(t: RowStrictTableau) -> LittelmannPath:
 
 def promote(t: RowStrictTableau) -> RowStrictTableau:
     """Jeu-de-taquin promotion: delete the 1s, slide each next value left
-    then up into the gaps while relabelling down, refill the last column."""
-    top = max(max(row) for row in t.rows)
-    grid: list[list[int | None]] = [list(row) for row in t.rows]
-    # one scan finds every value's cells: a value only moves on its own turn
-    cells_of: list[list[tuple[int, int]]] = [[] for _ in range(top + 1)]
-    for r, row in enumerate(t.rows):
-        for c, x in enumerate(row):
-            cells_of[x].append((r, c))
-    for r, c in cells_of[1]:
-        grid[r][c] = None
-    first_count = len(cells_of[1])
-    for value in range(2, top + 1):
-        # at most one box per row, listed top to bottom: each slides left
-        # within its row, then up, so a cell vacated above frees the one
-        # below it; the box is written once, where it stops
-        for r, c in cells_of[value]:
-            row = grid[r]
-            row[c] = None
-            while c and row[c - 1] is None:
-                c -= 1
-            while r and grid[r - 1][c] is None:
-                r -= 1
-            grid[r][c] = value - 1
+    then up into the gaps while relabelling down, refill the last column.
+
+    Only the boxes present are visited, in ascending order of value, so
+    the cost follows the number of boxes and not the largest entry."""
+    rows = t.rows
+    top = rows[-1][-1]  # rows strictly, columns weakly increasing
+    grid: list[list[int | None]] = [list(row) for row in rows]
+    # a value only moves on its own turn, so one sort orders every box: the
+    # 1s come first and are cleared; the boxes of each later value (at most
+    # one per row) come top to bottom, and each slides left within its row,
+    # then up, so a cell vacated above frees the one below it; the box is
+    # written once, where it stops
+    first_count = 0
+    for value, r, c in sorted([(x, r, c) for r, row in enumerate(rows)
+                               for c, x in enumerate(row)]):
+        row = grid[r]
+        row[c] = None
+        if value == 1:
+            first_count += 1
+            continue
+        while c and row[c - 1] is None:
+            c -= 1
+        while r and grid[r - 1][c] is None:
+            r -= 1
+        grid[r][c] = value - 1
     # one pass counts and refills the gaps in the last column
     gaps = 0
     for row in grid:

