@@ -19,9 +19,10 @@ highest-weight element to the lowest-weight element of its component.
 
 The Schutzenberger involution xi is fixed one component at a time: every
 element of a component rises to the same top, and the descent from that
-top depends on nothing else.  ``schutzenberger_all`` therefore ascends and
-replays per element but descends once per top met in the call, in a map
-that lives only for the call; ``schutzenberger`` is its one-element case.
+top depends on nothing else.  ``schutzenberger_all`` keeps a map from
+elements to images that lives only for the call: it descends once per
+top met and, on the default route, stops each ascent at the first
+element already mapped.  ``schutzenberger`` is its one-element case.
 
 The commutor b_1 (x) c -> xi(c) (x) xi(b_1) needs none of that on an
 invariant.  There b_1 = lambda_1 and c is lowest weight in its component
@@ -328,25 +329,34 @@ def invariant_elements(seq: WeightSequence, cap: int = DEFAULT_NODE_CAP) -> tupl
     return tuple(out)
 
 
-def _to_highest(t: _IdTables, ids: list, policy=None) -> list[int]:
+def _to_highest(t: _IdTables, ids: list, policy=None, known=None) -> list:
     """Raise ``ids`` in place to the top of its connected component and
-    return the indices applied, in order.
+    return the steps taken, in order: the index i of each e_i applied.
 
     Each step is a single e_i.  One pass over the factors gives
     ``options``, the ascending indices with eps_i > 0, and every index's
     rightmost surviving '-'; ``i`` is the smallest option, or
     ``policy(options)`` when a policy is given, so a random policy
     exercises a different route.
+
+    With ``known``, a map keyed on states (tuples of ids), the ascent
+    also stops at the first state in it, before scanning that state, and
+    each step is returned as ``(i, state)`` with the state it was applied
+    to, so the caller can file every state it passed.
     """
-    record: list[int] = []
+    record: list = []
     refl = t.refl
     while True:
+        if known is not None:
+            state = tuple(ids)
+            if state in known:
+                return record
         _, last = _unmatched(t, ids)
         options = [j + 1 for j, k in enumerate(last) if k >= 0]
         if not options:
             return record
         i = options[0] if policy is None else policy(options)
-        record.append(i)
+        record.append(i if known is None else (i, state))
         k = last[i - 1]
         ids[k] = refl[i - 1][ids[k]]
 
@@ -367,43 +377,52 @@ def schutzenberger_all(elements, policy=None) -> list[TensorCrystalElement]:
     Raise an element to the top of its component recording indices
     i_1..i_k in application order, move to the component's bottom by
     Kashiwara's S_i along a reduced word of w0, then replay the record
-    backwards through raising operators at the dual indices, each run of
-    equal entries as one string e_{i*}^c.  The ascent takes one e_i per
-    step, at the smallest index i with eps_i > 0; a ``policy`` is called
-    as ``policy(options)`` with the ascending indices i that have
-    eps_i > 0 and picks the step instead.  The result does not depend on
-    the route; ``policy`` exists so tests can randomize it.
+    backwards, one raising operator e_{i*} at the dual index per entry.
+    The ascent takes one e_i per step, at the smallest index i with
+    eps_i > 0; a ``policy`` is called as ``policy(options)`` with the
+    ascending indices i that have eps_i > 0 and picks the step instead.
+    The result does not depend on the route; ``policy`` exists so tests
+    can randomize it.
 
     Every element of a component rises to the same top, and the descent
-    from that top depends on nothing else, so it runs once per top met in
-    this call: ``lowest`` maps (tables, top ids) to the bottom's ids and
-    is dropped when the call returns.  Only the ascent and the replay are
-    per element.
+    from that top depends on nothing else.  Without a policy the ascent is
+    fixed as well: its record from b is i followed by its record from
+    e_i b, so xi(b) = e_{i*} xi(e_i b).  ``images`` maps each state met in
+    this call to its image and is dropped when the call returns.  The
+    ascent stops at the first state already in it, or at a top, which is
+    descended once; the replay walks the trail back down one e_{i*} at a
+    time and files the image of every state on it, so a new element costs
+    one ascent step and a repeat costs none.  With a policy every trial
+    must walk a fresh route, so ``images`` keeps the tops alone.
 
     The work happens on factor ids: each element is encoded once on the
     way in and its image decoded once on the way out.  The input was
     validated when it was built, and every step maps ids inside their
     orbits, so nothing is re-checked.
     """
-    lowest: dict = {}
+    images: dict = {}  # tables -> {state: image state}
+    memo = policy is None
     out = []
     for b in elements:
         t, ids = _encode(b)
-        record = _to_highest(t, ids, policy)
-        key = (t, tuple(ids))
-        bottom = lowest.get(key)
-        if bottom is None:
+        known = images.setdefault(t, {})
+        steps = _to_highest(t, ids, policy, known if memo else None)
+        end = tuple(ids)
+        image = known.get(end)
+        if image is None:  # a top not met before
             _to_lowest(t, ids)
-            bottom = lowest[key] = tuple(ids)
-        ids = list(bottom)
+            image = known[end] = tuple(ids)
+        ids = list(image)
         dual = t.dual
-        for i, run in itertools.groupby(reversed(record)):
+        for step in reversed(steps):
+            i = step[0] if memo else step
             j = dual[i - 1]
-            c = sum(1 for _ in run)
             minus, _ = _signature(t, ids, j)
-            if len(minus) < c:  # would signal a bug
+            if not minus:  # would signal a bug
                 raise AlgorithmInvariantViolated("replay of the raising record left the crystal")
-            _flip(t, ids, j, minus[len(minus) - c:])
+            _flip(t, ids, j, minus[-1:])
+            if memo:
+                known[step[1]] = tuple(ids)
         out.append(_decode(b.seq, t, ids))
     return out
 
@@ -412,7 +431,8 @@ def schutzenberger(b: TensorCrystalElement, policy=None) -> TensorCrystalElement
     """The involution on one element, ``schutzenberger_all((b,), policy)[0]``.
 
     To map many elements, call ``schutzenberger_all`` once: it runs one
-    descent per component instead of one per element."""
+    descent per component, and without a policy one ascent step per
+    element."""
     return schutzenberger_all((b,), policy)[0]
 
 

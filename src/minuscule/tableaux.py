@@ -150,12 +150,16 @@ def tableau_to_path(t: RowStrictTableau) -> LittelmannPath:
     if any(not 1 <= c <= n - 1 for c in content):
         raise InvalidTableau("an entry filling a full column has no minuscule step")
     weights = tuple(rs.fundamental_weight(c) for c in content)
+    # the rows holding each value, from one scan over the boxes
+    rows_of: list[list[int]] = [[] for _ in range(m)]
+    for r, row in enumerate(t.rows):
+        for x in row:
+            rows_of[x - 1].append(r)
     shape = [0] * n
     points = []
-    for value in range(1, m + 1):
-        for r, row in enumerate(t.rows):
-            if value in row:
-                shape[r] += 1
+    for rows in rows_of:
+        for r in rows:
+            shape[r] += 1
         points.append(tuple(shape[i] - shape[i + 1] for i in range(n - 1)))
     return LittelmannPath(WeightSequence(rs, weights), tuple(points))
 

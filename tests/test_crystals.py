@@ -430,6 +430,53 @@ class TestSchutzenbergerAll:
         assert all(vars(crystals)[name] is value for name, value in before.items())
         assert crystals._tables.cache_info().currsize == tables
 
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_one_scan_per_element_on_the_default_route(self, monkeypatch, shuffled):
+        # the ascent stops at the first state mapped earlier in the call, so
+        # over a whole crystal each element is scanned exactly once
+        sample = list(all_elements(WeightSequence(D4, (D4.fundamental_weight(1),) * 4)))
+        if shuffled:
+            random.Random(13).shuffle(sample)
+        expected = [schutzenberger(b) for b in sample]
+        scans = []
+        unmatched = crystals._unmatched
+
+        def counted(t, ids):
+            scans.append(1)
+            return unmatched(t, ids)
+
+        monkeypatch.setattr(crystals, "_unmatched", counted)
+        assert schutzenberger_all(sample) == expected
+        assert len(sample) == len(scans) == 4096
+
+    @pytest.mark.parametrize("seq", [
+        WeightSequence(A2, ((1, 0), (0, 1), (1, 0), (1, 0))),
+        WeightSequence(D4, tuple(D4.fundamental_weight(i) for i in (1, 3, 4))),
+    ])
+    def test_a_policy_walks_every_trial_from_the_start(self, seq):
+        # with a policy only tops are kept, so five trials of one element
+        # hand the policy the same options as five separate ascents
+        sample = list(all_elements(seq))[::5]
+
+        def recorder(seen, rng):
+            def policy(options):
+                seen.append(options)
+                return rng.choice(options)
+            return policy
+
+        in_call: list = []
+        policy = recorder(in_call, random.Random(5))
+        for b in sample:
+            schutzenberger_all((b,) * 5, policy=policy)
+        alone: list = []
+        policy = recorder(alone, random.Random(5))
+        for b in sample:
+            t, ids = _encode(b)
+            for _ in range(5):
+                _to_highest(t, list(ids), policy)
+        assert in_call == alone
+        assert len(in_call) > 5 * len(sample)
+
 
 class TestIdTables:
     @pytest.mark.parametrize("family,rank", MINUSCULE_TYPES)

@@ -223,3 +223,74 @@ class TestPromotionProperties:
         u = promote(t)
         assert RowStrictTableau(u.rows) == u
         assert u.rows == promote_by_full_scans(t)
+
+
+@st.composite
+def path_tableaux(draw):
+    """A tableau that ``tableau_to_path`` accepts: an n x b rectangle grown
+    one vertical strip per value, no strip a full column."""
+    n, b = draw(st.integers(2, 5)), draw(st.integers(1, 6))
+    shape = [0] * n
+    rows: list[list[int]] = [[] for _ in range(n)]
+    value = 0
+    while shape[-1] < b:
+        strip: list[int] = []
+        for r in range(n):
+            # a box fits below a longer row, or below a box of this strip
+            fits = shape[r] < b and (r == 0 or shape[r] < shape[r - 1] or r - 1 in strip)
+            if fits and draw(st.booleans()):
+                strip.append(r)
+        if not strip:  # the first row that can take a box always can alone
+            strip = [next(r for r in range(n)
+                          if shape[r] < b and (r == 0 or shape[r] < shape[r - 1]))]
+        if len(strip) == n:  # a full column: the strip stays one without its last row
+            strip.pop()
+        value += 1
+        for r in strip:
+            shape[r] += 1
+            rows[r].append(value)
+    return RowStrictTableau(rows)
+
+
+def tableau_to_path_by_row_scans(t):
+    """The points of ``tableau_to_path`` as first written: every row is
+    tested for every value."""
+    n = t.n_rows
+    shape = [0] * n
+    points = []
+    for value in range(1, len(t.content) + 1):
+        for r, row in enumerate(t.rows):
+            if value in row:
+                shape[r] += 1
+        points.append(tuple(shape[i] - shape[i + 1] for i in range(n - 1)))
+    return tuple(points)
+
+
+class TestTableauToPathScan:
+    @settings(max_examples=200, deadline=None)
+    @given(path_tableaux())
+    def test_accepted_tableau(self, t):
+        p = tableau_to_path(t)
+        assert p.points == tableau_to_path_by_row_scans(t)
+        assert path_to_tableau(p) == t
+
+    @settings(max_examples=200, deadline=None)
+    @given(row_strict_tableaux())
+    def test_any_row_strict_tableau(self, t):
+        # skipped values and full columns are refused as before
+        try:
+            p = tableau_to_path(t)
+        except InvalidTableau as refused:
+            assert str(refused) in (
+                "need at least two rows to define a rank >= 1 path",
+                "every entry value up to the maximum must appear",
+                "an entry filling a full column has no minuscule step",
+            )
+        else:
+            assert p.points == tableau_to_path_by_row_scans(t)
+
+    def test_two_long_rows(self):
+        t = RowStrictTableau((tuple(range(1, 4000, 2)), tuple(range(2, 4001, 2))))
+        p = tableau_to_path(t)
+        assert len(p.points) == 4000
+        assert p.points == tableau_to_path_by_row_scans(t)
