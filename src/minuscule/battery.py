@@ -118,16 +118,17 @@ def suite_promotion_equivariance(cases) -> SuiteResult:
             continue
         found = paths.enumerate_paths(seq)
         for p, rotated in zip(found, paths.rotate_all(found)):
-            lhs = tableaux.promote(tableaux.path_to_tableau(p))
+            start = tableaux.path_to_tableau(p)
+            lhs = tableaux.promote(start)
             rhs = tableaux.path_to_tableau(rotated)
             res.checks += 1
             if lhs.rows != rhs.rows:
                 res.fail(f"{describe(seq)}: promote/rotate disagree on {p.points}")
-            t = tableaux.path_to_tableau(p)
+            t = start
             for _ in range(len(seq)):
                 t = tableaux.promote(t)
             res.checks += 1
-            if t.rows != tableaux.path_to_tableau(p).rows:
+            if t.rows != start.rows:
                 res.fail(f"{describe(seq)}: promotion^m moved {p.points}")
     return res
 

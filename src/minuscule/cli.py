@@ -158,8 +158,6 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
         values = tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise _UsageError(f"bad {what} {text!r}: {exc}") from exc
-    if not values:
-        raise _UsageError(f"{what} must be non-empty")
     return values
 
 

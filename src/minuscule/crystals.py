@@ -64,14 +64,14 @@ from .errors import (
     InvalidPath,
     NotInvariant,
 )
-from .paths import LittelmannPath, WeightSequence, _add, _int_lists, _orbit_set, _sub
+from .paths import LittelmannPath, WeightSequence, _add, _budget, _int_lists, _orbit_set, _sub
+from .paths import _tables as _path_tables
 from .rootsys import (
     Weight,
     _check_index,
     dual_index,
     simple_reflection,
     to_dominant,
-    two_rho_pairing,
     weyl_orbit,
 )
 
@@ -286,19 +286,22 @@ def invariant_elements(seq: WeightSequence, cap: int = DEFAULT_NODE_CAP) -> tupl
     factors pair with each simple coroot in {-1, 0, 1}, the unmatched '+'
     count at alpha_i is the i-th coordinate of the running weight, so the
     cut keeps that weight dominant.  Partial weights are bounded through
-    the positive-coroot sum, the last factor is forced to whatever cancels
-    the running total, and every candidate is checked with
-    ``is_highest_weight``.  Every node popped counts toward ``cap``.
+    the positive-coroot sum by ``paths._budget``, as in ``enumerate_paths``,
+    the last factor is forced to whatever cancels the running total, and
+    every candidate is checked with ``is_highest_weight``.  Every node
+    popped counts toward ``cap``.
+
+    Each weight's factors and their pairings are the ``moves`` of its path
+    tables, and the running total closes exactly when it lies in the last
+    weight's ``shift_id``, the orbit of minus that weight.  The search
+    never reads ``succ``, so its count stays independent of the path
+    enumeration that the battery compares it with.
     """
     rs = seq.rs
     m = len(seq)
-    budget = [0] * (m + 1)
-    for k in range(m - 1, -1, -1):
-        budget[k] = budget[k + 1] + two_rho_pairing(rs, seq.weights[k])
-    # each factor with its pairing, reversed so factors pop in sorted order
-    moves = [[(f, two_rho_pairing(rs, f)) for f in reversed(weyl_orbit(rs, lam))]
-             for lam in seq.weights]
-    last_orbit = _orbit_set(rs, seq.weights[-1])
+    budget = _budget(seq)
+    moves = [_path_tables(rs, lam).moves for lam in seq.weights]
+    closing = _path_tables(rs, seq.weights[-1]).shift_id
 
     visited = 0
     out = []
@@ -315,8 +318,8 @@ def invariant_elements(seq: WeightSequence, cap: int = DEFAULT_NODE_CAP) -> tupl
         if k:
             prefix[k - 1:] = [factor]
         if k == m - 1:
-            last = _sub(rs.zero(), partial)
-            if last in last_orbit:
+            if partial in closing:
+                last = _sub(rs.zero(), partial)
                 candidate = TensorCrystalElement._trusted(seq, tuple(prefix) + (last,))
                 if is_highest_weight(candidate):
                     out.append(candidate)

@@ -15,24 +15,24 @@ failure there is an ``AlgorithmInvariantViolated``.
 Enumeration and rotation visit the same few thousand dominant points
 over and over, so each (root system, minuscule weight lambda) has one
 ``_PathTables`` (built by the ``lru_cache``d ``_tables`` on first use,
-nothing at import) holding three memos, each filled on a miss by the
+nothing at import) holding two memos, each filled on a miss by the
 exact computation it replaces:
 
-* ``succ``: a dominant point -> the dominant points one step in
-  W.lambda away, with each step's pairing with 2 rho_vee, in the order
-  the enumeration stack pops them;
+* ``succ``: a dominant point -> {each dominant point one step in
+  W.lambda away: that step's pairing with 2 rho_vee}, in the order the
+  enumeration stack pops them.  Enumeration expands a point through it,
+  and rotation checks each output step against it: a step of lambda
+  onto a dominant point is exactly a key of ``succ[prev]``;
 * ``carry``: (dominant point beta, shift id s) -> (the point beta + s
   straightened, the shift carried on), where shift ids index the orbit
   of -lambda.  By the stabilizer lemma the straightening word of
   beta + s fixes beta, so the carried shift stays in that orbit and
-  rotation is a walk on finitely many (point, shift) pairs;
-* ``verified``: the (prev, point) pairs of rotation outputs whose point
-  is dominant and whose difference has passed the exact test
-  ``in _orbit_set(rs, lambda)``; rotation runs that test only on pairs
-  not in it.  The public constructors neither read nor grow this memo:
-  data from outside is tested step by step against its orbit
-  (``_step_defect``), never taken on a memo's word, and validating user
-  paths, non-dominant ones included, does not grow the process.
+  rotation is a walk on finitely many (point, shift) pairs.
+
+The public constructors neither read nor fill these memos: data from
+outside is tested step by step against its orbit, never taken on a
+memo's word, and validating user paths, non-dominant ones included,
+does not grow the process.
 
 Rotation works on a whole set of paths of one type: ``rotate_all(paths,
 k)`` returns every path's k-fold rotation in one call, ``rotate`` is its
@@ -43,7 +43,7 @@ output points and carried shift ids, and recomputes from the first
 input point that differs.  Sorted paths, as ``enumerate_paths`` returns
 them, share long prefixes.  A shared output prefix is made of the same
 (prev, point) pairs that passed the check for the previous path, so it
-needs no second check; every point computed anew is checked as before.
+needs no second check; every point computed anew is checked.
 """
 from __future__ import annotations
 
@@ -80,10 +80,6 @@ def _sub(a, b):
     return tuple(map(operator.sub, a, b))
 
 
-def _all_dominant(points):
-    return min(map(min, points)) >= 0
-
-
 def _int_lists(data) -> bool:
     """Whether outside data is a list of lists of ``int`` (not ``bool``), the
     form of a path's points, a tableau's rows and a crystal element's factors."""
@@ -99,38 +95,34 @@ def _orbit_set(rs, lam):
 class _PathTables:
     """Lazily filled path memos of one minuscule weight ``lam`` over ``rs``.
 
-    ``orbit`` is the frozenset W.lam and ``moves`` its steps with their
-    pairings, reversed so they pop from a stack in sorted order.
-    ``shifts`` is the sorted orbit of -lam and ``shift_id`` its index.
-    ``succ``, ``carry`` (one dict per shift id, keyed on the point) and
-    ``verified`` are the memos of the module docstring.
+    ``moves`` is the steps of W.lam with their pairings, reversed so they
+    pop from a stack in sorted order.  ``shifts`` is the sorted orbit of
+    -lam and ``shift_id`` its index.  ``succ`` and ``carry`` (one dict per
+    shift id, keyed on the point) are the memos of the module docstring.
     """
 
-    __slots__ = ("rs", "lam", "orbit", "moves", "shifts", "shift_id", "succ", "carry",
-                 "verified")
+    __slots__ = ("rs", "lam", "moves", "shifts", "shift_id", "succ", "carry")
 
     def __init__(self, rs, lam):
         self.rs = rs
         self.lam = lam
-        self.orbit = _orbit_set(rs, lam)
-        self.moves = tuple((step, two_rho_pairing(rs, step))
-                           for step in reversed(weyl_orbit(rs, lam)))
-        self.shifts = tuple(sorted(tuple(-x for x in step) for step in self.orbit))
+        orbit = weyl_orbit(rs, lam)
+        self.moves = tuple((step, two_rho_pairing(rs, step)) for step in reversed(orbit))
+        self.shifts = tuple(sorted(tuple(-x for x in step) for step in orbit))
         self.shift_id = {s: k for k, s in enumerate(self.shifts)}
-        self.succ: dict[Weight, tuple[tuple[Weight, int], ...]] = {}
+        self.succ: dict[Weight, dict[Weight, int]] = {}
         self.carry: tuple[dict[Weight, tuple[Weight, int]], ...] = tuple(
             {} for _ in self.shifts)
-        self.verified: set[tuple[Weight, Weight]] = set()
 
     def successors(self, point):
-        """The dominant points one step from ``point``, with the steps'
-        pairings, in stack-pop order."""
-        nexts = []
+        """The dominant points one step from ``point``, each with its step's
+        pairing, in stack-pop order."""
+        nexts = {}
         for step, rise in self.moves:
             nxt = _add(point, step)
             if min(nxt) >= 0:
-                nexts.append((nxt, rise))
-        hit = self.succ[point] = tuple(nexts)
+                nexts[nxt] = rise
+        hit = self.succ[point] = nexts
         return hit
 
     def carried(self, beta, s):
@@ -165,6 +157,8 @@ class WeightSequence:
     weights: tuple[Weight, ...]
 
     def __post_init__(self):
+        if not _int_lists(self.weights):
+            raise InvalidSequence(f"weights must be a list of int weights, not {self.weights!r}")
         if len(self.weights) < 1:
             raise InvalidSequence("weight sequence must be non-empty")
         allowed = set(minuscule_weights(self.rs))
@@ -196,31 +190,11 @@ class WeightSequence:
         return total
 
 
-def _step_defect(seq: WeightSequence, points) -> str | None:
-    """Why some step of ``points`` leaves its orbit, or None.
-
-    Every step is tested against its orbit; no memo is consulted."""
-    rs = seq.rs
-    prev = rs.zero()
-    for point, lam in zip(points, seq.weights):
-        if _sub(point, prev) not in _orbit_set(rs, lam):
-            return f"step into {point} leaves the orbit of {lam}"
-        prev = point
-    return None
-
-
-def _closed_defect(points) -> str | None:
-    """Why ``points`` is not dominant throughout and back at the origin, or None."""
-    if not _all_dominant(points):
-        return "all points of the path must be dominant"
-    if any(points[-1]):
-        return "the path must end at the origin"
-    return None
-
-
 @dataclass(frozen=True)
 class MinusculePath:
-    """Points gamma_1..gamma_m; the step into each must stay in its orbit."""
+    """Points gamma_1..gamma_m; the step into each must stay in its orbit.
+
+    Every step is tested against its orbit; no memo is consulted."""
 
     seq: WeightSequence
     points: tuple[Weight, ...]
@@ -233,9 +207,12 @@ class MinusculePath:
         object.__setattr__(self, "points", tuple(tuple(p) for p in self.points))
         if len(self.points) != len(self.seq):
             raise InvalidPath("point count does not match the type sequence")
-        defect = _step_defect(self.seq, self.points)
-        if defect:
-            raise InvalidPath(defect)
+        rs = self.seq.rs
+        prev = rs.zero()
+        for point, lam in zip(self.points, self.seq.weights):
+            if _sub(point, prev) not in _orbit_set(rs, lam):
+                raise InvalidPath(f"step into {point} leaves the orbit of {lam}")
+            prev = point
 
     @classmethod
     def _trusted(cls, seq: WeightSequence, points: tuple[Weight, ...]):
@@ -251,7 +228,7 @@ class MinusculePath:
         return len(self.points)
 
     def is_dominant(self) -> bool:
-        return _all_dominant(self.points)
+        return min(map(min, self.points)) >= 0
 
 
 class LittelmannPath(MinusculePath):
@@ -259,15 +236,25 @@ class LittelmannPath(MinusculePath):
 
     def __post_init__(self):
         super().__post_init__()
-        defect = _closed_defect(self.points)
-        if defect:
-            raise InvalidPath(defect)
+        if not self.is_dominant():
+            raise InvalidPath("all points of the path must be dominant")
+        if any(self.points[-1]):
+            raise InvalidPath("the path must end at the origin")
 
     def to_json_dict(self):
         return {
             "type": [list(w) for w in self.seq.weights],
             "points": [list(p) for p in self.points],
         }
+
+
+def _budget(seq: WeightSequence) -> list[int]:
+    """``budget[k]``: the sum of <lambda_j, 2 rho_vee> over the steps after
+    the k-th, the most that they can lower a point's pairing with 2 rho_vee."""
+    budget = [0] * (len(seq) + 1)
+    for k in range(len(seq) - 1, -1, -1):
+        budget[k] = budget[k + 1] + two_rho_pairing(seq.rs, seq.weights[k])
+    return budget
 
 
 def enumerate_paths(seq: WeightSequence, cap: int = DEFAULT_PATH_CAP) -> tuple[LittelmannPath, ...]:
@@ -294,9 +281,7 @@ def enumerate_paths(seq: WeightSequence, cap: int = DEFAULT_PATH_CAP) -> tuple[L
         return ()
     m = len(seq)
     zero = rs.zero()
-    budget = [0] * (m + 1)
-    for k in range(m - 1, -1, -1):
-        budget[k] = budget[k + 1] + two_rho_pairing(rs, seq.weights[k])
+    budget = _budget(seq)
     tables = [_tables(rs, lam) for lam in seq.weights]
     # -point is in W.lambda_m exactly when point is in W.(-lambda_m)
     closing = tables[-1].shift_id
@@ -321,35 +306,21 @@ def enumerate_paths(seq: WeightSequence, cap: int = DEFAULT_PATH_CAP) -> tuple[L
         if nexts is None:
             nexts = t.successors(point)
         room = budget[k + 1] - height
-        for nxt, rise in nexts:
+        for nxt, rise in nexts.items():
             if rise <= room:
                 stack.append((k + 1, nxt, height + rise))
     found.sort()
     return tuple(LittelmannPath._trusted(seq, pts) for pts in found)
 
 
-def _straightened(rs, points, shift) -> list[Weight]:
-    """``points`` translated by ``shift`` and straightened in one sweep.
+def straighten(p: MinusculePath) -> MinusculePath:
+    """Repeat the single straightening step until dominant, done as one sweep.
 
     A single straightening step shifts the whole tail from the first
     non-dominant point q by to_dominant(q) - q, and that index strictly
     increases, so repeating the step until the path is dominant amounts to
     one left-to-right pass that carries the accumulated shift and adds
     to_dominant(q) - q at each point q that is still non-dominant.
-    """
-    out = []
-    for q in points:
-        q = _add(q, shift)
-        if min(q) < 0:
-            dom = to_dominant(rs, q)[0]
-            shift = _add(shift, _sub(dom, q))
-            q = dom
-        out.append(q)
-    return out
-
-
-def straighten(p: MinusculePath) -> MinusculePath:
-    """Repeat the single straightening step until dominant, done as one sweep.
 
     Reflecting a tail keeps every step in its orbit, so the result is
     built unchecked; a path that is already dominant comes back as is.
@@ -357,7 +328,16 @@ def straighten(p: MinusculePath) -> MinusculePath:
     if p.is_dominant():
         return p
     rs = p.seq.rs
-    return MinusculePath._trusted(p.seq, tuple(_straightened(rs, p.points, rs.zero())))
+    shift = rs.zero()
+    out = []
+    for q in p.points:
+        q = _add(q, shift)
+        if min(q) < 0:
+            dom = to_dominant(rs, q)[0]
+            shift = _add(shift, _sub(dom, q))
+            q = dom
+        out.append(q)
+    return MinusculePath._trusted(p.seq, tuple(out))
 
 
 def rotate_all(paths, k: int = 1) -> list[LittelmannPath]:
@@ -365,7 +345,7 @@ def rotate_all(paths, k: int = 1) -> list[LittelmannPath]:
 
     Rotation drops the first step mu_1, translates the rest back to the
     origin, straightens it and closes the loop.  The sweep of
-    ``_straightened`` carries a shift that starts at -mu_1, and by the
+    ``straighten`` carries a shift that starts at -mu_1, and by the
     stabilizer lemma the straightening word of beta + shift fixes the
     dominant point beta, so every carried shift stays in the orbit of
     -lambda_1.  Each output point is then one lookup in the ``carry`` memo
@@ -376,9 +356,11 @@ def rotate_all(paths, k: int = 1) -> list[LittelmannPath]:
     with the previous one on its first L points, the level starts at point
     L-1 with the kept shift, and the first output point that differs gives
     L for the next level.  Every point computed anew is checked by
-    ``_check_step`` unless its pair is in the ``verified`` memo; the step
-    into the origin closes the path.  A failure is an
-    ``AlgorithmInvariantViolated`` that names the input path.
+    ``_check_step``: its step from the output point before it must be a
+    key of that point's ``succ`` entry, that is, a step of its weight onto
+    a dominant point.  The step into the origin, which closes the path, is
+    checked the same way.  A failure is an ``AlgorithmInvariantViolated``
+    that names the input path.
     """
     if k < 0:
         raise ValueError(f"the number of rotations must be at least 0, got {k}")
@@ -430,16 +412,12 @@ def rotate_all(paths, k: int = 1) -> list[LittelmannPath]:
                             continue
                         same = False
                         agree = i
-                    pair = (flat[i - 1] if i else zero, q)
-                    if pair not in checks[i].verified:
-                        _check_step(checks[i], pair)
+                    _check_step(checks[i], flat[i - 1] if i else zero, q)
                     flat[i] = q
                 if same:
                     agree = m
                 else:
-                    pair = (flat[m - 2] if m > 1 else zero, zero)
-                    if pair not in checks[m - 1].verified:
-                        _check_step(checks[m - 1], pair)
+                    _check_step(checks[m - 1], flat[m - 2] if m > 1 else zero, zero)
                 pts = flat
             out.append(LittelmannPath._trusted(target, tuple(pts)))
     except AlgorithmInvariantViolated as exc:
@@ -448,15 +426,12 @@ def rotate_all(paths, k: int = 1) -> list[LittelmannPath]:
     return out
 
 
-def _check_step(t: _PathTables, pair):
-    """Pass when the step of ``pair`` = (prev, point) is in ``t``'s orbit
-    and ``point`` is dominant, and remember the pair in ``t.verified``."""
-    prev, point = pair
-    if _sub(point, prev) not in t.orbit:
-        raise AlgorithmInvariantViolated(f"step into {point} leaves the orbit of {t.lam}")
-    if min(point) < 0:
-        raise AlgorithmInvariantViolated("all points of the path must be dominant")
-    t.verified.add(pair)
+def _check_step(t: _PathTables, prev, point):
+    """Pass when ``point`` is dominant and one step of ``t.lam`` from the
+    dominant point ``prev``: a key of ``t.succ[prev]``."""
+    if point not in (t.succ.get(prev) or t.successors(prev)):
+        raise AlgorithmInvariantViolated(
+            f"step from {prev} into {point} is not a step of {t.lam} onto a dominant point")
 
 
 def rotate(p: LittelmannPath) -> LittelmannPath:

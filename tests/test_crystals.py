@@ -25,7 +25,7 @@ from minuscule.crystals import (
     schutzenberger,
     schutzenberger_all,
 )
-from minuscule import crystals
+from minuscule import crystals, paths
 from minuscule.errors import EnumerationTooLarge, InvalidIndex, NotInvariant, OrbitTooLarge
 from minuscule.kostka import invariant_dim
 from minuscule.paths import WeightSequence, enumerate_paths, rotate
@@ -169,6 +169,27 @@ class TestInvariantElements:
     def test_cap(self):
         with pytest.raises(EnumerationTooLarge):
             invariant_elements(WeightSequence(A1, (W,) * 8), cap=5)
+
+    @pytest.mark.parametrize("seq, nodes", [
+        (WeightSequence(A1, (W,) * 8), 64),
+        (WeightSequence(D4, (D4.fundamental_weight(1),) * 4), 12),
+    ])
+    def test_cap_boundary(self, seq, nodes):
+        # the exact node count of the search: it passes at the count and
+        # stops one below it
+        found = invariant_elements(seq, cap=nodes)
+        assert found == invariant_elements(seq)
+        with pytest.raises(EnumerationTooLarge):
+            invariant_elements(seq, cap=nodes - 1)
+
+    @pytest.mark.parametrize("seq", SMALL_SEQUENCES)
+    def test_reads_no_path_successors(self, seq, monkeypatch):
+        # the battery compares this search with path enumeration, so it must
+        # not share enumeration's successor memo
+        count = len(enumerate_paths(seq))
+        for lam in set(seq.weights):
+            monkeypatch.setattr(paths._tables(seq.rs, lam), "succ", None)
+        assert len(invariant_elements(seq)) == count
 
     def test_single_factor_has_no_invariants(self):
         assert invariant_elements(WeightSequence(A1, (W,))) == ()

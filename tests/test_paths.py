@@ -31,7 +31,7 @@ from minuscule.paths import (
     rotate_all,
     straighten,
 )
-from minuscule.rootsys import build_root_system, to_dominant, weyl_orbit
+from minuscule.rootsys import build_root_system, to_dominant, two_rho_pairing, weyl_orbit
 from minuscule.tableaux import RowStrictTableau, path_to_tableau, promote
 from test_crystals import MINUSCULE_TYPES, _closed, sequences
 
@@ -99,6 +99,14 @@ class TestWeightSequence:
         with pytest.raises(InvalidSequence):
             WeightSequence(build_root_system("B", 3), ((1, 0, 0),))  # not minuscule
 
+    @pytest.mark.parametrize("weights", [
+        ((True,), (True,)),      # bool coordinates, equal to 1 as numbers
+        ((1.0,), (1.0,)),        # float coordinates
+    ])
+    def test_rejects_non_int_coordinates(self, weights):
+        with pytest.raises(InvalidSequence, match="int weights"):
+            WeightSequence(A1, weights)
+
     def test_rotation(self):
         seq = WeightSequence(A2, ((1, 0), (0, 1), (1, 0)))
         assert seq.rotated(1).weights == ((0, 1), (1, 0), (1, 0))
@@ -133,6 +141,12 @@ class TestEnumerate:
     def test_cap(self):
         with pytest.raises(EnumerationTooLarge):
             enumerate_paths(seq_a1(8), cap=3)
+
+    def test_cap_boundary(self):
+        # (omega_1)^8 of A1 has 14 paths: the cap counts found paths
+        assert len(enumerate_paths(seq_a1(8), cap=14)) == 14
+        with pytest.raises(EnumerationTooLarge):
+            enumerate_paths(seq_a1(8), cap=13)
 
     def test_outside_root_lattice_makes_no_search(self):
         # the cap counts found paths, so only the lattice test can stop a
@@ -283,6 +297,18 @@ class TestPathTables:
         with pytest.raises(AlgorithmInvariantViolated):
             rotate(p)
 
+    def test_corrupted_carry_entry_off_the_dominant_chamber_is_caught(self, monkeypatch):
+        # the step from the origin to (-1,) is in W.(1,), but (-1,) is not
+        # dominant: the check on succ refuses it as the orbit-and-dominance
+        # test did
+        p = enumerate_paths(seq_a1(6))[0]
+        rotate(p)
+        t = paths._tables(A1, W)
+        s = t.shift_id[(-1,)]
+        monkeypatch.setitem(t.carry[s], (0,), ((-1,), t.carry[s][(0,)][1]))
+        with pytest.raises(AlgorithmInvariantViolated, match="onto a dominant point"):
+            rotate(p)
+
     def test_shift_leaving_its_orbit_is_an_invariant_violation(self, monkeypatch):
         # fresh tables, so the broken straightening is met on a miss
         monkeypatch.setattr(paths, "_tables", functools.lru_cache(maxsize=None)(
@@ -317,31 +343,29 @@ class TestPathTables:
         with pytest.raises(AlgorithmInvariantViolated, match="out of the orbit"):
             orbit_structure(seq_a1(6), 1)
 
-    def test_constructors_never_fill_the_verified_memo(self, monkeypatch):
+    def test_constructors_never_fill_the_succ_memo(self, monkeypatch):
         monkeypatch.setattr(paths, "_tables", functools.lru_cache(maxsize=None)(
             paths._PathTables))
         lam = A3.fundamental_weight(2)
         seq = WeightSequence(A3, (lam,) * 4)
         t = paths._tables(A3, lam)
-        before = len(t.verified)
         built = set()
         for steps in itertools.product(weyl_orbit(A3, lam), repeat=4):
             points = list(itertools.accumulate(
                 steps, lambda a, b: tuple(x + y for x, y in zip(a, b))))
             built.add(MinusculePath(seq, points).points)  # non-dominant points too
-        closed = enumerate_paths(seq)
-        for p in closed:
-            LittelmannPath(seq, [list(q) for q in p.points])
-        assert len(built) == 6 ** 4 and len(t.verified) == before
-        rotate(closed[0])
-        assert len(t.verified) > before
+        closed = [LittelmannPath(seq, [list(q) for q in points])
+                  for points in brute_force_paths(seq)]
+        assert len(built) == 6 ** 4 and len(closed) == 3 and t.succ == {}
+        rotate(closed[0])  # the rotation check fills it
+        assert t.succ
 
-    def test_constructors_do_not_trust_the_verified_memo(self, monkeypatch):
+    def test_constructors_do_not_trust_the_succ_memo(self, monkeypatch):
         # outside data is tested against its orbit, never taken on a memo's
         # word: the planted step (0,) -> (3,) is (3,), outside W.(1,)
         monkeypatch.setattr(paths, "_tables", functools.lru_cache(maxsize=None)(
             paths._PathTables))
-        paths._tables(A1, W).verified.add(((0,), (3,)))
+        paths._tables(A1, W).succ[(0,)] = {(3,): 2}
         with pytest.raises(InvalidPath, match="leaves the orbit"):
             MinusculePath(WeightSequence(A1, (W, W)), [(3,), (2,)])
 
@@ -359,16 +383,14 @@ class TestPathTables:
             rotate(p)
         t = paths._tables(D4, D4.fundamental_weight(1))
         for point, nexts in t.succ.items():
-            steps = (tuple(a + b for a, b in zip(point, step))
-                     for step in reversed(weyl_orbit(D4, t.lam)))
-            assert [q for q, _ in nexts] == [q for q in steps if min(q) >= 0]
+            steps = [(tuple(a + b for a, b in zip(point, step)), two_rho_pairing(D4, step))
+                     for step in reversed(weyl_orbit(D4, t.lam))]
+            assert list(nexts.items()) == [(q, rise) for q, rise in steps if min(q) >= 0]
         for s, memo in enumerate(t.carry):
             for beta, (q, nxt) in memo.items():
                 shifted = tuple(a + b for a, b in zip(beta, t.shifts[s]))
                 assert q == to_dominant(D4, shifted)[0]
                 assert t.shifts[nxt] == tuple(a - b for a, b in zip(q, beta))
-        for prev, point in t.verified:
-            assert tuple(a - b for a, b in zip(point, prev)) in weyl_orbit(D4, t.lam)
 
 
 class TestOrbitStructure:
