@@ -52,7 +52,6 @@ def describe(seq: WeightSequence) -> str:
 # exhaustively; only the E6 case exceeds it
 EXHAUSTIVE_CRYSTAL_LIMIT = 10_000
 CRYSTAL_SAMPLE = 300
-POLICY_TRIALS = 5
 
 
 @dataclass
@@ -73,14 +72,10 @@ def _random_element(seq, rng):
     return crystals.TensorCrystalElement(seq, factors)
 
 
-def _exhaustive(seq) -> bool:
-    return crystals.crystal_size(seq) <= EXHAUSTIVE_CRYSTAL_LIMIT
-
-
 def _crystal_sample(seq, rng):
     """Every element of a small crystal, which draws nothing from ``rng``;
     else the invariants and a seeded random sample."""
-    if _exhaustive(seq):
+    if crystals.crystal_size(seq) <= EXHAUSTIVE_CRYSTAL_LIMIT:
         return list(crystals.all_elements(seq))
     sample = list(crystals.invariant_elements(seq))
     sample.extend(_random_element(seq, rng) for _ in range(CRYSTAL_SAMPLE))
@@ -164,11 +159,16 @@ def _check_involution(seq, rng, res):
     """xi is an involution and does not depend on the raising route.
 
     xi is a function of the factors, so each element is mapped once: the
-    sample in one call, then only the images and route-pool elements that
-    are not in the sample yet (the sampled E6 case).  xi(xi(b)) and every
-    route's reference are read from that map, which dies with the case.
-    An exhaustive sample drew nothing from ``rng``, so a second draw would
-    build the same list again: it is the route pool as it stands.
+    sample in one call, then only the images and raised elements that are
+    not in the sample yet (the sampled E6 case).  xi(xi(b)) is read from
+    that map, which dies with the case.
+
+    xi is defined by xi(e_i b) = f_{i*} xi(b), so route independence is
+    the local rule xi(b) = e_{i*} xi(e_i b) at every b of the sample and
+    every i with e_i b nonzero, checked with the public ``crystal_op`` and
+    ``dual_index`` only.  By induction on the distance to the top, the
+    rule holds on a whole component exactly when every raising route
+    gives the same xi, so on an exhaustive sample it covers every route.
     """
     sample = _crystal_sample(seq, rng)
     image = {}
@@ -179,19 +179,14 @@ def _check_involution(seq, rng, res):
         if image[image[b.factors].factors].factors != b.factors:
             res.fail(f"{describe(seq)}: involution fails on {b.factors}")
 
-    def random_policy(options):
-        return rng.choice(options)
-
-    policy_pool = sample if _exhaustive(seq) else _crystal_sample(seq, rng)
-    if len(policy_pool) > CRYSTAL_SAMPLE:
-        policy_pool = [policy_pool[i] for i in
-                       rng.sample(range(len(policy_pool)), CRYSTAL_SAMPLE)]
-    _add_images(image, policy_pool)
-    for b in policy_pool:
-        reference = image[b.factors].factors
-        for routed in crystals.schutzenberger_all((b,) * POLICY_TRIALS, policy=random_policy):
+    dual = {i: rootsys.dual_index(seq.rs, i) for i in range(1, seq.rs.rank + 1)}
+    for b in sample:
+        raised = [(i, up) for i in dual
+                  if (up := crystals.crystal_op("raise", i, b)) is not None]
+        _add_images(image, (up for _, up in raised))
+        for i, up in raised:
             res.checks += 1
-            if routed.factors != reference:
+            if crystals.crystal_op("raise", dual[i], image[up.factors]) != image[b.factors]:
                 res.fail(f"{describe(seq)}: involution depends on the route at {b.factors}")
 
 

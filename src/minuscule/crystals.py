@@ -21,8 +21,8 @@ The Schutzenberger involution xi is fixed one component at a time: every
 element of a component rises to the same top, and the descent from that
 top depends on nothing else.  ``schutzenberger_all`` keeps a map from
 elements to images that lives only for the call: it descends once per
-top met and, on the default route, stops each ascent at the first
-element already mapped.  ``schutzenberger`` is its one-element case.
+top met and stops each ascent at the first element already mapped.
+``schutzenberger`` is its one-element case.
 
 The commutor b_1 (x) c -> xi(c) (x) xi(b_1) needs none of that on an
 invariant.  There b_1 = lambda_1 and c is lowest weight in its component
@@ -39,9 +39,10 @@ S_i and the Schutzenberger replay are lookups over a list of ints.
 Weights appear only at the ``TensorCrystalElement`` boundary: each
 public call encodes its input once (``_encode``) and decodes its result
 once (``_decode``).  The ascent to a component's top takes one e_i per
-step, found by one pass over the factors (``_to_highest``): the smallest
-index that can still raise, or the one that a ``policy(options)`` picks
-among those indices, which is how a random route is drawn.
+step, at the smallest index that can still raise, found by one pass over
+the factors (``_to_highest``).  That xi does not depend on this choice is
+the local rule xi(b) = e_{i*} xi(e_i b) at every i with e_i b nonzero,
+which the battery checks with the public operators.
 
 Validation happens once, where data enters: the public
 ``TensorCrystalElement`` constructor checks that it gets a list of
@@ -332,36 +333,30 @@ def invariant_elements(seq: WeightSequence, cap: int = DEFAULT_NODE_CAP) -> tupl
     return tuple(out)
 
 
-def _to_highest(t: _IdTables, ids: list, policy=None, known=None) -> list:
-    """Raise ``ids`` in place to the top of its connected component and
-    return the steps taken, in order: the index i of each e_i applied.
+def _to_highest(t: _IdTables, ids: list, known) -> list:
+    """Raise ``ids`` in place toward the top of its connected component and
+    return the steps taken, in order, each as ``(i, state)``: the index i
+    of the e_i applied and the state (tuple of ids) it was applied to.
 
-    Each step is a single e_i.  One pass over the factors gives
-    ``options``, the ascending indices with eps_i > 0, and every index's
-    rightmost surviving '-'; ``i`` is the smallest option, or
-    ``policy(options)`` when a policy is given, so a random policy
-    exercises a different route.
-
-    With ``known``, a map keyed on states (tuples of ids), the ascent
-    also stops at the first state in it, before scanning that state, and
-    each step is returned as ``(i, state)`` with the state it was applied
-    to, so the caller can file every state it passed.
+    Each step is a single e_i at the smallest index with eps_i > 0, which
+    one pass over the factors finds together with that index's rightmost
+    surviving '-'.  The ascent stops at a top, or at the first state in
+    ``known``, a map keyed on states, before scanning it.
     """
     record: list = []
     refl = t.refl
     while True:
-        if known is not None:
-            state = tuple(ids)
-            if state in known:
-                return record
-        _, last = _unmatched(t, ids)
-        options = [j + 1 for j, k in enumerate(last) if k >= 0]
-        if not options:
+        state = tuple(ids)
+        if state in known:
             return record
-        i = options[0] if policy is None else policy(options)
-        record.append(i if known is None else (i, state))
-        k = last[i - 1]
-        ids[k] = refl[i - 1][ids[k]]
+        _, last = _unmatched(t, ids)
+        for j, k in enumerate(last):
+            if k >= 0:
+                break
+        else:
+            return record
+        record.append((j + 1, state))
+        ids[k] = refl[j][ids[k]]
 
 
 def _to_lowest(t: _IdTables, ids: list):
@@ -373,7 +368,7 @@ def _to_lowest(t: _IdTables, ids: list):
         _reflect(t, ids, i)
 
 
-def schutzenberger_all(elements, policy=None) -> list[TensorCrystalElement]:
+def schutzenberger_all(elements) -> list[TensorCrystalElement]:
     """The involution swapping highest and lowest weight elements, applied
     to each of ``elements`` in order.
 
@@ -382,21 +377,18 @@ def schutzenberger_all(elements, policy=None) -> list[TensorCrystalElement]:
     Kashiwara's S_i along a reduced word of w0, then replay the record
     backwards, one raising operator e_{i*} at the dual index per entry.
     The ascent takes one e_i per step, at the smallest index i with
-    eps_i > 0; a ``policy`` is called as ``policy(options)`` with the
-    ascending indices i that have eps_i > 0 and picks the step instead.
-    The result does not depend on the route; ``policy`` exists so tests
-    can randomize it.
+    eps_i > 0.  The result does not depend on that route, which the
+    battery checks as the local rule xi(b) = e_{i*} xi(e_i b).
 
     Every element of a component rises to the same top, and the descent
-    from that top depends on nothing else.  Without a policy the ascent is
-    fixed as well: its record from b is i followed by its record from
-    e_i b, so xi(b) = e_{i*} xi(e_i b).  ``images`` maps each state met in
-    this call to its image and is dropped when the call returns.  The
-    ascent stops at the first state already in it, or at a top, which is
-    descended once; the replay walks the trail back down one e_{i*} at a
-    time and files the image of every state on it, so a new element costs
-    one ascent step and a repeat costs none.  With a policy every trial
-    must walk a fresh route, so ``images`` keeps the tops alone.
+    from that top depends on nothing else.  The ascent is fixed as well:
+    its record from b is i followed by its record from e_i b.
+    ``images`` maps each state met in this call to its image and is
+    dropped when the call returns.  The ascent stops at the first state
+    already in it, or at a top, which is descended once; the replay walks
+    the trail back down one e_{i*} at a time and files the image of every
+    state on it, so a new element costs one ascent step and a repeat
+    costs none.
 
     The work happens on factor ids: each element is encoded once on the
     way in and its image decoded once on the way out.  The input was
@@ -404,12 +396,11 @@ def schutzenberger_all(elements, policy=None) -> list[TensorCrystalElement]:
     orbits, so nothing is re-checked.
     """
     images: dict = {}  # tables -> {state: image state}
-    memo = policy is None
     out = []
     for b in elements:
         t, ids = _encode(b)
         known = images.setdefault(t, {})
-        steps = _to_highest(t, ids, policy, known if memo else None)
+        steps = _to_highest(t, ids, known)
         end = tuple(ids)
         image = known.get(end)
         if image is None:  # a top not met before
@@ -417,26 +408,23 @@ def schutzenberger_all(elements, policy=None) -> list[TensorCrystalElement]:
             image = known[end] = tuple(ids)
         ids = list(image)
         dual = t.dual
-        for step in reversed(steps):
-            i = step[0] if memo else step
+        for i, state in reversed(steps):
             j = dual[i - 1]
             minus, _ = _signature(t, ids, j)
             if not minus:  # would signal a bug
                 raise AlgorithmInvariantViolated("replay of the raising record left the crystal")
             _flip(t, ids, j, minus[-1:])
-            if memo:
-                known[step[1]] = tuple(ids)
+            known[state] = tuple(ids)
         out.append(_decode(b.seq, t, ids))
     return out
 
 
-def schutzenberger(b: TensorCrystalElement, policy=None) -> TensorCrystalElement:
-    """The involution on one element, ``schutzenberger_all((b,), policy)[0]``.
+def schutzenberger(b: TensorCrystalElement) -> TensorCrystalElement:
+    """The involution on one element, ``schutzenberger_all((b,))[0]``.
 
     To map many elements, call ``schutzenberger_all`` once: it runs one
-    descent per component, and without a policy one ascent step per
-    element."""
-    return schutzenberger_all((b,), policy)[0]
+    descent per component and one ascent step per element."""
+    return schutzenberger_all((b,))[0]
 
 
 def commutor_rotate(b: TensorCrystalElement) -> TensorCrystalElement:
@@ -460,7 +448,7 @@ def commutor_rotate(b: TensorCrystalElement) -> TensorCrystalElement:
     if not _is_invariant(t, ids):
         raise NotInvariant("commutor rotation is defined on invariant elements only")
     out = ids[1:]
-    _to_highest(t, out)
+    _to_highest(t, out, {})
     out.append(t.w0_image[ids[0]])
     if not _is_invariant(t, out):  # pragma: no cover - would signal a bug
         raise AlgorithmInvariantViolated("rotated element is no longer invariant")

@@ -72,13 +72,12 @@ def exponent_identity(seq: WeightSequence) -> tuple[int, int]:
             two_rho_pairing(seq.rs, seq.total()))
 
 
-def type_a_csp_polynomial(seq: WeightSequence) -> IntPolynomial:
-    """q-power times Kostka-Foulkes, the sieving polynomial in type A.
+def _type_a_rectangle(seq: WeightSequence) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Shape, content and q-power of the type-A sieving polynomial.
 
-    For content (i_1..i_m) with sum n*b the exponent is
-    (n^2 b - sum i_j^2)/2, which equals the pairing of the total weight
-    with the half-sum of positive coroots; ``exponent_identity`` computes
-    both and they are compared.
+    Every refusal of ``type_a_csp_polynomial`` happens here, before any
+    search: no automatic polynomial outside type A, a total outside the
+    root lattice, or a failed exponent identity.
     """
     content = _type_a_content(seq)
     n = seq.rs.rank + 1
@@ -91,8 +90,19 @@ def type_a_csp_polynomial(seq: WeightSequence) -> IntPolynomial:
     if exponent2 != pairing or exponent2 % 2 or exponent2 < 0:
         raise AlgorithmInvariantViolated(
             f"exponent identity failed: {exponent2} vs <total, 2 rho_vee> = {pairing}")
-    shape = (n,) * b
-    return kostka_foulkes(shape, content).shift(exponent2 // 2)
+    return (n,) * b, content, exponent2 // 2
+
+
+def type_a_csp_polynomial(seq: WeightSequence) -> IntPolynomial:
+    """q-power times Kostka-Foulkes, the sieving polynomial in type A.
+
+    For content (i_1..i_m) with sum n*b the exponent is
+    (n^2 b - sum i_j^2)/2, which equals the pairing of the total weight
+    with the half-sum of positive coroots; ``exponent_identity`` computes
+    both and they are compared.
+    """
+    shape, content, power = _type_a_rectangle(seq)
+    return kostka_foulkes(shape, content).shift(power)
 
 
 @dataclass(frozen=True)
@@ -137,11 +147,14 @@ def csp_check(seq: WeightSequence, ell: int, poly: IntPolynomial | None = None) 
     positive-coroot sum; it is diagnostic only and does not enter the
     verdict.
     """
-    supplied = poly is not None
-    if not supplied:
-        poly = type_a_csp_polynomial(seq)
+    # the automatic polynomial refuses before any search, and the path
+    # enumeration, which is capped, runs before the uncapped Kostka walk
+    rectangle = _type_a_rectangle(seq) if poly is None else None
     structure = orbit_structure(seq, ell)
-    if supplied and not in_root_lattice(seq.rs, seq.total()):
+    if rectangle is not None:
+        shape, content, power = rectangle
+        poly = kostka_foulkes(shape, content).shift(power)
+    elif not in_root_lattice(seq.rs, seq.total()):
         raise NotInRootLattice("total weight outside the root lattice; the instance is empty")
     instance = CSPInstance(seq, ell, structure.r, poly)
     ok = tuple(

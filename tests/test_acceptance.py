@@ -19,6 +19,33 @@ from minuscule.errors import AlgorithmInvariantViolated
 
 CASES = bat.standard_battery()
 
+# Every suite's check count, per scope.  A change to what the battery
+# checks edits these tables and says why.
+QUICK_CHECKS = {
+    "counting": 6,
+    "rotation-order": 11,
+    "promotion-equivariance": 22,
+    "crystal-coherence": 2038,
+    "kostka-oracle-equivalence": 39,
+    "cyclic-sieving": 15,
+    "exponent-identity": 6,
+    "stabilizer-lemma": 100,
+    "reflection-words": 900,
+    "cyclotomic-identities": 24,
+}
+FULL_CHECKS = {
+    "counting": 11,
+    "rotation-order": 36,
+    "promotion-equivariance": 60,
+    "crystal-coherence": 20250,
+    "kostka-oracle-equivalence": 259,
+    "cyclic-sieving": 24,
+    "exponent-identity": 9,
+    "stabilizer-lemma": 500,
+    "reflection-words": 900,
+    "cyclotomic-identities": 48,
+}
+
 
 def _report(number, name, ok, elapsed, budget):
     line = f"criterion {number} ({name}): {'PASS' if ok else 'FAIL'}"
@@ -64,8 +91,15 @@ def test_criterion_4_crystal_coherence(clock):
     _gate(4, "crystal coherence", ok, clock(), 120)
 
 
+def test_every_suite_check_count_is_pinned():
+    for scope, pinned in (("quick", QUICK_CHECKS), ("full", FULL_CHECKS)):
+        results = bat.run_battery(scope, rng_seed=0)
+        assert all(r.passed for r in results)
+        assert {r.name: r.checks for r in results} == pinned
+
+
 def test_criterion_4_builds_each_exhaustive_crystal_once(monkeypatch):
-    # the route pool of an exhaustive case is its involution sample
+    # the involution and the local rule both read one sample per case
     built = collections.Counter()
     all_elements = crystals.all_elements
 
@@ -75,7 +109,7 @@ def test_criterion_4_builds_each_exhaustive_crystal_once(monkeypatch):
 
     monkeypatch.setattr(crystals, "all_elements", counted)
     result = bat.suite_crystal_coherence(CASES, rng_seed=0)
-    assert result.passed and result.checks == 16695
+    assert result.passed and result.checks == FULL_CHECKS["crystal-coherence"]
     exhaustive = [bat.describe(s) for s in CASES
                   if crystals.crystal_size(s) <= bat.EXHAUSTIVE_CRYSTAL_LIMIT]
     assert len(exhaustive) == 10 and built == collections.Counter(exhaustive)
@@ -94,18 +128,40 @@ def test_criterion_4_catches_a_descent_that_skips_a_letter(monkeypatch):
 
 
 def test_criterion_4_catches_a_xi_that_is_not_an_involution(monkeypatch):
-    # xi followed by one e_1 where it applies stays inside the crystal, and
-    # only reading xi(xi(b)) off the map can tell that it is wrong
+    # xi followed by one e_1 where it applies stays inside the crystal;
+    # xi(xi(b)) tells in every family, and the local rule breaks as well
     xi_all = crystals.schutzenberger_all
 
-    def skewed(elements, policy=None):
-        return [crystals.crystal_op("raise", 1, x) or x for x in xi_all(elements, policy)]
+    def skewed(elements):
+        return [crystals.crystal_op("raise", 1, x) or x for x in xi_all(elements)]
 
     monkeypatch.setattr(crystals, "schutzenberger_all", skewed)
     result = bat.suite_crystal_coherence(CASES, rng_seed=0)
-    assert not result.passed and result.checks == 16695
-    assert all(": involution fails on " in f for f in result.failures)
-    assert {f.split(":")[0] for f in result.failures} >= {"A1", "D4", "E6"}
+    assert not result.passed and result.checks == FULL_CHECKS["crystal-coherence"]
+    involution = [f for f in result.failures if ": involution fails on " in f]
+    route = [f for f in result.failures if ": involution depends on the route at " in f]
+    assert route and len(involution) + len(route) == len(result.failures)
+    assert {f.split(":")[0] for f in involution} >= {"A1", "D4", "E6"}
+
+
+def test_criterion_4_catches_a_xi_that_is_an_involution_but_not_a_crystal_map(monkeypatch):
+    # V^(x)4 of A1 holds three copies of V(2); tau swaps the tops of two of
+    # them.  tau xi tau is still an involution, but it sends one top to the
+    # bottom of another component, so only the local rule can tell
+    (seq,) = [s for s in CASES if str(s.rs) == "A1" and len(s) == 4]
+    t1, t2, _ = [b for b in crystals.all_elements(seq)
+                 if crystals.is_highest_weight(b) and b.weight() == (2,)]
+    tau = {t1.factors: t2, t2.factors: t1}
+    xi_all = crystals.schutzenberger_all
+
+    def conjugated(elements):
+        swapped = xi_all([tau.get(b.factors, b) for b in elements])
+        return [tau.get(x.factors, x) for x in swapped]
+
+    monkeypatch.setattr(crystals, "schutzenberger_all", conjugated)
+    result = bat.suite_crystal_coherence([seq], rng_seed=0)
+    assert not result.passed
+    assert all(": involution depends on the route at " in f for f in result.failures)
 
 
 def test_criterion_5_kostka_oracle(clock):

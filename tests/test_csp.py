@@ -10,9 +10,10 @@ from minuscule.csp import (
     exponent_identity,
     type_a_csp_polynomial,
 )
-from minuscule import battery, csp
+from minuscule import battery, csp, kostka
 from minuscule.errors import (
     AlgorithmInvariantViolated,
+    EnumerationTooLarge,
     NotInRootLattice,
     PolynomialUnavailable,
     SequenceNotPeriodic,
@@ -170,6 +171,18 @@ class TestCspCheck:
         # 41 A1 steps: outside the root lattice, and far too many to search
         with pytest.raises(NotInRootLattice):
             csp_check(WeightSequence(A1, (W,) * 41), 1, poly(1))
+
+    def test_path_cap_refuses_before_the_kostka_walk(self, monkeypatch):
+        # in type A tableaux and paths are equinumerous, so the uncapped
+        # Kostka walk over 28 A1 steps would run as long as the paths
+        # that the enumeration cap refuses
+        def refused(*args):
+            raise AssertionError("the Kostka walk ran before the path cap")
+
+        monkeypatch.setattr(kostka, "kostka_foulkes", refused)
+        monkeypatch.setattr(csp, "kostka_foulkes", refused)
+        with pytest.raises(EnumerationTooLarge):
+            csp_check(WeightSequence(A1, (W,) * 28), 1)
 
     def test_report_schema(self):
         report = csp_check(WeightSequence(A1, (W,) * 4), 2)
