@@ -10,8 +10,10 @@ Each precondition of a verdict is checked once.  The shift ell must be a
 period of the sequence (``paths.periods``); ``orbit_structure`` checks
 it.  The total weight must lie in the root lattice: the automatic type-A
 polynomial tests it while it computes the rectangle height, and a
-supplied polynomial is tested once in ``csp_check``.  Weyl orbits are
-capped in ``rootsys.weyl_orbit``.
+supplied polynomial is tested once in ``csp_check``, after the paths.
+The automatic polynomial comes first; its Kostka-Foulkes count and the
+path enumeration are each capped.  Weyl orbits are capped in
+``rootsys.weyl_orbit``.
 """
 from __future__ import annotations
 
@@ -72,12 +74,14 @@ def exponent_identity(seq: WeightSequence) -> tuple[int, int]:
             two_rho_pairing(seq.rs, seq.total()))
 
 
-def _type_a_rectangle(seq: WeightSequence) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """Shape, content and q-power of the type-A sieving polynomial.
+def type_a_csp_polynomial(seq: WeightSequence) -> IntPolynomial:
+    """q-power times Kostka-Foulkes, the sieving polynomial in type A.
 
-    Every refusal of ``type_a_csp_polynomial`` happens here, before any
-    search: no automatic polynomial outside type A, a total outside the
-    root lattice, or a failed exponent identity.
+    For content (i_1..i_m) with sum n*b the exponent is
+    (n^2 b - sum i_j^2)/2, which equals the pairing of the total weight
+    with the half-sum of positive coroots; ``exponent_identity`` computes
+    both and they are compared.  Outside type A, a total outside the root
+    lattice and a failed exponent identity are refused before any search.
     """
     content = _type_a_content(seq)
     n = seq.rs.rank + 1
@@ -90,19 +94,7 @@ def _type_a_rectangle(seq: WeightSequence) -> tuple[tuple[int, ...], tuple[int, 
     if exponent2 != pairing or exponent2 % 2 or exponent2 < 0:
         raise AlgorithmInvariantViolated(
             f"exponent identity failed: {exponent2} vs <total, 2 rho_vee> = {pairing}")
-    return (n,) * b, content, exponent2 // 2
-
-
-def type_a_csp_polynomial(seq: WeightSequence) -> IntPolynomial:
-    """q-power times Kostka-Foulkes, the sieving polynomial in type A.
-
-    For content (i_1..i_m) with sum n*b the exponent is
-    (n^2 b - sum i_j^2)/2, which equals the pairing of the total weight
-    with the half-sum of positive coroots; ``exponent_identity`` computes
-    both and they are compared.
-    """
-    shape, content, power = _type_a_rectangle(seq)
-    return kostka_foulkes(shape, content).shift(power)
+    return kostka_foulkes((n,) * b, content).shift(exponent2 // 2)
 
 
 @dataclass(frozen=True)
@@ -147,22 +139,16 @@ def csp_check(seq: WeightSequence, ell: int, poly: IntPolynomial | None = None) 
     positive-coroot sum; it is diagnostic only and does not enter the
     verdict.
     """
-    # the automatic polynomial refuses before any search, and the path
-    # enumeration, which is capped, runs before the uncapped Kostka walk
-    rectangle = _type_a_rectangle(seq) if poly is None else None
+    supplied = poly is not None
+    if not supplied:
+        poly = type_a_csp_polynomial(seq)
     structure = orbit_structure(seq, ell)
-    if rectangle is not None:
-        shape, content, power = rectangle
-        poly = kostka_foulkes(shape, content).shift(power)
-    elif not in_root_lattice(seq.rs, seq.total()):
+    if supplied and not in_root_lattice(seq.rs, seq.total()):
         raise NotInRootLattice("total weight outside the root lattice; the instance is empty")
     instance = CSPInstance(seq, ell, structure.r, poly)
     ok = tuple(
         eval_matches(poly, structure.r, d, count)
         for d, count in enumerate(structure.fixed_counts)
     )
-    window = seq.rs.zero()
-    for w in seq.weights[:ell]:
-        window = tuple(a + b for a, b in zip(window, w))
-    sign = -1 if two_rho_pairing(seq.rs, window) % 2 else 1
-    return CSPReport(instance, structure.fixed_counts, ok, sign)
+    window = sum(two_rho_pairing(seq.rs, w) for w in seq.weights[:ell])
+    return CSPReport(instance, structure.fixed_counts, ok, -1 if window % 2 else 1)

@@ -18,7 +18,7 @@ class OrbitTooLarge(MinusculeError):
 
 
 class EnumerationTooLarge(MinusculeError):
-    """Path or crystal enumeration exceeded the configured cap."""
+    """Path, crystal or charge-count enumeration exceeded its cap."""
 
 
 class AlgorithmInvariantViolated(MinusculeError):

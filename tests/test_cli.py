@@ -15,7 +15,8 @@ from minuscule.cli import _build_parser, run
 from minuscule.errors import AlgorithmInvariantViolated
 from minuscule.poly import IntPolynomial
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def run_module(*args, module="minuscule.cli"):
@@ -252,6 +253,26 @@ class TestKostkaCommand:
     def test_bad_shape(self):
         code, _, err = invoke(["kostka", "--shape", "1,2", "--content", "1,1,1"])
         assert code == 2
+
+    def test_more_rows_than_the_recursion_limit(self):
+        ones = ",".join(["1"] * 1200)
+        code, out, _ = invoke(["kostka", "--shape", ones, "--content", ones])
+        assert code == 0 and out == "1\n"
+
+    def test_past_the_bound_is_invalid_input(self):
+        code, out, err = invoke(["kostka", "--shape", ",".join(["7"] * 7),
+                                 "--content", ",".join(["1"] * 49)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_readme_examples_print_their_comment(self):
+        lines = [line for line in (ROOT / "README.md").read_text().splitlines()
+                 if line.startswith("minuscule kostka ")]
+        assert len(lines) == 2
+        for line in lines:
+            command, comment = line.split("#")
+            code, out, _ = invoke(command.split()[1:])
+            assert code == 0 and out == comment.split(",")[0].strip() + "\n"
 
 
 class TestCspCommand:

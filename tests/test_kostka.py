@@ -1,13 +1,15 @@
+import collections
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minuscule.errors import InvalidContent, OracleTooLarge, SizeMismatch
+from minuscule import kostka
+from minuscule.errors import EnumerationTooLarge, InvalidContent, OracleTooLarge, SizeMismatch
 from minuscule.kostka import (
     _charge,
-    _charges,
+    _charge_counts,
     _pruned_terms,
     _q_partition,
     charge,
@@ -129,6 +131,27 @@ class TestKostkaFoulkes:
         with pytest.raises(InvalidContent):
             q_kostant(nu, gamma)
 
+    def test_bound_counts_merged_entries_not_tableaux(self, monkeypatch):
+        # (5,5,5,5) has 1,662,804 standard tableaux; by the q-hook formula
+        # their charge polynomial is q^40 [20]_q! / prod over boxes [hook]_q
+        def q_int(k):
+            return IntPolynomial((1,) * k)
+
+        numerator = IntPolynomial((1,))
+        for k in range(1, 21):
+            numerator = numerator * q_int(k)
+        denominator = IntPolynomial((1,))
+        for i in range(4):
+            for j in range(5):
+                denominator = denominator * q_int((5 - j) + (4 - i) - 1)
+        expected = (numerator // denominator).shift(40)
+        assert expected(1) == 1_662_804
+        monkeypatch.setattr(kostka, "CHARGE_COUNT_CAP", 100_000)
+        assert kostka_foulkes((5, 5, 5, 5), (1,) * 20) == expected
+        monkeypatch.setattr(kostka, "CHARGE_COUNT_CAP", 1000)
+        with pytest.raises(EnumerationTooLarge, match="more than 1000 entries"):
+            kostka_foulkes((5, 5, 5, 5), (1,) * 20)
+
     def test_content_permutation_invariance(self):
         rng = random.Random(1)
         for gamma in ((2, 1, 1), (3, 1, 2), (1, 2, 2, 1)):
@@ -190,9 +213,9 @@ def test_charge_route_matches_alternating_sum(case):
 def test_carried_charge_is_the_charge_of_each_reading_word(case):
     shape, content = case
     content = tuple(sorted((c for c in content if c), reverse=True))
-    tableaux = list(recursive_column_strict_tableaux(shape, content))
-    carried = list(_charges(shape, content))
-    assert carried == [_charge(reading_word(rows)) for rows in tableaux]
+    expected = collections.Counter(_charge(reading_word(rows))
+                                   for rows in recursive_column_strict_tableaux(shape, content))
+    assert _charge_counts(shape, content) == expected
 
 
 def _prefixes_ok(beta):
@@ -325,7 +348,7 @@ def recursive_column_strict_tableaux(shape, content):
 
 class TestColumnStrictTableaux:
     def test_empty_shape(self):
-        assert list(_charges((), ())) == [0]
+        assert _charge_counts((), ()) == {0: 1}
         assert list(recursive_column_strict_tableaux((), ())) == [()]
 
     @settings(max_examples=150, deadline=None)
