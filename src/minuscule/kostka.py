@@ -4,7 +4,8 @@ The charge route sums q^charge over the reading words (rows left to
 right, bottom row first) of the column-strict tableaux.  The tableaux
 are chains of shapes, one horizontal strip per value, and charge is
 carried one strip at a time and counted level by level, merged on the
-state of charge's subwords, so no tableau is visited one by one.
+state of charge's subwords, so no tableau is visited one by one; the
+count's work, row scans included, is bounded by ``CHARGE_COUNT_CAP``.
 ``charge`` on a whole word stays as the validating route and ``_charge``
 as the reference.
 The second route is the alternating sum over the symmetric group
@@ -33,8 +34,9 @@ from .rootsys import to_dominant, weyl_orbit
 from .paths import WeightSequence, _add
 
 WEYL_SUM_CAP = 8
-# merged {charge: count} entries per Kostka-Foulkes call: about 0.7 s on a
-# 2-core x86 VM, where shape (6,6,6,6) with content 1^24 merges 127,843
+# merged {charge: count} entries per Kostka-Foulkes call, plus the rows of
+# each strip listed: about 0.7 s on a 2-core x86 VM, where shape (6,6,6,6)
+# with content 1^24 merges 127,843 entries
 CHARGE_COUNT_CAP = 2_000_000
 
 
@@ -191,19 +193,25 @@ def _charge_counts(shape, content) -> dict[int, int]:
     the state (current shape, last position of each live subword, each
     subword's index), so the chains are counted one value at a time,
     merged on the state, each state holding {charge so far: count}.
-    Past ``CHARGE_COUNT_CAP`` merged entries it raises ``EnumerationTooLarge``.
+
+    Listing a strip, its reading-word positions and its shape tuple scans
+    every row, so each strip listed costs n entries of the budget besides
+    the entries it merges: on a one-column shape the row work grows as n^2
+    while the merged entries grow as n.  Past ``CHARGE_COUNT_CAP`` entries
+    it raises ``EnumerationTooLarge``.
     """
     n = len(shape)
-    below = [sum(shape[r + 1:]) for r in range(n)]
+    below = list(itertools.accumulate(reversed(shape[1:]), initial=0))[::-1]
     live = content[0] if content else 0
     # position len(word) lies right of every box, so subword j's 1 is the
     # j-th box from the right
     level = {(0,) * n: {((sum(shape),) * live, (0,) * live): {0: 1}}}
-    merged = 0
+    spent = 0
     for value, boxes in enumerate(content, 1):
         fresh: dict[tuple, dict] = {}
         for current, carries in level.items():
             for nxt in _horizontal_strips(current, shape, boxes):
+                spent += n
                 spots = [below[r] + c for r in range(n - 1, -1, -1)
                          for c in range(current[r], nxt[r])]
                 states = fresh.setdefault(nxt, {})
@@ -212,11 +220,11 @@ def _charge_counts(shape, content) -> dict[int, int]:
                     into = states.setdefault((tuple(last), tuple(index)), {})
                     for c, k in totals.items():
                         into[c + step] = into.get(c + step, 0) + k
-                    merged += len(totals)
-                    if merged > CHARGE_COUNT_CAP:
+                    spent += len(totals)
+                    if spent > CHARGE_COUNT_CAP:
                         raise EnumerationTooLarge(
-                            f"charge count for shape {shape} would merge more than "
-                            f"{CHARGE_COUNT_CAP} entries")
+                            f"charge count for shape {shape} would take more than "
+                            f"{CHARGE_COUNT_CAP} entries (merged charges and strip rows)")
         level = fresh
     counts: collections.Counter = collections.Counter()
     for totals in level.get(shape, {}).values():
@@ -230,7 +238,9 @@ def kostka_foulkes(nu, gamma) -> IntPolynomial:
     The content is sorted to a partition first; the polynomial only
     depends on the multiset of entries of gamma.  Charge is counted level
     by level over the chains of shapes (``_charge_counts``), not
-    recomputed per word.
+    recomputed per word.  The count is bounded by ``CHARGE_COUNT_CAP``
+    entries, merged entries plus n for each strip listed on an n-row
+    shape, and past it raises ``EnumerationTooLarge``.
     """
     nu, content = _shape_and_content(nu, gamma)
     counts = _charge_counts(nu, content)

@@ -12,8 +12,14 @@ Validation happens once, where data enters: the public
 the promotion of a tableau are row-strict by construction, so they are
 built with the unchecked ``RowStrictTableau._trusted``;
 ``path_to_tableau`` still checks that every step lifts to a 0/1 row
-vector and that the rows fill a rectangle, and ``promote`` that the gaps
-end in the last column.
+vector and that the rows fill a rectangle, and ``promote`` that every
+hole ends in the last column.
+
+``promote`` is Schutzenberger's jeu de taquin driven by the holes the 1s
+leave, not by the values: one relabelling copy of the boxes, then each
+hole slides right or down to the last column, so only the cells on the
+holes' paths move.  It shares no code with path rotation, so the check
+that promotion is rotation through ``path_to_tableau`` stays a check.
 
 ``path_to_tableau`` lifts steps through a table per (root system,
 weight), built once from the weight's Weyl orbit: each orbit element maps
@@ -165,38 +171,37 @@ def tableau_to_path(t: RowStrictTableau) -> LittelmannPath:
 
 
 def promote(t: RowStrictTableau) -> RowStrictTableau:
-    """Jeu-de-taquin promotion: delete the 1s, slide each next value left
-    then up into the gaps while relabelling down, refill the last column.
+    """Jeu-de-taquin promotion: delete the 1s, slide the holes they leave
+    to the last column, relabel every other entry down by one and fill
+    the holes with the old maximum.
 
-    Only the boxes present are visited, in ascending order of value, so
-    the cost follows the number of boxes and not the largest entry."""
+    The 1s sit at the top of column 0, and each hole they leave slides in
+    turn, bottom hole first: the smaller of its right and lower neighbours
+    moves into it, the right one on a tie (a row holds no repeats).  A
+    cell outside the rectangle, or a hole already settled, reads as the
+    old maximum ``top``, which exceeds every relabelled entry, so a hole
+    stops where both of its neighbours read as ``top``.  The cost is one
+    copy of the boxes plus one step per cell on each hole's path, at most
+    k * (n + b) for k holes in an n x b rectangle, whatever the values."""
     rows = t.rows
     top = rows[-1][-1]  # rows strictly, columns weakly increasing
-    grid: list[list[int | None]] = [list(row) for row in rows]
-    # a value only moves on its own turn, so one sort orders every box: the
-    # 1s come first and are cleared; the boxes of each later value (at most
-    # one per row) come top to bottom, and each slides left within its row,
-    # then up, so a cell vacated above frees the one below it; the box is
-    # written once, where it stops
-    first_count = 0
-    for value, r, c in sorted([(x, r, c) for r, row in enumerate(rows)
-                               for c, x in enumerate(row)]):
-        row = grid[r]
-        row[c] = None
-        if value == 1:
-            first_count += 1
-            continue
-        while c and row[c - 1] is None:
-            c -= 1
-        while r and grid[r - 1][c] is None:
-            r -= 1
-        grid[r][c] = value - 1
-    # one pass counts and refills the gaps in the last column
-    gaps = 0
-    for row in grid:
-        if row[-1] is None:
-            row[-1] = top
-            gaps += 1
-    if gaps != first_count or any(None in row for row in grid):
-        raise AlgorithmInvariantViolated("gaps did not migrate to the last column")
+    grid = [[x - 1 for x in row] for row in rows]
+    bottom, last = len(grid) - 1, len(grid[0]) - 1
+    for r in range([row[0] for row in rows].count(1) - 1, -1, -1):
+        row, c = grid[r], 0
+        while True:
+            right = row[c + 1] if c < last else top
+            below = grid[r + 1][c] if r < bottom else top
+            if right <= below:
+                if right == top:
+                    break
+                row[c] = right
+                c += 1
+            else:
+                row[c] = below
+                r += 1
+                row = grid[r]
+        if c != last:
+            raise AlgorithmInvariantViolated("gaps did not migrate to the last column")
+        row[c] = top
     return RowStrictTableau._trusted(tuple(map(tuple, grid)))

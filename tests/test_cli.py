@@ -5,12 +5,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from minuscule import crystals, kostka
+from minuscule import crystals, kostka, tableaux
 from minuscule.cli import _build_parser, run
 from minuscule.errors import AlgorithmInvariantViolated
 from minuscule.poly import IntPolynomial
@@ -221,6 +222,15 @@ class TestTableauCommands:
         code, _, err = invoke(["tableau", "promote"], text="[[2, 1]]")
         assert code == 2 and "increasing" in err
 
+    def test_promotion_that_breaks_its_invariant_exits_3(self, monkeypatch):
+        # with validation off, a grid that is not column-weak reaches promote
+        monkeypatch.setattr(tableaux.RowStrictTableau, "__post_init__", lambda self: None)
+        argv = ["tableau", "promote"]
+        code, out, err = invoke(argv, text="[[1, 4], [5, 6], [2, 3]]")
+        assert code == 3 and out == ""
+        assert json.loads(err) == {"error": "AlgorithmInvariantViolated", "argv": argv,
+                                   "message": "gaps did not migrate to the last column"}
+
     @pytest.mark.parametrize("command", ["promote", "to-path"])
     @pytest.mark.parametrize("text", [
         "[[1.5, 2], [3, 4]]",   # float entry
@@ -258,6 +268,26 @@ class TestKostkaCommand:
         ones = ",".join(["1"] * 1200)
         code, out, _ = invoke(["kostka", "--shape", ones, "--content", ones])
         assert code == 0 and out == "1\n"
+
+    def test_one_column_is_bounded_by_its_row_work(self, monkeypatch):
+        # listing a strip scans every row, so 1^4800 costs about 4800^2 row
+        # steps for 4800 merged entries; the budget counts both and refuses
+        # after at most CHARGE_COUNT_CAP / 4800 strips, in about a second
+        listed = []
+        strips = kostka._horizontal_strips
+
+        def counted(*args):
+            found = strips(*args)
+            listed.extend(found)
+            return found
+
+        monkeypatch.setattr(kostka, "_horizontal_strips", counted)
+        ones = ",".join(["1"] * 4800)
+        start = time.perf_counter()
+        code, out, err = invoke(["kostka", "--shape", ones, "--content", ones])
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert len(listed) <= kostka.CHARGE_COUNT_CAP // 4800 + 1
+        assert time.perf_counter() - start < 7
 
     def test_past_the_bound_is_invalid_input(self):
         code, out, err = invoke(["kostka", "--shape", ",".join(["7"] * 7),

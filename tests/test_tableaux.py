@@ -185,7 +185,7 @@ def row_strict_tableaux(draw):
     """Any valid row-strict rectangle: each entry exceeds its left
     neighbour by at least 1 and its upper neighbour by at least 0, so
     values may be skipped and may repeat down a column."""
-    n, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n, b = draw(st.integers(1, 6)), draw(st.integers(1, 8))
     rows: list[list[int]] = []
     for r in range(n):
         row: list[int] = []
@@ -223,6 +223,25 @@ class TestPromotionProperties:
         u = promote(t)
         assert RowStrictTableau(u.rows) == u
         assert u.rows == promote_by_full_scans(t)
+
+    @pytest.mark.parametrize("rows, promoted", [
+        # the 1s fill column 0: every row holds a hole
+        (((1, 2, 4), (1, 3, 5), (1, 4, 6)), ((1, 3, 6), (2, 4, 6), (3, 5, 6))),
+        (((1, 2, 5),), ((1, 4, 5),)),  # one row: the hole only moves right
+        (((1,), (1,), (2,)), ((1,), (2,), (2,))),  # one column: only down
+        (((2, 3), (4, 5)), ((1, 2), (3, 4))),  # no 1: no hole, every entry relabelled
+        (((1, 2), (1, 3)), ((1, 3), (2, 3))),  # repeats down a column
+    ])
+    def test_fixed_cases(self, rows, promoted):
+        t = RowStrictTableau(rows)
+        assert promote(t).rows == promoted == promote_by_full_scans(t)
+
+    def test_a_hole_stopping_short_is_caught(self):
+        # not column-weak (column 1 reads 4, 6, 3): the hole in row 0 meets
+        # the old maximum 3 to its right and more below, so it stops in column 0
+        t = RowStrictTableau._trusted(((1, 4), (5, 6), (2, 3)))
+        with pytest.raises(AlgorithmInvariantViolated, match="last column"):
+            promote(t)
 
 
 @st.composite
