@@ -288,9 +288,11 @@ def invariant_elements(seq: WeightSequence, cap: int = DEFAULT_NODE_CAP) -> tupl
     count at alpha_i is the i-th coordinate of the running weight, so the
     cut keeps that weight dominant.  Partial weights are bounded through
     the positive-coroot sum by ``paths._budget``, as in ``enumerate_paths``,
-    the last factor is forced to whatever cancels the running total, and
-    every candidate is checked with ``is_highest_weight``.  Every node
-    popped counts toward ``cap``.
+    the last factor is forced to whatever cancels the running total.  So
+    every candidate has dominant prefixes and closes at zero, hence is
+    highest weight; each is still checked with ``is_highest_weight``, and
+    a failure is an ``AlgorithmInvariantViolated``.  Every node popped
+    counts toward ``cap``.
 
     Each weight's factors and their pairings are the ``moves`` of its path
     tables, and the running total closes exactly when it lies in the last
@@ -322,8 +324,10 @@ def invariant_elements(seq: WeightSequence, cap: int = DEFAULT_NODE_CAP) -> tupl
             if partial in closing:
                 last = _sub(rs.zero(), partial)
                 candidate = TensorCrystalElement._trusted(seq, tuple(prefix) + (last,))
-                if is_highest_weight(candidate):
-                    out.append(candidate)
+                if not is_highest_weight(candidate):
+                    raise AlgorithmInvariantViolated(
+                        f"search candidate {candidate.factors} is not highest weight")
+                out.append(candidate)
             continue
         for f, rise in moves[k]:
             nxt = _add(partial, f)

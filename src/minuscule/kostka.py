@@ -11,7 +11,9 @@ as the reference.
 The second route is the alternating sum over the symmetric group
 against a q-deformed partition function, walked position by position so
 that permutations with a negative prefix of beta are never built; the
-two must agree, and the test suite holds them to that.  A third routine
+two must agree, and the test suite holds them to that.  Its
+q-partition memo lives for the process, and one call may add at most
+``Q_PARTITION_CAP`` states to it.  A third routine
 computes invariant dimensions for arbitrary types by iterated tensoring
 with reflection signs, so path and crystal counts can be checked against
 something that shares no code with them.
@@ -34,6 +36,11 @@ from .rootsys import to_dominant, weyl_orbit
 from .paths import WeightSequence, _add
 
 WEYL_SUM_CAP = 8
+# q-partition states that one q_kostant call may compute: the largest
+# n <= 8 pair, shape (8,) with content 1^8, computes 87,665 from an empty
+# memo, and shape (8,8,8,8) with content 4^8, which needs 478,580, is
+# refused in about 2.2 s (whole process) on a 2-core x86 VM
+Q_PARTITION_CAP = 200_000
 # merged {charge: count} entries per Kostka-Foulkes call, plus the rows of
 # each strip listed: about 0.7 s on a 2-core x86 VM, where shape (6,6,6,6)
 # with content 1^24 merges 127,843 entries
@@ -223,8 +230,9 @@ def _charge_counts(shape, content) -> dict[int, int]:
                     spent += len(totals)
                     if spent > CHARGE_COUNT_CAP:
                         raise EnumerationTooLarge(
-                            f"charge count for shape {shape} would take more than "
-                            f"{CHARGE_COUNT_CAP} entries (merged charges and strip rows)")
+                            f"charge count for a shape of {n} rows and {sum(shape)} boxes would "
+                            f"take more than {CHARGE_COUNT_CAP} entries (merged charges and "
+                            "strip rows)")
         level = fresh
     counts: collections.Counter = collections.Counter()
     for totals in level.get(shape, {}).values():
@@ -253,8 +261,29 @@ def _type_a_positive_roots(m):
     return tuple((i, j) for i in range(m) for j in range(i + 1, m))
 
 
-@functools.lru_cache(maxsize=None)
-def _q_partition(beta: tuple, idx: int) -> tuple:
+_q_partitions: dict[tuple[tuple, int], tuple] = {}
+
+
+def _q_partition(beta: tuple, idx: int, misses) -> tuple:
+    """``_q_count(beta, idx)``, memoised for the process in
+    ``_q_partitions``.  Each state computed anew draws from ``misses``,
+    the ``itertools.count`` of the calling ``q_kostant``; past
+    ``Q_PARTITION_CAP`` of them it empties the memo and raises
+    ``OracleTooLarge``."""
+    key = (beta, idx)
+    known = _q_partitions.get(key)
+    if known is None:
+        if next(misses) >= Q_PARTITION_CAP:
+            # a refused call leaves no states behind: its memory goes, and
+            # the same call made again is refused again
+            _q_partitions.clear()
+            raise OracleTooLarge(
+                f"the q-partition count would compute more than {Q_PARTITION_CAP} states")
+        known = _q_partitions[key] = _q_count(beta, idx, misses)
+    return known
+
+
+def _q_count(beta: tuple, idx: int, misses) -> tuple:
     """Coefficients of the q-partition count of ``beta`` using the roots
     from position ``idx`` on; exponent = number of roots used."""
     m = len(beta)
@@ -273,7 +302,7 @@ def _q_partition(beta: tuple, idx: int) -> tuple:
     at_i, at_j = beta[i], beta[j]
     out: list[int] = []
     for k in range(kmax + 1):
-        sub = _q_partition(head + (at_i - k,) + middle + (at_j + k,) + tail, idx + 1)
+        sub = _q_partition(head + (at_i - k,) + middle + (at_j + k,) + tail, idx + 1, misses)
         if sub:
             need = k + len(sub)
             if len(out) < need:
@@ -326,7 +355,9 @@ def q_kostant(nu, gamma) -> IntPolynomial:
     number of parts, but is walked position by position and only reaches
     the permutations with no negative prefix in beta
     (``_pruned_terms``).  It is still exponential in m, hence the cap
-    ``WEYL_SUM_CAP`` on m.
+    ``WEYL_SUM_CAP`` on m, and the q-partition count grows with the
+    entries, hence the cap ``Q_PARTITION_CAP`` on the states that one
+    call computes; past either it raises ``OracleTooLarge``.
     """
     nu, gamma_sorted = _shape_and_content(nu, gamma)
     m = max(len(nu), len(gamma_sorted), 1)
@@ -339,8 +370,9 @@ def q_kostant(nu, gamma) -> IntPolynomial:
     target = tuple(a + b for a, b in zip(mu, rho))
 
     coeffs: list[int] = []
+    misses = itertools.count()
     for sign, beta in _pruned_terms(lam_rho, target):
-        part = _q_partition(beta, 0)
+        part = _q_partition(beta, 0, misses)
         if len(coeffs) < len(part):
             coeffs.extend([0] * (len(part) - len(coeffs)))
         for e, c in enumerate(part):

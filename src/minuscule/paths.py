@@ -39,11 +39,12 @@ k)`` returns every path's k-fold rotation in one call, ``rotate`` is its
 one-path case and ``orbit_structure`` makes one call on its enumeration.
 Output point i of a rotation depends only on input points 0..i+1, so
 the call keeps, per level and only while it runs, the previous path's
-output points and carried shift ids, and recomputes from the first
-input point that differs.  Sorted paths, as ``enumerate_paths`` returns
-them, share long prefixes.  A shared output prefix is made of the same
-(prev, point) pairs that passed the check for the previous path, so it
-needs no second check; every point computed anew is checked.
+output points and carried shift ids.  A path whose input agrees with
+the previous one on its first L points restarts each level at point
+max(L - 1, 0), and that level's output then agrees on the points before
+the restart, which is the L of the next level.  Sorted paths, as
+``enumerate_paths`` returns them, share long prefixes.  Every point a
+level computes is checked, and so is the step that closes the path.
 """
 from __future__ import annotations
 
@@ -260,8 +261,10 @@ def _budget(seq: WeightSequence) -> list[int]:
 def enumerate_paths(seq: WeightSequence, cap: int = DEFAULT_PATH_CAP) -> tuple[LittelmannPath, ...]:
     """All dominant paths of the given type from the origin back to itself.
 
-    Depth-first search in sorted step order, which already emits paths in
-    lexicographic order of their concatenated coordinates.  A branch dies
+    Depth-first search in sorted step order: the moves are stored in
+    reverse sorted order, so the stack pops each point's children in
+    increasing order and the paths come out, unsorted, in lexicographic
+    order of their concatenated coordinates.  A branch dies
     when the pairing of the current point with the positive-coroot sum
     exceeds what the remaining steps can cancel; that potential drops by
     at most <lambda_j, 2 rho_vee> per step, in every type.  The search
@@ -309,7 +312,6 @@ def enumerate_paths(seq: WeightSequence, cap: int = DEFAULT_PATH_CAP) -> tuple[L
         for nxt, rise in nexts.items():
             if rise <= room:
                 stack.append((k + 1, nxt, height + rise))
-    found.sort()
     return tuple(LittelmannPath._trusted(seq, pts) for pts in found)
 
 
@@ -352,15 +354,17 @@ def rotate_all(paths, k: int = 1) -> list[LittelmannPath]:
     of lambda_1, keyed on (input point, shift id).
 
     Each of the k levels keeps the previous path's output points and the
-    shift id used at each (``flat``, ``kept``): when a path's input agrees
-    with the previous one on its first L points, the level starts at point
-    L-1 with the kept shift, and the first output point that differs gives
-    L for the next level.  Every point computed anew is checked by
-    ``_check_step``: its step from the output point before it must be a
-    key of that point's ``succ`` entry, that is, a step of its weight onto
-    a dominant point.  The step into the origin, which closes the path, is
-    checked the same way.  A failure is an ``AlgorithmInvariantViolated``
-    that names the input path.
+    shift id used at each (``flat``, ``kept``).  When a path's input agrees
+    with the previous one on its first L points, the level restarts at
+    point L-1 with the kept shift, or at point 0 with the shift -mu_1 when
+    L is 0; as output point i depends only on input points 0..i+1, the
+    output points before the restart are the previous path's, and the
+    restart point is the L of the next level.  Every point the level
+    computes is checked by ``_check_step``: its step from the output point
+    before it must be a key of that point's ``succ`` entry, that is, a
+    step of its weight onto a dominant point.  The step into the origin,
+    which closes the path, is checked the same way.  A failure is an
+    ``AlgorithmInvariantViolated`` that names the input path.
     """
     if k < 0:
         raise ValueError(f"the number of rotations must be at least 0, got {k}")
@@ -390,13 +394,11 @@ def rotate_all(paths, k: int = 1) -> list[LittelmannPath]:
             pts = p.points
             # how many leading input points agree with the previous input
             agree = 0
-            shared = prev is not None
-            if shared:
+            if prev is not None:
                 while agree < m and pts[agree] == prev[agree]:
                     agree += 1
             prev = pts
             for level, (carry, carried, shift_id, checks, flat, kept) in enumerate(levels):
-                same = shared
                 if agree:
                     start = agree - 1
                     s = kept[start]
@@ -407,18 +409,12 @@ def rotate_all(paths, k: int = 1) -> list[LittelmannPath]:
                     beta = pts[i + 1]
                     kept[i] = s
                     q, s = carry[s].get(beta) or carried(beta, s)
-                    if same:
-                        if q == flat[i]:
-                            continue
-                        same = False
-                        agree = i
                     _check_step(checks[i], flat[i - 1] if i else zero, q)
                     flat[i] = q
-                if same:
-                    agree = m
-                else:
-                    _check_step(checks[m - 1], flat[m - 2] if m > 1 else zero, zero)
+                _check_step(checks[m - 1], flat[m - 2] if m > 1 else zero, zero)
                 pts = flat
+                # output points before start are the previous path's
+                agree = start
             out.append(LittelmannPath._trusted(target, tuple(pts)))
     except AlgorithmInvariantViolated as exc:
         raise AlgorithmInvariantViolated(

@@ -154,6 +154,18 @@ class TestRootAndCrystal:
         assert report["argv"] == argv
         assert report["message"] == "rotated element is no longer invariant"
 
+    def test_candidate_failing_the_highest_weight_check_exits_3(self, monkeypatch):
+        # every search candidate is highest weight by construction, so a
+        # failed check is a bug, not an element to drop
+        monkeypatch.setattr(crystals, "is_highest_weight", lambda b: False)
+        argv = ["crystal", "invariants", "--type", "A", "--rank", "1", "--weights", "1,1,1,1"]
+        code, out, err = invoke(argv)
+        assert code == 3 and out == ""
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        report = json.loads(err)
+        assert report["error"] == "AlgorithmInvariantViolated" and report["argv"] == argv
+        assert "is not highest weight" in report["message"]
+
     @pytest.mark.parametrize("exc_type", [TypeError, ValueError, KeyError])
     def test_stray_exception_from_a_kernel_exits_3(self, monkeypatch, exc_type):
         def broken(seq, cap):
@@ -286,12 +298,20 @@ class TestKostkaCommand:
         start = time.perf_counter()
         code, out, err = invoke(["kostka", "--shape", ones, "--content", ones])
         assert code == 2 and out == "" and err.startswith("error:")
+        # the refusal names the shape by its size, not by its 4800 rows
+        assert len(err.splitlines()) == 1 and len(err) < 200
         assert len(listed) <= kostka.CHARGE_COUNT_CAP // 4800 + 1
         assert time.perf_counter() - start < 7
 
     def test_past_the_bound_is_invalid_input(self):
         code, out, err = invoke(["kostka", "--shape", ",".join(["7"] * 7),
                                  "--content", ",".join(["1"] * 49)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_oracle_past_its_state_bound_is_invalid_input(self):
+        code, out, err = invoke(["kostka", "--shape", "8,8,8,8",
+                                 "--content", ",".join(["4"] * 8), "--oracle"])
         assert code == 2 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
 

@@ -168,9 +168,20 @@ class TestQKostant:
         assert q_kostant((1, 1), (1, 1)) == poly(1)
         assert q_kostant((2,), (1, 1)) == poly(0, 1)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         with pytest.raises(OracleTooLarge):
             q_kostant((1,) * 9, (1,) * 9)
+        # eight parts, but the q-partition count grows with the entries:
+        # this pair needs 478,580 states
+        monkeypatch.setattr(kostka, "_q_partitions", {})
+        with pytest.raises(OracleTooLarge, match="q-partition"):
+            q_kostant((8,) * 4, (4,) * 8)
+        assert kostka._q_partitions == {}  # a refused call leaves no states
+
+    def test_largest_pair_of_size_8_answers_from_an_empty_memo(self, monkeypatch):
+        monkeypatch.setattr(kostka, "_q_partitions", {})
+        assert q_kostant((8,), (1,) * 8) == kostka_foulkes((8,), (1,) * 8)
+        assert 87_000 < len(kostka._q_partitions) < kostka.Q_PARTITION_CAP
 
     def test_equivalence_exhaustive_small(self):
         for n in range(1, 6):
@@ -258,7 +269,7 @@ def brute_force_q_kostant(shape, content):
     lam_rho, target = _weyl_vectors(shape, content)
     total = IntPolynomial()
     for sign, perm in brute_force_terms(shape, content):
-        part = _q_partition(tuple(a - b for a, b in zip(perm, target)), 0)
+        part = _q_partition(tuple(a - b for a, b in zip(perm, target)), 0, itertools.count())
         total = total + sign * IntPolynomial(part)
     return total
 

@@ -26,7 +26,6 @@ from minuscule.paths import (
     WeightSequence,
     enumerate_paths,
     orbit_structure,
-    periods,
     rotate,
     rotate_all,
     straighten,
@@ -449,14 +448,6 @@ def rotate_by_raise_once(p):
     return tail.points + (p.seq.rs.zero(),)
 
 
-def rotate_k_by_raise_once(p, k):
-    """The points of ``rotate_by_raise_once`` applied ``k`` times."""
-    points = p.points
-    for j in range(k):
-        points = rotate_by_raise_once(LittelmannPath(p.seq.rotated(j), points))
-    return points
-
-
 TYPE_A = [t for t in MINUSCULE_TYPES if t[0] == "A"]
 
 
@@ -504,11 +495,16 @@ class TestProperties:
         found = enumerate_paths(seq)
         shuffled = list(found)
         rng.shuffle(shuffled)
-        for ell in periods(seq):
-            want = {p.points: rotate_k_by_raise_once(p, ell) for p in found}
+        # every k up to two whole turns: each level restarts where the
+        # level before it did, across types that rotate to other types;
+        # want holds each path's k-fold rotation by raise_once
+        want = {p.points: p.points for p in found}
+        for k in range(2 * len(seq) + 1):
             for order in (found, found[::-1], shuffled):
-                got = rotate_all(order, ell)
+                got = rotate_all(order, k)
                 assert [q.points for q in got] == [want[p.points] for p in order]
-                assert all(q.seq.weights == seq.rotated(ell).weights for q in got)
+                assert all(q.seq.weights == seq.rotated(k).weights for q in got)
+            want = {p: rotate_by_raise_once(LittelmannPath(seq.rotated(k), q))
+                    for p, q in want.items()}
         whole_turn = rotate_all(found, len(seq))
         assert [q.points for q in whole_turn] == [p.points for p in found]
