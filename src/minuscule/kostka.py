@@ -12,8 +12,10 @@ The second route is the alternating sum over the symmetric group
 against a q-deformed partition function, walked position by position so
 that permutations with a negative prefix of beta are never built; the
 two must agree, and the test suite holds them to that.  Its
-q-partition memo lives for the process, and one call may add at most
-``Q_PARTITION_CAP`` states to it.  A third routine
+q-partition memo lives for the process, one call may add at most
+``Q_PARTITION_CAP`` states to it, and a call that finds more than that
+in it starts from an empty memo, so the memo never holds more than twice
+the cap.  A third routine
 computes invariant dimensions for arbitrary types by iterated tensoring
 with reflection signs, so path and crystal counts can be checked against
 something that shares no code with them.
@@ -357,7 +359,11 @@ def q_kostant(nu, gamma) -> IntPolynomial:
     (``_pruned_terms``).  It is still exponential in m, hence the cap
     ``WEYL_SUM_CAP`` on m, and the q-partition count grows with the
     entries, hence the cap ``Q_PARTITION_CAP`` on the states that one
-    call computes; past either it raises ``OracleTooLarge``.
+    call computes; past either it raises ``OracleTooLarge``.  The states
+    live on in a process memo; the cap counts only the states a call
+    adds, so a pair refused from cold may answer after earlier calls
+    computed part of its states.  A call that finds more than the cap in
+    the memo empties it first, which keeps the memo within twice the cap.
     """
     nu, gamma_sorted = _shape_and_content(nu, gamma)
     m = max(len(nu), len(gamma_sorted), 1)
@@ -369,6 +375,8 @@ def q_kostant(nu, gamma) -> IntPolynomial:
     lam_rho = tuple(a + b for a, b in zip(lam, rho))
     target = tuple(a + b for a, b in zip(mu, rho))
 
+    if len(_q_partitions) > Q_PARTITION_CAP:
+        _q_partitions.clear()
     coeffs: list[int] = []
     misses = itertools.count()
     for sign, beta in _pruned_terms(lam_rho, target):

@@ -183,6 +183,18 @@ class TestQKostant:
         assert q_kostant((8,), (1,) * 8) == kostka_foulkes((8,), (1,) * 8)
         assert 87_000 < len(kostka._q_partitions) < kostka.Q_PARTITION_CAP
 
+    def test_memo_stays_within_twice_the_cap(self, monkeypatch):
+        monkeypatch.setattr(kostka, "Q_PARTITION_CAP", 250)
+        monkeypatch.setattr(kostka, "_q_partitions", {})
+        pairs = [((3, 2), (1,) * 5), ((2, 2), (1,) * 4), ((4, 4), (2,) * 4),
+                 ((3, 3), (2, 2, 1, 1))]
+        for nu, gamma in pairs:
+            assert q_kostant(nu, gamma) == kostka_foulkes(nu, gamma)
+            assert len(kostka._q_partitions) <= 2 * 250
+        # the last call found more than the cap and started from an empty memo:
+        # it holds that pair's 34 states alone
+        assert len(kostka._q_partitions) == 34
+
     def test_equivalence_exhaustive_small(self):
         for n in range(1, 6):
             for nu in partitions(n):
