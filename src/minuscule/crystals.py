@@ -279,9 +279,10 @@ def crystal_size(seq: WeightSequence) -> int:
 
 
 def invariant_elements(seq: WeightSequence, cap: int = DEFAULT_NODE_CAP) -> tuple[TensorCrystalElement, ...]:
-    """All highest-weight elements of weight zero, in deterministic order.
+    """All highest-weight elements of weight zero, sorted by factors.
 
-    Depth-first, factor by factor, on an explicit stack.  Every prefix of
+    Depth-first, factor by factor, on an explicit stack that pops factors
+    in increasing order, as the moves are stored reversed.  Every prefix of
     a highest-weight element is highest weight, so a branch is cut as soon
     as a factor leaves a '-' that no earlier '+' cancels; as minuscule
     factors pair with each simple coroot in {-1, 0, 1}, the unmatched '+'
@@ -333,7 +334,6 @@ def invariant_elements(seq: WeightSequence, cap: int = DEFAULT_NODE_CAP) -> tupl
             nxt = _add(partial, f)
             if min(nxt) >= 0:
                 stack.append((k + 1, nxt, height + rise, f))
-    out.sort(key=lambda b: b.factors)
     return tuple(out)
 
 

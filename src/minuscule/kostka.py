@@ -5,17 +5,17 @@ right, bottom row first) of the column-strict tableaux.  The tableaux
 are chains of shapes, one horizontal strip per value, and charge is
 carried one strip at a time and counted level by level, merged on the
 state of charge's subwords, so no tableau is visited one by one; the
-count's work, row scans included, is bounded by ``CHARGE_COUNT_CAP``.
+count's work, row and box scans and subword copies included, is bounded
+by ``CHARGE_COUNT_CAP``.
 ``charge`` on a whole word stays as the validating route and ``_charge``
 as the reference.
 The second route is the alternating sum over the symmetric group
 against a q-deformed partition function, walked position by position so
 that permutations with a negative prefix of beta are never built; the
-two must agree, and the test suite holds them to that.  Its
-q-partition memo lives for the process, one call may add at most
-``Q_PARTITION_CAP`` states to it, and a call that finds more than that
-in it starts from an empty memo, so the memo never holds more than twice
-the cap.  A third routine
+two must agree, and the test suite holds them to that.  Each call keeps
+its q-partition states in a memo of its own, at most
+``Q_PARTITION_CAP`` of them, so whether a pair answers does not depend
+on what ran before it.  A third routine
 computes invariant dimensions for arbitrary types by iterated tensoring
 with reflection signs, so path and crystal counts can be checked against
 something that shares no code with them.
@@ -38,14 +38,15 @@ from .rootsys import to_dominant, weyl_orbit
 from .paths import WeightSequence, _add
 
 WEYL_SUM_CAP = 8
-# q-partition states that one q_kostant call may compute: the largest
-# n <= 8 pair, shape (8,) with content 1^8, computes 87,665 from an empty
-# memo, and shape (8,8,8,8) with content 4^8, which needs 478,580, is
-# refused in about 2.2 s (whole process) on a 2-core x86 VM
+# q-partition states that one q_kostant call may hold: the largest n <= 8
+# pair, shape (8,) with content 1^8, holds 25,032, and shape (8,8,8,8) with
+# content 4^8, which needs 304,271, is refused in about 3.5 s (whole process)
+# on a 2-core x86 VM
 Q_PARTITION_CAP = 200_000
-# merged {charge: count} entries per Kostka-Foulkes call, plus the rows of
-# each strip listed: about 0.7 s on a 2-core x86 VM, where shape (6,6,6,6)
-# with content 1^24 merges 127,843 entries
+# merged {charge: count} entries per Kostka-Foulkes call, plus the rows and
+# boxes of each strip listed and the subword length of each carry moved:
+# about 0.7 s on a 2-core x86 VM, where shape (6,6,6,6) with content 1^24
+# merges 127,843 entries
 CHARGE_COUNT_CAP = 2_000_000
 
 
@@ -158,21 +159,22 @@ def _horizontal_strips(inner, outer_bound, size) -> list[tuple[int, ...]]:
         start, boxes = i + 1, boxes - 1
 
 
-def _charge_strip(carry, value, spots):
-    """Extend every live standard subword of charge by one box of the
-    strip of ``value``, whose reading-word positions are ``spots``.
+def _charge_strip(last, index, spots):
+    """Extend every live standard subword of charge by one box of a strip
+    whose reading-word positions are ``spots``.
 
     Charge extracts its subwords in turn, but subword j's choice of a
     letter depends only on smaller letters and on what subwords before j
     took of the same letter, and the reading order of boxes is fixed once
     they are placed.  So the extraction can run letter by letter along
-    a chain of shapes.  ``carry`` is (last position of each live subword,
-    its index, charge so far).  As in ``_charge``, subword j takes the
+    a chain of shapes.  ``last`` and ``index`` are the last position and
+    the index of each live subword.  As in ``_charge``, subword j takes the
     next box leftward from its last one, or wraps to the rightmost box,
-    raising its index, if there is none.  ``value`` itself is not needed.
+    raising its index, if there is none.  Returns the new ``last`` and
+    ``index`` and the charge they add.
     """
-    last, index, total = carry
     spots = list(spots)
+    total = 0
     # content is a partition, so the first len(spots) subwords live on
     out_last: list[int] = []
     out_index: list[int] = []
@@ -203,38 +205,44 @@ def _charge_counts(shape, content) -> dict[int, int]:
     subword's index), so the chains are counted one value at a time,
     merged on the state, each state holding {charge so far: count}.
 
-    Listing a strip, its reading-word positions and its shape tuple scans
-    every row, so each strip listed costs n entries of the budget besides
-    the entries it merges: on a one-column shape the row work grows as n^2
-    while the merged entries grow as n.  Past ``CHARGE_COUNT_CAP`` entries
-    it raises ``EnumerationTooLarge``.
+    Listing a strip scans every row and every box of it, and moving a
+    carry along it copies its subword tuple, work that outgrows the merged
+    entries on one column and on long rows.  So each strip listed costs n
+    entries of the budget plus its boxes, plus the subword length and the
+    merged entries of each carry it moves, charged before any carry moves.
+    A shape of more than ``CHARGE_COUNT_CAP`` boxes is refused before its
+    first state is built, and past ``CHARGE_COUNT_CAP`` entries the count
+    raises ``EnumerationTooLarge``.
     """
     n = len(shape)
+    size = sum(shape)
+    too_large = (f"charge count for a shape of {n} rows and {size} boxes would take more "
+                 f"than {CHARGE_COUNT_CAP} entries (merged charges, strip rows and boxes, "
+                 "and subword lengths)")
+    if size > CHARGE_COUNT_CAP:
+        raise EnumerationTooLarge(too_large)
     below = list(itertools.accumulate(reversed(shape[1:]), initial=0))[::-1]
     live = content[0] if content else 0
     # position len(word) lies right of every box, so subword j's 1 is the
     # j-th box from the right
-    level = {(0,) * n: {((sum(shape),) * live, (0,) * live): {0: 1}}}
+    level = {(0,) * n: {((size,) * live, (0,) * live): {0: 1}}}
     spent = 0
-    for value, boxes in enumerate(content, 1):
+    for boxes in content:
         fresh: dict[tuple, dict] = {}
         for current, carries in level.items():
+            moved = sum(len(last) + len(totals) for (last, _), totals in carries.items())
             for nxt in _horizontal_strips(current, shape, boxes):
-                spent += n
+                spent += n + boxes + moved
+                if spent > CHARGE_COUNT_CAP:
+                    raise EnumerationTooLarge(too_large)
                 spots = [below[r] + c for r in range(n - 1, -1, -1)
                          for c in range(current[r], nxt[r])]
                 states = fresh.setdefault(nxt, {})
                 for (last, index), totals in carries.items():
-                    last, index, step = _charge_strip((last, index, 0), value, spots)
+                    last, index, step = _charge_strip(last, index, spots)
                     into = states.setdefault((tuple(last), tuple(index)), {})
                     for c, k in totals.items():
                         into[c + step] = into.get(c + step, 0) + k
-                    spent += len(totals)
-                    if spent > CHARGE_COUNT_CAP:
-                        raise EnumerationTooLarge(
-                            f"charge count for a shape of {n} rows and {sum(shape)} boxes would "
-                            f"take more than {CHARGE_COUNT_CAP} entries (merged charges and "
-                            "strip rows)")
         level = fresh
     counts: collections.Counter = collections.Counter()
     for totals in level.get(shape, {}).values():
@@ -249,8 +257,8 @@ def kostka_foulkes(nu, gamma) -> IntPolynomial:
     depends on the multiset of entries of gamma.  Charge is counted level
     by level over the chains of shapes (``_charge_counts``), not
     recomputed per word.  The count is bounded by ``CHARGE_COUNT_CAP``
-    entries, merged entries plus n for each strip listed on an n-row
-    shape, and past it raises ``EnumerationTooLarge``.
+    entries (merged entries, strip rows and boxes, and subword lengths),
+    and past it raises ``EnumerationTooLarge``.
     """
     nu, content = _shape_and_content(nu, gamma)
     counts = _charge_counts(nu, content)
@@ -263,57 +271,43 @@ def _type_a_positive_roots(m):
     return tuple((i, j) for i in range(m) for j in range(i + 1, m))
 
 
-_q_partitions: dict[tuple[tuple, int], tuple] = {}
-
-
-def _q_partition(beta: tuple, idx: int, misses) -> tuple:
-    """``_q_count(beta, idx)``, memoised for the process in
-    ``_q_partitions``.  Each state computed anew draws from ``misses``,
-    the ``itertools.count`` of the calling ``q_kostant``; past
-    ``Q_PARTITION_CAP`` of them it empties the memo and raises
-    ``OracleTooLarge``."""
-    key = (beta, idx)
-    known = _q_partitions.get(key)
-    if known is None:
-        if next(misses) >= Q_PARTITION_CAP:
-            # a refused call leaves no states behind: its memory goes, and
-            # the same call made again is refused again
-            _q_partitions.clear()
-            raise OracleTooLarge(
-                f"the q-partition count would compute more than {Q_PARTITION_CAP} states")
-        known = _q_partitions[key] = _q_count(beta, idx, misses)
-    return known
-
-
-def _q_count(beta: tuple, idx: int, misses) -> tuple:
+def _q_count(beta: tuple, idx: int, memo: dict) -> tuple:
     """Coefficients of the q-partition count of ``beta`` using the roots
-    from position ``idx`` on; exponent = number of roots used."""
-    m = len(beta)
-    roots = _type_a_positive_roots(m)
+    from position ``idx`` on; exponent = number of roots used.
+
+    For root ``idx`` = (i, j), ``beta`` sums to 0, is zero before i, and
+    neither its prefix sums nor the sums of beta[i+1..p], p < j, are
+    negative; the k range keeps every state it reaches so.  Each such
+    state has a nonzero count: row i all on root ``idx``, then each later
+    row all on its simple root.  ``memo`` is the calling ``q_kostant``'s;
+    past ``Q_PARTITION_CAP`` states in it, raises ``OracleTooLarge``."""
+    key = (beta, idx)
+    known = memo.get(key)
+    if known is not None:
+        return known
+    roots = _type_a_positive_roots(len(beta))
     if idx == len(roots):
-        return (1,) if not any(beta) else ()
+        return (1,)  # every row has ended at zero
     i, j = roots[idx]
-    # roots from idx on never touch coordinates before i
-    if any(beta[:i]):
-        return ()
-    # so beta's prefix sums through positions i..j-1 are those of beta[i:j]
+    # the prefix sums through positions i..j-1 fall by k, and must stay >= 0
     kmax = min(itertools.accumulate(beta[i:j]))
-    if kmax < 0:
-        return ()
+    # row i never feeds i+1..j again, so their sum must end >= 0; at the
+    # row's last root this makes k take all of beta[i]
+    kmin = max(0, -sum(beta[i + 1:j + 1]))
     head, middle, tail = beta[:i], beta[i + 1:j], beta[j + 1:]
     at_i, at_j = beta[i], beta[j]
     out: list[int] = []
-    for k in range(kmax + 1):
-        sub = _q_partition(head + (at_i - k,) + middle + (at_j + k,) + tail, idx + 1, misses)
-        if sub:
-            need = k + len(sub)
-            if len(out) < need:
-                out.extend([0] * (need - len(out)))
-            for e, c in enumerate(sub):
-                out[k + e] += c
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    for k in range(kmin, kmax + 1):
+        sub = _q_count(head + (at_i - k,) + middle + (at_j + k,) + tail, idx + 1, memo)
+        if len(out) < k + len(sub):
+            out.extend([0] * (k + len(sub) - len(out)))
+        for e, c in enumerate(sub):
+            out[k + e] += c
+    if len(memo) >= Q_PARTITION_CAP:
+        raise OracleTooLarge(
+            f"the q-partition count would hold more than {Q_PARTITION_CAP} states")
+    memo[key] = known = tuple(out)
+    return known
 
 
 def _pruned_terms(lam_rho, target):
@@ -359,11 +353,9 @@ def q_kostant(nu, gamma) -> IntPolynomial:
     (``_pruned_terms``).  It is still exponential in m, hence the cap
     ``WEYL_SUM_CAP`` on m, and the q-partition count grows with the
     entries, hence the cap ``Q_PARTITION_CAP`` on the states that one
-    call computes; past either it raises ``OracleTooLarge``.  The states
-    live on in a process memo; the cap counts only the states a call
-    adds, so a pair refused from cold may answer after earlier calls
-    computed part of its states.  A call that finds more than the cap in
-    the memo empties it first, which keeps the memo within twice the cap.
+    call holds; past either it raises ``OracleTooLarge``.  The states
+    live in a memo made for the call and dropped when it returns, so a
+    pair answers or is refused the same way whatever ran before it.
     """
     nu, gamma_sorted = _shape_and_content(nu, gamma)
     m = max(len(nu), len(gamma_sorted), 1)
@@ -375,12 +367,10 @@ def q_kostant(nu, gamma) -> IntPolynomial:
     lam_rho = tuple(a + b for a, b in zip(lam, rho))
     target = tuple(a + b for a, b in zip(mu, rho))
 
-    if len(_q_partitions) > Q_PARTITION_CAP:
-        _q_partitions.clear()
     coeffs: list[int] = []
-    misses = itertools.count()
+    memo: dict = {}
     for sign, beta in _pruned_terms(lam_rho, target):
-        part = _q_partition(beta, 0, misses)
+        part = _q_count(beta, 0, memo)
         if len(coeffs) < len(part):
             coeffs.extend([0] * (len(part) - len(coeffs)))
         for e, c in enumerate(part):

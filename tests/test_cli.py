@@ -309,6 +309,19 @@ class TestKostkaCommand:
         assert code == 2 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("shape,content", [
+        # two rows of 800: 200 subword tuples of 400 copied per state
+        ("800,800", "400,400,400,400"),
+        # one row of 10^8 boxes: refused before its first state
+        ("100000000", "100000000"),
+    ])
+    def test_long_rows_are_bounded_by_their_boxes(self, shape, content):
+        start = time.perf_counter()
+        code, out, err = invoke(["kostka", "--shape", shape, "--content", content])
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert len(err.splitlines()) == 1 and len(err) < 200
+        assert time.perf_counter() - start < 3
+
     def test_oracle_past_its_state_bound_is_invalid_input(self):
         code, out, err = invoke(["kostka", "--shape", "8,8,8,8",
                                  "--content", ",".join(["4"] * 8), "--oracle"])
@@ -364,7 +377,7 @@ class TestBatteryCommand:
     def test_broken_charge_is_caught_and_named(self, monkeypatch):
         # kostka_foulkes, and so the oracle suite, runs charge one strip at
         # a time; a step that carries no charge makes every tableau charge 0
-        monkeypatch.setattr(kostka, "_charge_strip", lambda carry, value, spots: ([], [], 0))
+        monkeypatch.setattr(kostka, "_charge_strip", lambda last, index, spots: ([], [], 0))
         code, out, _ = invoke(["battery", "--scope", "quick"])
         assert code == 1
         data = json.loads(out)

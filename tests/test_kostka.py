@@ -11,7 +11,7 @@ from minuscule.kostka import (
     _charge,
     _charge_counts,
     _pruned_terms,
-    _q_partition,
+    _q_count,
     charge,
     invariant_dim,
     kostka_foulkes,
@@ -168,32 +168,34 @@ class TestQKostant:
         assert q_kostant((1, 1), (1, 1)) == poly(1)
         assert q_kostant((2,), (1, 1)) == poly(0, 1)
 
-    def test_cap(self, monkeypatch):
+    def test_cap(self):
         with pytest.raises(OracleTooLarge):
             q_kostant((1,) * 9, (1,) * 9)
         # eight parts, but the q-partition count grows with the entries:
-        # this pair needs 478,580 states
-        monkeypatch.setattr(kostka, "_q_partitions", {})
+        # this pair needs 304,271 states
         with pytest.raises(OracleTooLarge, match="q-partition"):
             q_kostant((8,) * 4, (4,) * 8)
-        assert kostka._q_partitions == {}  # a refused call leaves no states
 
     def test_largest_pair_of_size_8_answers_from_an_empty_memo(self, monkeypatch):
-        monkeypatch.setattr(kostka, "_q_partitions", {})
+        # every call starts from an empty memo; (8,) with 1^8 holds 25,032
+        # states, the most of any pair with n <= 8, and the cap is exact
+        monkeypatch.setattr(kostka, "Q_PARTITION_CAP", 25_032)
         assert q_kostant((8,), (1,) * 8) == kostka_foulkes((8,), (1,) * 8)
-        assert 87_000 < len(kostka._q_partitions) < kostka.Q_PARTITION_CAP
+        monkeypatch.setattr(kostka, "Q_PARTITION_CAP", 25_031)
+        with pytest.raises(OracleTooLarge, match="more than 25031 states"):
+            q_kostant((8,), (1,) * 8)
 
-    def test_memo_stays_within_twice_the_cap(self, monkeypatch):
-        monkeypatch.setattr(kostka, "Q_PARTITION_CAP", 250)
-        monkeypatch.setattr(kostka, "_q_partitions", {})
-        pairs = [((3, 2), (1,) * 5), ((2, 2), (1,) * 4), ((4, 4), (2,) * 4),
-                 ((3, 3), (2, 2, 1, 1))]
-        for nu, gamma in pairs:
-            assert q_kostant(nu, gamma) == kostka_foulkes(nu, gamma)
-            assert len(kostka._q_partitions) <= 2 * 250
-        # the last call found more than the cap and started from an empty memo:
-        # it holds that pair's 34 states alone
-        assert len(kostka._q_partitions) == 34
+    def test_refusal_does_not_depend_on_earlier_calls(self, monkeypatch):
+        # (5,1) with 1^6 holds 732 states and (6,) with 1^6 holds 767, 673
+        # of them shared; a cap between the two separates them in any order
+        small, large = ((5, 1), (1,) * 6), ((6,), (1,) * 6)
+        monkeypatch.setattr(kostka, "Q_PARTITION_CAP", 750)
+        with pytest.raises(OracleTooLarge):
+            q_kostant(*large)
+        assert q_kostant(*small) == kostka_foulkes(*small)
+        with pytest.raises(OracleTooLarge):
+            q_kostant(*large)
+        assert q_kostant(*small) == kostka_foulkes(*small)
 
     def test_equivalence_exhaustive_small(self):
         for n in range(1, 6):
@@ -281,9 +283,37 @@ def brute_force_q_kostant(shape, content):
     lam_rho, target = _weyl_vectors(shape, content)
     total = IntPolynomial()
     for sign, perm in brute_force_terms(shape, content):
-        part = _q_partition(tuple(a - b for a, b in zip(perm, target)), 0, itertools.count())
+        part = _q_count(tuple(a - b for a, b in zip(perm, target)), 0, {})
         total = total + sign * IntPolynomial(part)
     return total
+
+
+def root_multiplicity_count(beta):
+    """Reference: the coefficients of the sum of q^(k_1 + ... + k_r) over
+    every vector of multiplicities k of the positive roots e_i - e_j with
+    sum k_ij (e_i - e_j) = beta.  k_ij adds to every prefix sum from i to
+    j - 1, so it is at most the prefix sum through i."""
+    m = len(beta)
+    roots = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    prefix = list(itertools.accumulate(beta))
+    coeffs = collections.Counter()
+    for ks in itertools.product(*(range(prefix[i] + 1) for i, _ in roots)):
+        reached = [0] * m
+        for (i, j), k in zip(roots, ks):
+            reached[i] += k
+            reached[j] -= k
+        if tuple(reached) == beta:
+            coeffs[sum(ks)] += 1
+    return tuple(coeffs[e] for e in range(max(coeffs, default=-1) + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=3))
+def test_q_partition_count_matches_root_multiplicities(prefix):
+    # beta with these prefix sums and total 0, as q_kostant passes it
+    sums = [0, *prefix, 0]
+    beta = tuple(b - a for a, b in zip(sums, sums[1:]))
+    assert _q_count(beta, 0, {}) == root_multiplicity_count(beta)
 
 
 @settings(max_examples=150, deadline=None)
