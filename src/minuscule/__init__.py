@@ -19,14 +19,12 @@ from .rootsys import (
 from .poly import IntPolynomial
 from .paths import (
     LittelmannPath,
-    MinusculePath,
     OrbitStructure,
     WeightSequence,
     enumerate_paths,
     orbit_structure,
     rotate,
     rotate_all,
-    straighten,
 )
 from .crystals import (
     TensorCrystalElement,
@@ -58,14 +56,12 @@ __all__ = [
     "weyl_orbit",
     "IntPolynomial",
     "LittelmannPath",
-    "MinusculePath",
     "OrbitStructure",
     "WeightSequence",
     "enumerate_paths",
     "orbit_structure",
     "rotate",
     "rotate_all",
-    "straighten",
     "TensorCrystalElement",
     "commutor_rotate",
     "crystal_op",

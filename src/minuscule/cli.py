@@ -180,7 +180,9 @@ def _read_json(source: str, stdin):
         raise _InputError(f"cannot read input {source!r}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an int literal over Python's
+        # digit limit; RecursionError covers nesting too deep to decode
         raise _InputError(f"invalid JSON input: {exc}") from exc
 
 

@@ -3,14 +3,14 @@
 A path is stored as its list of points (the origin is implicit), because
 rotation manipulates points, not steps.
 
-Validation happens once, where data enters: the public ``MinusculePath``
-and ``LittelmannPath`` constructors check the shape of the input (a list
-of points of exactly ``rank`` int coordinates), that every step stays in
-its orbit, and, for a Littelmann path, dominance and the return to the
-origin.  Enumeration, straightening and rotation produce paths that are
-correct by construction, so they build them with the unchecked
-``_trusted``; rotation still checks its output exactly once, and a
-failure there is an ``AlgorithmInvariantViolated``.
+Validation happens once, where data enters: the public ``LittelmannPath``
+constructor checks the shape of the input (a list of points of exactly
+``rank`` int coordinates), that every step stays in its orbit, that every
+point is dominant and that the path returns to the origin.  Enumeration
+and rotation produce paths that are correct by construction, so they
+build them with the unchecked ``_trusted``; rotation still checks its
+output exactly once, and a failure there is an
+``AlgorithmInvariantViolated``.
 
 Enumeration and rotation visit the same few thousand dominant points
 over and over, so each (root system, minuscule weight lambda) has one
@@ -29,10 +29,10 @@ exact computation it replaces:
   beta + s fixes beta, so the carried shift stays in that orbit and
   rotation is a walk on finitely many (point, shift) pairs.
 
-The public constructors neither read nor fill these memos: data from
-outside is tested step by step against its orbit, never taken on a
-memo's word, and validating user paths, non-dominant ones included,
-does not grow the process.
+The public ``LittelmannPath`` constructor neither reads nor fills these
+memos: data from outside is tested step by step against its orbit, never
+taken on a memo's word, and validating user paths does not grow the
+process.
 
 Rotation works on a whole set of paths of one type: ``rotate_all(paths,
 k)`` returns every path's k-fold rotation in one call, ``rotate`` is its
@@ -192,8 +192,9 @@ class WeightSequence:
 
 
 @dataclass(frozen=True)
-class MinusculePath:
-    """Points gamma_1..gamma_m; the step into each must stay in its orbit.
+class LittelmannPath:
+    """Points gamma_1..gamma_m of a dominant path returning to the origin;
+    the step into each must stay in its orbit.
 
     Every step is tested against its orbit; no memo is consulted."""
 
@@ -214,12 +215,16 @@ class MinusculePath:
             if _sub(point, prev) not in _orbit_set(rs, lam):
                 raise InvalidPath(f"step into {point} leaves the orbit of {lam}")
             prev = point
+        if min(map(min, self.points)) < 0:
+            raise InvalidPath("all points of the path must be dominant")
+        if any(self.points[-1]):
+            raise InvalidPath("the path must end at the origin")
 
     @classmethod
     def _trusted(cls, seq: WeightSequence, points: tuple[Weight, ...]):
         """Build without checks: ``points`` is a tuple of int tuples, one per
-        entry of ``seq``, every step in its orbit (and, for a
-        ``LittelmannPath``, dominant throughout and back at the origin)."""
+        entry of ``seq``, every step in its orbit, dominant throughout and
+        back at the origin."""
         p = object.__new__(cls)
         object.__setattr__(p, "seq", seq)
         object.__setattr__(p, "points", points)
@@ -227,20 +232,6 @@ class MinusculePath:
 
     def __len__(self):
         return len(self.points)
-
-    def is_dominant(self) -> bool:
-        return min(map(min, self.points)) >= 0
-
-
-class LittelmannPath(MinusculePath):
-    """A dominant path returning to the origin."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.is_dominant():
-            raise InvalidPath("all points of the path must be dominant")
-        if any(self.points[-1]):
-            raise InvalidPath("the path must end at the origin")
 
     def to_json_dict(self):
         return {
@@ -315,43 +306,19 @@ def enumerate_paths(seq: WeightSequence, cap: int = DEFAULT_PATH_CAP) -> tuple[L
     return tuple(LittelmannPath._trusted(seq, pts) for pts in found)
 
 
-def straighten(p: MinusculePath) -> MinusculePath:
-    """Repeat the single straightening step until dominant, done as one sweep.
-
-    A single straightening step shifts the whole tail from the first
-    non-dominant point q by to_dominant(q) - q, and that index strictly
-    increases, so repeating the step until the path is dominant amounts to
-    one left-to-right pass that carries the accumulated shift and adds
-    to_dominant(q) - q at each point q that is still non-dominant.
-
-    Reflecting a tail keeps every step in its orbit, so the result is
-    built unchecked; a path that is already dominant comes back as is.
-    """
-    if p.is_dominant():
-        return p
-    rs = p.seq.rs
-    shift = rs.zero()
-    out = []
-    for q in p.points:
-        q = _add(q, shift)
-        if min(q) < 0:
-            dom = to_dominant(rs, q)[0]
-            shift = _add(shift, _sub(dom, q))
-            q = dom
-        out.append(q)
-    return MinusculePath._trusted(p.seq, tuple(out))
-
-
 def rotate_all(paths, k: int = 1) -> list[LittelmannPath]:
     """The k-fold rotation of each of ``paths``, all of one type, in order.
 
     Rotation drops the first step mu_1, translates the rest back to the
-    origin, straightens it and closes the loop.  The sweep of
-    ``straighten`` carries a shift that starts at -mu_1, and by the
-    stabilizer lemma the straightening word of beta + shift fixes the
-    dominant point beta, so every carried shift stays in the orbit of
-    -lambda_1.  Each output point is then one lookup in the ``carry`` memo
-    of lambda_1, keyed on (input point, shift id).
+    origin, straightens it and closes the loop.  Straightening shifts the
+    whole tail from its first non-dominant point q by to_dominant(q) - q,
+    and that index strictly increases, so it is one left-to-right sweep
+    that carries a shift, starting at -mu_1, and adds to_dominant(q) - q
+    at each point q that is still non-dominant.  By the stabilizer lemma
+    the straightening word of beta + shift fixes the dominant point beta,
+    so every carried shift stays in the orbit of -lambda_1.  Each output
+    point is then one lookup in the ``carry`` memo of lambda_1, keyed on
+    (input point, shift id).
 
     Each of the k levels keeps the previous path's output points and the
     shift id used at each (``flat``, ``kept``).  When a path's input agrees
@@ -449,7 +416,7 @@ class OrbitStructure:
             "ell": self.ell,
             "r": self.r,
             "fixed_counts": list(self.fixed_counts),
-            "orbits": [[p.to_json_dict()["points"] for p in orbit] for orbit in self.orbits],
+            "orbits": [[[list(q) for q in p.points] for p in orbit] for orbit in self.orbits],
         }
 
 

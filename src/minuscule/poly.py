@@ -25,10 +25,6 @@ class IntPolynomial:
             end -= 1
         object.__setattr__(self, "coeffs", tuple(coeffs[:end]))
 
-    @classmethod
-    def monomial(cls, k: int, c: int = 1) -> "IntPolynomial":
-        return cls((0,) * k + (c,))
-
     @property
     def degree(self) -> int:
         """Degree of the leading term; -1 for the zero polynomial."""
@@ -63,12 +59,6 @@ class IntPolynomial:
             other = IntPolynomial((other,))
         return IntPolynomial(tuple(a - b for a, b in itertools.zip_longest(
             self.coeffs, other.coeffs, fillvalue=0)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return IntPolynomial(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, int):

@@ -415,6 +415,22 @@ class TestContract:
             assert code == 2 and out == ""
             assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["paths", "rotate", "--type", "A", "--rank", "1", "--weights", "1,1"],
+        ["tableau", "promote"],
+        ["tableau", "from-path", "--type", "A", "--rank", "1", "--weights", "1,1"],
+        ["tableau", "to-path"],
+        ["crystal", "rotate", "--type", "A", "--rank", "1", "--weights", "1,1"],
+    ], ids=lambda argv: "-".join(argv[:2]))
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000,                 # nested past the decoder's recursion limit
+        "[[" + "9" * 5000 + "]]",      # an int literal past Python's digit limit
+    ], ids=["deep", "long-int"])
+    def test_undecodable_json_is_invalid_input(self, argv, text):
+        code, out, err = invoke(argv, text)
+        assert code == 2 and out == ""
+        assert err.startswith("error: invalid JSON input") and len(err.splitlines()) == 1
+
     def test_rank_above_the_maximum_is_invalid_input(self):
         code, out, err = invoke(
             ["paths", "enumerate", "--type", "A", "--rank", "99999", "--weights", "1"])

@@ -22,13 +22,11 @@ from minuscule.errors import (
 )
 from minuscule.paths import (
     LittelmannPath,
-    MinusculePath,
     WeightSequence,
     enumerate_paths,
     orbit_structure,
     rotate,
     rotate_all,
-    straighten,
 )
 from minuscule.rootsys import build_root_system, to_dominant, two_rho_pairing, weyl_orbit
 from minuscule.tableaux import RowStrictTableau, path_to_tableau, promote
@@ -47,7 +45,8 @@ def seq_a1(m):
 
 
 # The single straightening step, kept here as the reference that the
-# library's one-sweep straightening and rotation are checked against.
+# library's rotation is checked against.  It works on bare point tuples and
+# checks step orbits itself, so it shares no validation with the library.
 
 def first_nondominant(points):
     """0-based index of the first non-dominant point (the straightening
@@ -66,9 +65,20 @@ def raise_once_points(rs, points):
     return points[:k] + tuple(tuple(a + b for a, b in zip(q, shift)) for q in points[k:])
 
 
-def raise_once(p):
-    """One straightening step; the constructor re-checks every step orbit."""
-    return MinusculePath(p.seq, raise_once_points(p.seq.rs, p.points))
+def assert_steps_in_orbits(rs, weights, points):
+    """Each step of ``points``, from the origin, lies in the Weyl orbit of
+    its weight."""
+    prev = rs.zero()
+    for q, lam in zip(points, weights):
+        assert tuple(a - b for a, b in zip(q, prev)) in weyl_orbit(rs, lam), (points, q)
+        prev = q
+
+
+def raise_once(rs, weights, points):
+    """One straightening step, with every step orbit re-checked."""
+    raised = raise_once_points(rs, points)
+    assert_steps_in_orbits(rs, weights, raised)
+    return raised
 
 
 def brute_force_paths(seq):
@@ -176,12 +186,20 @@ class TestEnumerate:
 
 class TestPathValidation:
     def test_step_must_stay_in_orbit(self):
-        with pytest.raises(InvalidPath):
-            MinusculePath(seq_a1(2), ((2,), (0,)))
-        with pytest.raises(InvalidPath):
-            LittelmannPath(seq_a1(2), ((1,), (2,)))  # endpoint not origin
-        with pytest.raises(InvalidPath):
-            LittelmannPath(seq_a1(4), ((1,), (0,), (-1,), (0,)))  # non-dominant
+        with pytest.raises(InvalidPath, match=re.escape("step into (2,) leaves the orbit")):
+            LittelmannPath(seq_a1(2), ((2,), (0,)))
+        with pytest.raises(InvalidPath, match="must end at the origin"):
+            LittelmannPath(seq_a1(2), ((1,), (2,)))
+        with pytest.raises(InvalidPath, match="must be dominant"):
+            LittelmannPath(seq_a1(4), ((1,), (0,), (-1,), (0,)))
+
+    def test_checks_run_in_order(self):
+        # orbit before dominance: (-2,) is both outside W.(1,) and not dominant
+        with pytest.raises(InvalidPath, match="leaves the orbit"):
+            LittelmannPath(seq_a1(2), ((-2,), (0,)))
+        # dominance before closure: (-1,) is neither dominant nor the origin
+        with pytest.raises(InvalidPath, match="must be dominant"):
+            LittelmannPath(seq_a1(3), ((1,), (0,), (-1,)))
 
     @pytest.mark.parametrize("points", [
         5,                       # not a list
@@ -193,7 +211,7 @@ class TestPathValidation:
         ((1,), ()),              # too few coordinates
     ])
     def test_rejects_malformed_points(self, points):
-        with pytest.raises(InvalidPath):
+        with pytest.raises(InvalidPath, match="points must be a list of points of 1 int"):
             LittelmannPath(seq_a1(2), points)
 
     def test_accepts_lists_and_stores_tuples(self):
@@ -221,18 +239,15 @@ class TestStraightening:
             assert after is None or after > before
 
     def test_raise_once_preserves_step_orbits(self):
-        # the tail of a rotated path is a genuine minuscule path; the
-        # MinusculePath constructor re-checks every step orbit, so the
-        # loop below fails loudly if straightening ever leaves them
+        # the tail of a rotated path is a genuine minuscule path; raise_once
+        # re-checks every step orbit, so the loop below fails loudly if
+        # straightening ever leaves them
         seq = WeightSequence(A2, ((1, 0), (0, 1), (1, 0), (0, 1)))
         for p in enumerate_paths(seq):
-            mu1 = p.points[0]
-            tail = MinusculePath(
-                WeightSequence(A2, seq.weights[1:]),
-                tuple(tuple(a - b for a, b in zip(q, mu1)) for q in p.points[1:]))
-            while not tail.is_dominant():
-                tail = raise_once(tail)
-            assert straighten(tail).points == tail.points
+            weights, tail = translated_tail(seq.weights, p.points)
+            assert_steps_in_orbits(A2, weights, tail)
+            while first_nondominant(tail) is not None:
+                tail = raise_once(A2, weights, tail)
 
 
 class TestRotate:
@@ -348,14 +363,18 @@ class TestPathTables:
         lam = A3.fundamental_weight(2)
         seq = WeightSequence(A3, (lam,) * 4)
         t = paths._tables(A3, lam)
-        built = set()
+        # every step is in its orbit: all but the 3 closed dominant paths
+        # are refused only for a non-dominant point or an open end
+        closed = []
         for steps in itertools.product(weyl_orbit(A3, lam), repeat=4):
             points = list(itertools.accumulate(
                 steps, lambda a, b: tuple(x + y for x, y in zip(a, b))))
-            built.add(MinusculePath(seq, points).points)  # non-dominant points too
-        closed = [LittelmannPath(seq, [list(q) for q in points])
-                  for points in brute_force_paths(seq)]
-        assert len(built) == 6 ** 4 and len(closed) == 3 and t.succ == {}
+            try:
+                closed.append(LittelmannPath(seq, [list(q) for q in points]))
+            except InvalidPath as exc:
+                assert "leaves the orbit" not in str(exc)
+        assert [p.points for p in closed] == brute_force_paths(seq) and len(closed) == 3
+        assert t.succ == {}
         rotate(closed[0])  # the rotation check fills it
         assert t.succ
 
@@ -366,7 +385,7 @@ class TestPathTables:
             paths._PathTables))
         paths._tables(A1, W).succ[(0,)] = {(3,): 2}
         with pytest.raises(InvalidPath, match="leaves the orbit"):
-            MinusculePath(WeightSequence(A1, (W, W)), [(3,), (2,)])
+            LittelmannPath(WeightSequence(A1, (W, W)), [(3,), (2,)])
 
     def test_import_builds_no_tables(self):
         code = ("import minuscule, minuscule.paths as p; "
@@ -431,21 +450,21 @@ def test_json_encoding():
     assert rebuilt.points == p.points
 
 
-def translated_tail(p):
-    """The path minus its first step, translated back to the origin."""
-    rs, seq = p.seq.rs, p.seq
-    mu1 = p.points[0]
-    return MinusculePath(WeightSequence(rs, seq.weights[1:]),
-                         tuple(tuple(a - b for a, b in zip(q, mu1)) for q in p.points[1:]))
+def translated_tail(weights, points):
+    """The weights and points of a path minus its first step, translated
+    back to the origin."""
+    mu1 = points[0]
+    return weights[1:], tuple(tuple(a - b for a, b in zip(q, mu1)) for q in points[1:])
 
 
-def rotate_by_raise_once(p):
+def rotate_by_raise_once(rs, weights, points):
     """Rotation as first defined: raise_once on the translated tail until it
     is dominant, then close the loop."""
-    tail = translated_tail(p)
-    while not tail.is_dominant():
-        tail = raise_once(tail)
-    return tail.points + (p.seq.rs.zero(),)
+    weights, tail = translated_tail(weights, points)
+    assert_steps_in_orbits(rs, weights, tail)
+    while first_nondominant(tail) is not None:
+        tail = raise_once(rs, weights, tail)
+    return tail + (rs.zero(),)
 
 
 TYPE_A = [t for t in MINUSCULE_TYPES if t[0] == "A"]
@@ -456,7 +475,7 @@ class TestProperties:
     @given(sequences().map(_closed))
     def test_rotate_matches_repeated_raise_once(self, seq):
         for p in enumerate_paths(seq):
-            assert rotate(p).points == rotate_by_raise_once(p)
+            assert rotate(p).points == rotate_by_raise_once(seq.rs, seq.weights, p.points)
 
     @settings(max_examples=100, deadline=None)
     @given(sequences().map(_closed))
@@ -474,9 +493,6 @@ class TestProperties:
             assert LittelmannPath(p.seq, p.points) == p
             image = rotate(p)
             assert LittelmannPath(image.seq, image.points) == image
-            flat = straighten(translated_tail(p))
-            assert flat.is_dominant()
-            assert MinusculePath(flat.seq, flat.points) == flat
             if seq.rs.family == "A":
                 t = path_to_tableau(p)
                 assert RowStrictTableau(t.rows) == t
@@ -504,7 +520,7 @@ class TestProperties:
                 got = rotate_all(order, k)
                 assert [q.points for q in got] == [want[p.points] for p in order]
                 assert all(q.seq.weights == seq.rotated(k).weights for q in got)
-            want = {p: rotate_by_raise_once(LittelmannPath(seq.rotated(k), q))
+            want = {p: rotate_by_raise_once(seq.rs, seq.rotated(k).weights, q)
                     for p, q in want.items()}
         whole_turn = rotate_all(found, len(seq))
         assert [q.points for q in whole_turn] == [p.points for p in found]
