@@ -58,7 +58,8 @@ class InvalidSequence(MinusculeError):
 
 
 class OracleTooLarge(MinusculeError):
-    """Alternating-sum oracle would iterate over too large a symmetric group."""
+    """Alternating-sum oracle would iterate over too large a symmetric group,
+    or its q-partition count would run past its work cap."""
 
 
 class NotInRootLattice(MinusculeError):

@@ -12,10 +12,11 @@ as the reference.
 The second route is the alternating sum over the symmetric group
 against a q-deformed partition function, walked position by position so
 that permutations with a negative prefix of beta are never built; the
-two must agree, and the test suite holds them to that.  Each call keeps
-its q-partition states in a memo of its own, at most
-``Q_PARTITION_CAP`` of them, so whether a pair answers does not depend
-on what ran before it.  A third routine
+two must agree, and the test suite holds them to that.  The q-partition
+count runs forward from the signed terms, one level per positive root,
+merged on beta as the charge route merges on its state; its work, root
+moves and the coefficients each carries, is bounded by
+``Q_PARTITION_CAP``, and nothing is kept between calls.  A third routine
 computes invariant dimensions for arbitrary types by iterated tensoring
 with reflection signs, so path and crystal counts can be checked against
 something that shares no code with them.
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import bisect
 import collections
-import functools
 import itertools
 
 from .errors import EnumerationTooLarge, InvalidContent, OracleTooLarge, SizeMismatch
@@ -38,11 +38,12 @@ from .rootsys import to_dominant, weyl_orbit
 from .paths import WeightSequence, _add
 
 WEYL_SUM_CAP = 8
-# q-partition states that one q_kostant call may hold: the largest n <= 8
-# pair, shape (8,) with content 1^8, holds 25,032, and shape (8,8,8,8) with
-# content 4^8, which needs 304,271, is refused in about 3.5 s (whole process)
-# on a 2-core x86 VM
-Q_PARTITION_CAP = 200_000
+# root moves per q_kostant call, each charged m plus the coefficients it
+# carries: the largest n <= 8 pair, shape (8,) with content 1^8, takes
+# 678,782, shape (6,6,6,6) with content 3^8 takes 3,912,480 and answers in
+# 0.7-1.1 s, and shape (8,8,8,8) with content 4^8, which needs about 14M,
+# is refused in about 1 s (whole process) on a 2-core x86 VM
+Q_PARTITION_CAP = 5_000_000
 # merged {charge: count} entries per Kostka-Foulkes call, plus the rows and
 # boxes of each strip listed and the subword length of each carry moved:
 # about 0.7 s on a 2-core x86 VM, where shape (6,6,6,6) with content 1^24
@@ -265,49 +266,44 @@ def kostka_foulkes(nu, gamma) -> IntPolynomial:
     return IntPolynomial([counts[c] for c in range(max(counts, default=-1) + 1)])
 
 
-@functools.lru_cache(maxsize=None)
-def _type_a_positive_roots(m):
-    """The roots e_i - e_j, i < j, of A_(m-1) as index pairs (i, j)."""
-    return tuple((i, j) for i in range(m) for j in range(i + 1, m))
+def _q_count(starts: dict, m: int) -> list[int]:
+    """Coefficients of the sum, over ``starts`` ({beta: sign}), of sign
+    times the q-partition count of beta; exponent = number of roots used.
 
-
-def _q_count(beta: tuple, idx: int, memo: dict) -> tuple:
-    """Coefficients of the q-partition count of ``beta`` using the roots
-    from position ``idx`` on; exponent = number of roots used.
-
-    For root ``idx`` = (i, j), ``beta`` sums to 0, is zero before i, and
-    neither its prefix sums nor the sums of beta[i+1..p], p < j, are
-    negative; the k range keeps every state it reaches so.  Each such
-    state has a nonzero count: row i all on root ``idx``, then each later
-    row all on its simple root.  ``memo`` is the calling ``q_kostant``'s;
-    past ``Q_PARTITION_CAP`` states in it, raises ``OracleTooLarge``."""
-    key = (beta, idx)
-    known = memo.get(key)
-    if known is not None:
-        return known
-    roots = _type_a_positive_roots(len(beta))
-    if idx == len(roots):
-        return (1,)  # every row has ended at zero
-    i, j = roots[idx]
-    # the prefix sums through positions i..j-1 fall by k, and must stay >= 0
-    kmax = min(itertools.accumulate(beta[i:j]))
-    # row i never feeds i+1..j again, so their sum must end >= 0; at the
-    # row's last root this makes k take all of beta[i]
-    kmin = max(0, -sum(beta[i + 1:j + 1]))
-    head, middle, tail = beta[:i], beta[i + 1:j], beta[j + 1:]
-    at_i, at_j = beta[i], beta[j]
-    out: list[int] = []
-    for k in range(kmin, kmax + 1):
-        sub = _q_count(head + (at_i - k,) + middle + (at_j + k,) + tail, idx + 1, memo)
-        if len(out) < k + len(sub):
-            out.extend([0] * (k + len(sub) - len(out)))
-        for e, c in enumerate(sub):
-            out[k + e] += c
-    if len(memo) >= Q_PARTITION_CAP:
-        raise OracleTooLarge(
-            f"the q-partition count would hold more than {Q_PARTITION_CAP} states")
-    memo[key] = known = tuple(out)
-    return known
+    The count runs forward, one level per positive root e_i - e_j of
+    A_(m-1), i < j, in lexicographic order of (i, j): each state moves k
+    from beta[i] to beta[j], and the states that meet are merged, each
+    holding a dense coefficient list shifted by q^k.  At root (i, j) a state sums to 0,
+    is zero before i, and neither its prefix sums nor the sums of
+    beta[i+1..p], p < j, are negative; the k range keeps every state it
+    reaches so, and after the last root only the zero state is left.
+    Each move is charged m plus the length of the list it carries, before
+    it is made; past ``Q_PARTITION_CAP`` raises ``OracleTooLarge``."""
+    level = {beta: [sign] for beta, sign in starts.items()}
+    spent = 0
+    for i, j in itertools.combinations(range(m), 2):
+        fresh: dict[tuple, list[int]] = {}
+        for beta, coeffs in level.items():
+            # the prefix sums through positions i..j-1 fall by k, and must stay >= 0
+            kmax = min(itertools.accumulate(beta[i:j]))
+            # row i never feeds i+1..j again, so their sum must end >= 0; at the
+            # row's last root this makes k take all of beta[i]
+            kmin = max(0, -sum(beta[i + 1:j + 1]))
+            head, middle, tail = beta[:i], beta[i + 1:j], beta[j + 1:]
+            for k in range(kmin, kmax + 1):
+                spent += m + len(coeffs)
+                if spent > Q_PARTITION_CAP:
+                    raise OracleTooLarge(
+                        f"the q-partition count would take more than {Q_PARTITION_CAP} "
+                        "units of work (root moves and the coefficients they carry)")
+                moved = head + (beta[i] - k,) + middle + (beta[j] + k,) + tail
+                into = fresh.setdefault(moved, [])
+                if len(into) < k + len(coeffs):
+                    into.extend([0] * (k + len(coeffs) - len(into)))
+                for e, c in enumerate(coeffs, k):
+                    into[e] += c
+        level = fresh
+    return level.get((0,) * m, [])
 
 
 def _pruned_terms(lam_rho, target):
@@ -351,11 +347,11 @@ def q_kostant(nu, gamma) -> IntPolynomial:
     number of parts, but is walked position by position and only reaches
     the permutations with no negative prefix in beta
     (``_pruned_terms``).  It is still exponential in m, hence the cap
-    ``WEYL_SUM_CAP`` on m, and the q-partition count grows with the
-    entries, hence the cap ``Q_PARTITION_CAP`` on the states that one
-    call holds; past either it raises ``OracleTooLarge``.  The states
-    live in a memo made for the call and dropped when it returns, so a
-    pair answers or is refused the same way whatever ran before it.
+    ``WEYL_SUM_CAP`` on m, and the q-partition count (``_q_count``)
+    grows with the entries, hence the cap ``Q_PARTITION_CAP`` on its
+    work, root moves and the coefficients each carries; past either it
+    raises ``OracleTooLarge``.  Nothing is kept between calls, so a pair
+    answers or is refused the same way whatever ran before it.
     """
     nu, gamma_sorted = _shape_and_content(nu, gamma)
     m = max(len(nu), len(gamma_sorted), 1)
@@ -367,15 +363,8 @@ def q_kostant(nu, gamma) -> IntPolynomial:
     lam_rho = tuple(a + b for a, b in zip(lam, rho))
     target = tuple(a + b for a, b in zip(mu, rho))
 
-    coeffs: list[int] = []
-    memo: dict = {}
-    for sign, beta in _pruned_terms(lam_rho, target):
-        part = _q_count(beta, 0, memo)
-        if len(coeffs) < len(part):
-            coeffs.extend([0] * (len(part) - len(coeffs)))
-        for e, c in enumerate(part):
-            coeffs[e] += sign * c
-    return IntPolynomial(coeffs)
+    starts = {beta: sign for sign, beta in _pruned_terms(lam_rho, target)}
+    return IntPolynomial(_q_count(starts, m))
 
 
 def invariant_dim(seq: WeightSequence) -> int:

@@ -322,11 +322,13 @@ class TestKostkaCommand:
         assert len(err.splitlines()) == 1 and len(err) < 200
         assert time.perf_counter() - start < 3
 
-    def test_oracle_past_its_state_bound_is_invalid_input(self):
+    def test_oracle_past_its_work_bound_is_invalid_input(self):
+        start = time.perf_counter()
         code, out, err = invoke(["kostka", "--shape", "8,8,8,8",
                                  "--content", ",".join(["4"] * 8), "--oracle"])
         assert code == 2 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert time.perf_counter() - start < 3
 
     def test_readme_examples_print_their_comment(self):
         lines = [line for line in (ROOT / "README.md").read_text().splitlines()

@@ -172,36 +172,36 @@ class TestQKostant:
         with pytest.raises(OracleTooLarge):
             q_kostant((1,) * 9, (1,) * 9)
         # eight parts, but the q-partition count grows with the entries:
-        # this pair needs 304,271 states
+        # this pair needs about 14M units of work
         with pytest.raises(OracleTooLarge, match="q-partition"):
             q_kostant((8,) * 4, (4,) * 8)
 
-    def test_largest_pair_of_size_8_answers_from_an_empty_memo(self, monkeypatch):
-        # every call starts from an empty memo; (8,) with 1^8 holds 25,032
-        # states, the most of any pair with n <= 8, and the cap is exact
-        monkeypatch.setattr(kostka, "Q_PARTITION_CAP", 25_032)
+    def test_largest_pair_of_size_8_answers_within_its_exact_work(self, monkeypatch):
+        # (8,) with 1^8 takes 678,782 units of work, the most of any pair
+        # with n <= 8, and the cap is exact
+        monkeypatch.setattr(kostka, "Q_PARTITION_CAP", 678_782)
         assert q_kostant((8,), (1,) * 8) == kostka_foulkes((8,), (1,) * 8)
-        monkeypatch.setattr(kostka, "Q_PARTITION_CAP", 25_031)
-        with pytest.raises(OracleTooLarge, match="more than 25031 states"):
+        monkeypatch.setattr(kostka, "Q_PARTITION_CAP", 678_781)
+        with pytest.raises(OracleTooLarge, match="more than 678781 units of work"):
             q_kostant((8,), (1,) * 8)
 
-    def test_refusal_does_not_depend_on_earlier_calls(self, monkeypatch):
-        # (5,1) with 1^6 holds 732 states and (6,) with 1^6 holds 767, 673
-        # of them shared; a cap between the two separates them in any order
-        small, large = ((5, 1), (1,) * 6), ((6,), (1,) * 6)
-        monkeypatch.setattr(kostka, "Q_PARTITION_CAP", 750)
-        with pytest.raises(OracleTooLarge):
-            q_kostant(*large)
-        assert q_kostant(*small) == kostka_foulkes(*small)
-        with pytest.raises(OracleTooLarge):
-            q_kostant(*large)
-        assert q_kostant(*small) == kostka_foulkes(*small)
+    def test_work_cap_bounds_memory(self):
+        # the count holds one level of merged states at a time
+        with peak_memory() as peak:
+            q_kostant((8,), (1,) * 8)
+        assert peak[0] < 3 << 20
 
-    def test_equivalence_exhaustive_small(self):
-        for n in range(1, 6):
-            for nu in partitions(n):
-                for gamma in partitions(n):
-                    assert kostka_foulkes(nu, gamma) == q_kostant(nu, gamma), (nu, gamma)
+    def test_refusal_does_not_depend_on_earlier_calls(self, monkeypatch):
+        # (5,1) with 1^6 takes 12,004 units of work and (6,) with 1^6
+        # takes 13,867; a cap between the two separates them in any order
+        small, large = ((5, 1), (1,) * 6), ((6,), (1,) * 6)
+        monkeypatch.setattr(kostka, "Q_PARTITION_CAP", 13_000)
+        with pytest.raises(OracleTooLarge):
+            q_kostant(*large)
+        assert q_kostant(*small) == kostka_foulkes(*small)
+        with pytest.raises(OracleTooLarge):
+            q_kostant(*large)
+        assert q_kostant(*small) == kostka_foulkes(*small)
 
     def test_equivalence_sampled_large(self):
         rng = random.Random(11)
@@ -283,7 +283,8 @@ def brute_force_q_kostant(shape, content):
     lam_rho, target = _weyl_vectors(shape, content)
     total = IntPolynomial()
     for sign, perm in brute_force_terms(shape, content):
-        part = _q_count(tuple(a - b for a, b in zip(perm, target)), 0, {})
+        beta = tuple(a - b for a, b in zip(perm, target))
+        part = _q_count({beta: 1}, len(beta))
         total = total + sign * IntPolynomial(part)
     return total
 
@@ -313,7 +314,7 @@ def test_q_partition_count_matches_root_multiplicities(prefix):
     # beta with these prefix sums and total 0, as q_kostant passes it
     sums = [0, *prefix, 0]
     beta = tuple(b - a for a, b in zip(sums, sums[1:]))
-    assert _q_count(beta, 0, {}) == root_multiplicity_count(beta)
+    assert tuple(_q_count({beta: 1}, len(beta))) == root_multiplicity_count(beta)
 
 
 @settings(max_examples=150, deadline=None)
