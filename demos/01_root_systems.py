@@ -24,7 +24,7 @@ print("\nA2 Cartan matrix:", a2.cartan)
 
 w = (-1, 0)
 dom, word = to_dominant(a2, w)
-print(f"straightening {w}: dominant representative {dom} via word {word.letters}")
+print(f"straightening {w}: dominant representative {dom} via word {word}")
 print("orbit of omega_1:", weyl_orbit(a2, (1, 0)))
 print("reflection s_1(omega_1):", simple_reflection(a2, 1, (1, 0)))
 

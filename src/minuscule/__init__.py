@@ -5,7 +5,6 @@ cyclic-sieving verification."""
 from .errors import MinusculeError
 from .rootsys import (
     RootSystem,
-    WeylWord,
     apply_word,
     build_root_system,
     dual_index,
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "MinusculeError",
     "RootSystem",
-    "WeylWord",
     "apply_word",
     "build_root_system",
     "dual_index",

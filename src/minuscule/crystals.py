@@ -144,7 +144,7 @@ class _IdTables:
                           for j in span)
         self.ups = tuple(tuple(j for j in span if w[j] == 1) for w in weights)
         self.downs = tuple(tuple(j for j in span if w[j] == -1) for w in weights)
-        self.w0 = to_dominant(rs, (-1,) * rs.rank)[1].letters  # w0 sends -rho to rho
+        self.w0 = to_dominant(rs, (-1,) * rs.rank)[1]  # w0 sends -rho to rho
         image = list(range(len(weights)))
         for i in reversed(self.w0):
             refl = self.refl[i - 1]

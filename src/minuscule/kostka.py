@@ -14,9 +14,10 @@ against a q-deformed partition function, walked position by position so
 that permutations with a negative prefix of beta are never built; the
 two must agree, and the test suite holds them to that.  The q-partition
 count runs forward from the signed terms, one level per positive root,
-merged on beta as the charge route merges on its state; its work, root
-moves and the coefficients each carries, is bounded by
-``Q_PARTITION_CAP``, and nothing is kept between calls.  A third routine
+merged on beta as the charge route merges on its state, and a state whose
+signed terms cancel is dropped; its work, root moves and the coefficients
+each carries, is bounded by ``Q_PARTITION_CAP``, and nothing is kept
+between calls.  A third routine
 computes invariant dimensions for arbitrary types by iterated tensoring
 with reflection signs, so path and crystal counts can be checked against
 something that shares no code with them.
@@ -39,9 +40,9 @@ from .paths import WeightSequence, _add
 
 WEYL_SUM_CAP = 8
 # root moves per q_kostant call, each charged m plus the coefficients it
-# carries: the largest n <= 8 pair, shape (8,) with content 1^8, takes
-# 678,782, shape (6,6,6,6) with content 3^8 takes 3,912,480 and answers in
-# 0.7-1.1 s, and shape (8,8,8,8) with content 4^8, which needs about 14M,
+# carries: the largest n <= 8 pair, shape (6,2) with content 1^8, takes
+# 226,770, shape (6,6,6,6) with content 3^8 takes 2,096,005 and answers in
+# about 0.5 s, and shape (8,8,8,8) with content 4^8, which needs about 6.7M,
 # is refused in about 1 s (whole process) on a 2-core x86 VM
 Q_PARTITION_CAP = 5_000_000
 # merged {charge: count} entries per Kostka-Foulkes call, plus the rows and
@@ -273,7 +274,8 @@ def _q_count(starts: dict, m: int) -> list[int]:
     The count runs forward, one level per positive root e_i - e_j of
     A_(m-1), i < j, in lexicographic order of (i, j): each state moves k
     from beta[i] to beta[j], and the states that meet are merged, each
-    holding a dense coefficient list shifted by q^k.  At root (i, j) a state sums to 0,
+    holding a dense coefficient list shifted by q^k; a state whose list
+    cancels to all zeros is dropped.  At root (i, j) a state sums to 0,
     is zero before i, and neither its prefix sums nor the sums of
     beta[i+1..p], p < j, are negative; the k range keeps every state it
     reaches so, and after the last root only the zero state is left.
@@ -302,7 +304,7 @@ def _q_count(starts: dict, m: int) -> list[int]:
                     into.extend([0] * (k + len(coeffs) - len(into)))
                 for e, c in enumerate(coeffs, k):
                     into[e] += c
-        level = fresh
+        level = {beta: coeffs for beta, coeffs in fresh.items() if any(coeffs)}
     return level.get((0,) * m, [])
 
 

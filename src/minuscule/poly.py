@@ -1,6 +1,7 @@
 """Dense integer polynomials in the variable q.
 
-Coefficients are plain Python ints indexed by exponent, trailing zeros
+Coefficients are plain Python ints (the constructor refuses any other
+type, bool and float included) indexed by exponent, trailing zeros
 trimmed, so equality of polynomials is equality of coefficient tuples.
 Division is exact integer division and raises when the quotient would
 leave the ring; nothing here ever touches a float.
@@ -20,6 +21,9 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
+        for c in coeffs:
+            if type(c) is not int:
+                raise TypeError(f"coefficient {c!r} is not an int")
         end = len(coeffs)
         while end > 0 and coeffs[end - 1] == 0:
             end -= 1
@@ -37,7 +41,7 @@ class IntPolynomial:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             other = IntPolynomial((other,))
         if not isinstance(other, IntPolynomial):
             return NotImplemented

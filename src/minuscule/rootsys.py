@@ -12,8 +12,10 @@ Conventions, fixed once for the whole package:
   are 1-based.
 * A coroot is a tuple of ints in the simple-coroot basis.
 
-Every object here is immutable and every function is pure, so values can
-be shared freely across threads or worker processes.
+Every object here is immutable and every function is pure.  A root system
+is built once per type and process by ``build_root_system`` and equals
+only itself; pickling one and loading it again returns that process's
+instance of the same type.
 """
 from __future__ import annotations
 
@@ -34,39 +36,19 @@ DEFAULT_ORBIT_CAP = 10_000
 MAX_RANK = 32
 
 
-@dataclass(frozen=True)
-class WeylWord:
-    """A word in the simple reflections, applied right to left."""
-
-    letters: tuple[int, ...]
-
-    def __len__(self):
-        return len(self.letters)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootSystem:
+    """Cartan data of one finite type.  ``build_root_system`` builds each
+    type once, so a root system equals only itself and hashes by identity."""
+
     family: str
     rank: int
     cartan: tuple[tuple[int, ...], ...]
     positive_coroots: tuple[tuple[int, ...], ...]
     two_rho_covector: tuple[int, ...]
 
-    def __post_init__(self):
-        # Instances key several lru_caches on hot paths, so hash the
-        # fields once instead of on every lookup.
-        object.__setattr__(self, "_hash", hash(self._fields()))
-
-    def _fields(self):
-        return (self.family, self.rank, self.cartan, self.positive_coroots,
-                self.two_rho_covector)
-
-    def __hash__(self):
-        return self._hash
-
     def __reduce__(self):
-        # rebuild through the constructor: string hashes differ per process
-        return (RootSystem, self._fields())
+        return build_root_system, (self.family, self.rank)
 
     def __str__(self):
         return f"{self.family}{self.rank}"
@@ -186,8 +168,9 @@ def simple_reflection(rs: RootSystem, i: int, w: Weight) -> Weight:
     return tuple(w[j] - c * rs.cartan[j][i - 1] for j in range(rs.rank))
 
 
-def apply_word(rs: RootSystem, word: WeylWord, w: Weight) -> Weight:
-    for i in reversed(word.letters):
+def apply_word(rs: RootSystem, letters: tuple[int, ...], w: Weight) -> Weight:
+    """Apply the simple reflections ``letters`` (1-based), right to left."""
+    for i in reversed(letters):
         w = simple_reflection(rs, i, w)
     return w
 
@@ -201,8 +184,9 @@ def _cartan_columns(rs: RootSystem):
                  for i in range(n))
 
 
-def to_dominant(rs: RootSystem, w: Weight) -> tuple[Weight, WeylWord]:
-    """Dominant representative of the orbit of ``w`` and a minimal word to it.
+def to_dominant(rs: RootSystem, w: Weight) -> tuple[Weight, tuple[int, ...]]:
+    """Dominant representative of the orbit of ``w`` and a minimal word to it:
+    a tuple of 1-based simple-reflection indices, applied right to left.
 
     Greedy: reflect at the smallest negative coordinate until dominant.  Any
     policy yields the same representative; the smallest-index tie-break makes
@@ -230,7 +214,7 @@ def to_dominant(rs: RootSystem, w: Weight) -> tuple[Weight, WeylWord]:
             w[j] -= x * a
         applied.append(i + 1)
     applied.reverse()
-    return tuple(w), WeylWord(tuple(applied))
+    return tuple(w), tuple(applied)
 
 
 def weyl_orbit(rs: RootSystem, w: Weight) -> tuple[Weight, ...]:

@@ -30,7 +30,6 @@ from minuscule.errors import EnumerationTooLarge, InvalidIndex, NotInvariant, Or
 from minuscule.kostka import invariant_dim
 from minuscule.paths import WeightSequence, enumerate_paths, rotate
 from minuscule.rootsys import (
-    WeylWord,
     apply_word,
     build_root_system,
     dual_index,
@@ -487,12 +486,11 @@ class TestIdTables:
         rs = build_root_system(family, rank)
         lams = minuscule_weights(rs)
         t = _tables(rs, frozenset(lams))
-        w0 = WeylWord(t.w0)
         # rho has trivial stabilizer, so only w0 sends it to -rho
-        assert apply_word(rs, w0, (1,) * rank) == (-1,) * rank
+        assert apply_word(rs, t.w0, (1,) * rank) == (-1,) * rank
         for k, w in enumerate(t.weights):
             image = t.w0_image[k]
-            assert t.weights[image] == apply_word(rs, w0, w)
+            assert t.weights[image] == apply_word(rs, t.w0, w)
             assert t.w0_image[image] == k
         for lam in lams:
             seq = WeightSequence(rs, (lam,))

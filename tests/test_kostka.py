@@ -172,18 +172,18 @@ class TestQKostant:
         with pytest.raises(OracleTooLarge):
             q_kostant((1,) * 9, (1,) * 9)
         # eight parts, but the q-partition count grows with the entries:
-        # this pair needs about 14M units of work
+        # this pair needs about 6.7M units of work
         with pytest.raises(OracleTooLarge, match="q-partition"):
             q_kostant((8,) * 4, (4,) * 8)
 
     def test_largest_pair_of_size_8_answers_within_its_exact_work(self, monkeypatch):
-        # (8,) with 1^8 takes 678,782 units of work, the most of any pair
+        # (6,2) with 1^8 takes 226,770 units of work, the most of any pair
         # with n <= 8, and the cap is exact
-        monkeypatch.setattr(kostka, "Q_PARTITION_CAP", 678_782)
-        assert q_kostant((8,), (1,) * 8) == kostka_foulkes((8,), (1,) * 8)
-        monkeypatch.setattr(kostka, "Q_PARTITION_CAP", 678_781)
-        with pytest.raises(OracleTooLarge, match="more than 678781 units of work"):
-            q_kostant((8,), (1,) * 8)
+        monkeypatch.setattr(kostka, "Q_PARTITION_CAP", 226_770)
+        assert q_kostant((6, 2), (1,) * 8) == kostka_foulkes((6, 2), (1,) * 8)
+        monkeypatch.setattr(kostka, "Q_PARTITION_CAP", 226_769)
+        with pytest.raises(OracleTooLarge, match="more than 226769 units of work"):
+            q_kostant((6, 2), (1,) * 8)
 
     def test_work_cap_bounds_memory(self):
         # the count holds one level of merged states at a time
@@ -192,10 +192,10 @@ class TestQKostant:
         assert peak[0] < 3 << 20
 
     def test_refusal_does_not_depend_on_earlier_calls(self, monkeypatch):
-        # (5,1) with 1^6 takes 12,004 units of work and (6,) with 1^6
-        # takes 13,867; a cap between the two separates them in any order
-        small, large = ((5, 1), (1,) * 6), ((6,), (1,) * 6)
-        monkeypatch.setattr(kostka, "Q_PARTITION_CAP", 13_000)
+        # (6,) with 1^6 takes 6,422 units of work and (5,1) with 1^6
+        # takes 6,959; a cap between the two separates them in any order
+        small, large = ((6,), (1,) * 6), ((5, 1), (1,) * 6)
+        monkeypatch.setattr(kostka, "Q_PARTITION_CAP", 6_700)
         with pytest.raises(OracleTooLarge):
             q_kostant(*large)
         assert q_kostant(*small) == kostka_foulkes(*small)

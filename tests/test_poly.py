@@ -1,6 +1,9 @@
+import doctest
+
 import pytest
 from hypothesis import given, strategies as st
 
+from minuscule import poly
 from minuscule.poly import IntPolynomial
 
 coeff_lists = st.lists(st.integers(-9, 9), max_size=8)
@@ -13,6 +16,19 @@ def test_trimming_and_degree():
     assert IntPolynomial((0,)).is_zero()
 
 
+@pytest.mark.parametrize("coeffs", [[0.5, 0, 0.5], [0, 0, True, 0, True]])
+def test_coefficients_outside_the_integers_are_refused(coeffs):
+    # a float or a bool is not a coefficient in Z[q], even where it
+    # compares equal to one
+    with pytest.raises(TypeError, match="is not an int"):
+        IntPolynomial(coeffs)
+
+
+def test_docstring_examples_run():
+    result = doctest.testmod(poly)
+    assert result.failed == 0 and result.attempted >= 1
+
+
 def test_arithmetic():
     p = IntPolynomial((1, 2))
     q = IntPolynomial((0, 1, 1))
@@ -23,6 +39,8 @@ def test_arithmetic():
     assert p.shift(2).coeffs == (0, 0, 1, 2)
     assert p(10) == 21
     assert p == IntPolynomial([1, 2]) and p != q
+    # an int compares as a constant; a bool is not a coefficient
+    assert IntPolynomial((1,)) == 1 and IntPolynomial((1,)) != True
 
 
 @given(coeff_lists, coeff_lists)
