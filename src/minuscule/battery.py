@@ -6,6 +6,7 @@ harness can run them; any failure carries the offending case, serialized.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -74,12 +75,13 @@ def _random_element(seq, rng):
 
 def _crystal_sample(seq, rng):
     """Every element of a small crystal, which draws nothing from ``rng``;
-    else the invariants and a seeded random sample."""
+    else the invariants and a seeded random sample.  The flag is True for
+    a whole crystal, which every operator and xi map into itself."""
     if crystals.crystal_size(seq) <= EXHAUSTIVE_CRYSTAL_LIMIT:
-        return list(crystals.all_elements(seq))
+        return list(crystals.all_elements(seq)), True
     sample = list(crystals.invariant_elements(seq))
     sample.extend(_random_element(seq, rng) for _ in range(CRYSTAL_SAMPLE))
-    return sample
+    return sample, False
 
 
 def suite_counting(cases) -> SuiteResult:
@@ -150,18 +152,27 @@ def suite_crystal_coherence(cases, rng_seed: int = 0) -> SuiteResult:
 
 def _add_images(image, elements):
     """Map every element whose factors ``image`` lacks, in one
-    ``schutzenberger_all`` call; ``image`` maps factors to elements."""
+    ``schutzenberger_all`` call if there is any; ``image`` maps factors
+    to elements."""
     missing = {b.factors: b for b in elements if b.factors not in image}
-    image.update(zip(missing, crystals.schutzenberger_all(missing.values())))
+    if missing:
+        image.update(zip(missing, crystals.schutzenberger_all(missing.values())))
+
+
+def _raised(b, dual):
+    """The pairs (i, e_i b) with e_i b nonzero, by the public ``crystal_op``."""
+    return [(i, up) for i in dual if (up := crystals.crystal_op("raise", i, b)) is not None]
 
 
 def _check_involution(seq, rng, res):
     """xi is an involution and does not depend on the raising route.
 
-    xi is a function of the factors, so each element is mapped once: the
-    sample in one call, then only the images and raised elements that are
-    not in the sample yet (the sampled E6 case).  xi(xi(b)) is read from
-    that map, which dies with the case.
+    xi is a function of the factors, so each element is mapped once, in
+    at most two ``schutzenberger_all`` calls: the sample, with every e_i b
+    it raises to unless it is a whole crystal (which holds them already),
+    then the sample's images not mapped yet (a whole crystal has none).
+    The raised elements are made again in the check rather than held.
+    xi(xi(b)) is read from that map, which dies with the case.
 
     xi is defined by xi(e_i b) = f_{i*} xi(b), so route independence is
     the local rule xi(b) = e_{i*} xi(e_i b) at every b of the sample and
@@ -170,21 +181,19 @@ def _check_involution(seq, rng, res):
     rule holds on a whole component exactly when every raising route
     gives the same xi, so on an exhaustive sample it covers every route.
     """
-    sample = _crystal_sample(seq, rng)
+    sample, closed = _crystal_sample(seq, rng)
+    dual = {i: rootsys.dual_index(seq.rs, i) for i in range(1, seq.rs.rank + 1)}
+    extra = () if closed else (up for b in sample for _, up in _raised(b, dual))
     image = {}
-    _add_images(image, sample)
-    _add_images(image, image.values())
+    _add_images(image, itertools.chain(sample, extra))
+    _add_images(image, [image[b.factors] for b in sample])
     for b in sample:
         res.checks += 1
         if image[image[b.factors].factors].factors != b.factors:
             res.fail(f"{describe(seq)}: involution fails on {b.factors}")
 
-    dual = {i: rootsys.dual_index(seq.rs, i) for i in range(1, seq.rs.rank + 1)}
     for b in sample:
-        raised = [(i, up) for i in dual
-                  if (up := crystals.crystal_op("raise", i, b)) is not None]
-        _add_images(image, (up for _, up in raised))
-        for i, up in raised:
+        for i, up in _raised(b, dual):
             res.checks += 1
             if crystals.crystal_op("raise", dual[i], image[up.factors]) != image[b.factors]:
                 res.fail(f"{describe(seq)}: involution depends on the route at {b.factors}")

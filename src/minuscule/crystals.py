@@ -30,19 +30,28 @@ invariant.  There b_1 = lambda_1 and c is lowest weight in its component
 of c's component, one ascent away, and xi(b_1) = w0.lambda_1 is a
 table lookup.  ``schutzenberger_all`` stays the general algorithm.
 
-Inside the operators each factor is an integer id: its index in the
-sorted union of the orbits of the sequence's own distinct weights.
+The one-step public operators ``crystal_op``, ``epsilon`` and ``phi``
+read the signs straight off the weights, in one pass (``_string``):
+``w[i-1]`` is the pairing of a factor with alpha_i_vee, and the one
+factor an operator moves changes by +-alpha_i, column i of the Cartan
+matrix (``_simple_roots``).  Nothing is encoded for them.
+
+The kernels that take many steps on one element work on integer ids
+instead: the Schutzenberger ascent, descent and replay,
+``commutor_rotate``, and ``is_highest_weight``, which checks every
+candidate of the invariant search.  There each factor is its index in
+the sorted union of the orbits of the sequence's own distinct weights.
 Read-only tables, built once per (root system, distinct weights), give
 each id's pairing with every simple coroot, its id after every simple
-reflection and its id after w0 (``_tables``), so signatures, strings,
-S_i and the Schutzenberger replay are lookups over a list of ints.
-Weights appear only at the ``TensorCrystalElement`` boundary: each
-public call encodes its input once (``_encode``) and decodes its result
-once (``_decode``).  The ascent to a component's top takes one e_i per
-step, at the smallest index that can still raise, found by one pass over
-the factors (``_to_highest``).  That xi does not depend on this choice is
-the local rule xi(b) = e_{i*} xi(e_i b) at every i with e_i b nonzero,
-which the battery checks with the public operators.
+reflection and its id after w0 (``_tables``), so signatures, strings, S_i and the replay are lookups
+over a list of ints; such a kernel encodes its input once (``_encode``)
+and decodes its result once (``_decode``).  The ascent to a component's
+top takes one e_i per step, at the smallest index that can still raise,
+found by one pass over the factors (``_to_highest``).  That xi does not
+depend on this choice is the local rule xi(b) = e_{i*} xi(e_i b) at
+every i with e_i b nonzero, which the battery checks with the public
+weight-level operators, so the id kernels and a second implementation
+of e_i check each other.
 
 Validation happens once, where data enters: the public
 ``TensorCrystalElement`` constructor checks that it gets a list of
@@ -55,6 +64,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -79,7 +89,7 @@ from .rootsys import (
 DEFAULT_NODE_CAP = 5_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TensorCrystalElement:
     """An element b_1 (x) ... (x) b_m, one orbit weight per tensor factor."""
 
@@ -229,30 +239,66 @@ def _reflect(t: _IdTables, ids: list, i: int):
     _flip(t, ids, i, plus[:p - a] if p > a else minus[p:])
 
 
+@functools.lru_cache(maxsize=None)
+def _simple_roots(rs) -> tuple[Weight, ...]:
+    """alpha_1..alpha_rank in the fundamental-weight basis: the columns of
+    the Cartan matrix."""
+    return tuple(zip(*rs.cartan))
+
+
+def _string(factors, j: int):
+    """The i-string of an element at the 0-based index j = i - 1, read off
+    the weights in one pass: (eps_i, phi_i, position of the rightmost
+    surviving '-', position of the leftmost surviving '+'), a position
+    being -1 when there is none.  A '-' cancels the nearest unmatched
+    '+' on its left, so the leftmost surviving '+' is the last one met
+    while no '+' was unmatched."""
+    eps = plus = 0
+    last = first = -1
+    for k, f in enumerate(factors):
+        a = f[j]
+        if a == 1:
+            if not plus:
+                first = k
+            plus += 1
+        elif a == -1:
+            if plus:
+                plus -= 1
+            else:
+                eps += 1
+                last = k
+    return eps, plus, last, first if plus else -1
+
+
 def crystal_op(direction: str, i: int, b: TensorCrystalElement):
-    """Apply a raising or lowering operator; ``None`` is the crystal zero."""
-    _check_index(b.seq.rs, i)
-    if direction not in ("raise", "lower"):
+    """Apply a raising or lowering operator; ``None`` is the crystal zero.
+
+    e_i moves the factor at the rightmost surviving '-' by +alpha_i and
+    f_i the factor at the leftmost surviving '+' by -alpha_i, which is
+    s_i on that factor; the other factors are shared with ``b``."""
+    seq = b.seq
+    _check_index(seq.rs, i)
+    factors = b.factors
+    if direction == "raise":
+        k, move = _string(factors, i - 1)[2], operator.add
+    elif direction == "lower":
+        k, move = _string(factors, i - 1)[3], operator.sub
+    else:
         raise InvalidIndex(f"unknown direction {direction!r}")
-    t, ids = _encode(b)
-    minus, plus = _signature(t, ids, i)
-    positions = plus[:1] if direction == "lower" else minus[-1:]
-    if not positions:
+    if k < 0:
         return None
-    _flip(t, ids, i, positions)
-    return _decode(b.seq, t, ids)
+    moved = tuple(map(move, factors[k], _simple_roots(seq.rs)[i - 1]))
+    return TensorCrystalElement._trusted(seq, (*factors[:k], moved, *factors[k + 1:]))
 
 
 def epsilon(i: int, b: TensorCrystalElement) -> int:
     _check_index(b.seq.rs, i)
-    t, ids = _encode(b)
-    return len(_signature(t, ids, i)[0])
+    return _string(b.factors, i - 1)[0]
 
 
 def phi(i: int, b: TensorCrystalElement) -> int:
     _check_index(b.seq.rs, i)
-    t, ids = _encode(b)
-    return len(_signature(t, ids, i)[1])
+    return _string(b.factors, i - 1)[1]
 
 
 def is_highest_weight(b: TensorCrystalElement) -> bool:

@@ -138,13 +138,15 @@ def _positive_coroots(cartan):
     return tuple(sorted(c for c in seen if all(x >= 0 for x in c)))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def build_root_system(family: str, rank: int) -> RootSystem:
     """Construct the Cartan data for a finite type, Bourbaki numbered.
 
+    The rank must be an ``int``; ``True`` or ``1.0`` would equal 1 and
+    share its cache entry, so the cache is typed and they are refused.
     Ranks above ``MAX_RANK`` are refused before anything is built."""
     check = _RANK_CONSTRAINTS.get(family)
-    if check is None or not isinstance(rank, int) or not check(rank):
+    if check is None or type(rank) is not int or not check(rank):
         raise InvalidType(f"no finite root system of type {family}{rank}")
     if rank > MAX_RANK:
         raise InvalidType(f"rank {rank} is above the largest supported rank {MAX_RANK}")
@@ -155,6 +157,8 @@ def build_root_system(family: str, rank: int) -> RootSystem:
 
 
 def _check_index(rs: RootSystem, i: int):
+    if type(i) is not int:
+        raise InvalidIndex(f"index {i!r} is not an int")
     if not 1 <= i <= rs.rank:
         raise InvalidIndex(f"index {i} out of range for {rs}")
 
@@ -289,9 +293,12 @@ def in_root_lattice(rs: RootSystem, w: Weight) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def dual_index(rs: RootSystem, i: int) -> int:
-    """Index i* with omega_{i*} the dominant representative of -omega_i."""
+    """Index i* with omega_{i*} the dominant representative of -omega_i.
+
+    The cache is typed, so ``True`` or ``1.0`` reaches the index check
+    instead of the entry of 1."""
     _check_index(rs, i)
     neg = tuple(-x for x in rs.fundamental_weight(i))
     dom, _ = to_dominant(rs, neg)

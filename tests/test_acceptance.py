@@ -115,6 +115,26 @@ def test_criterion_4_builds_each_exhaustive_crystal_once(monkeypatch):
     assert len(exhaustive) == 10 and built == collections.Counter(exhaustive)
 
 
+def test_criterion_4_maps_each_case_in_at_most_two_calls(monkeypatch):
+    # one schutzenberger_all call for the sample (and, on the sampled E6
+    # case, the elements it raises to), one for the images not mapped yet;
+    # none per sample element
+    calls = collections.Counter()
+    xi_all = crystals.schutzenberger_all
+
+    def counted(elements):
+        elements = list(elements)
+        calls[bat.describe(elements[0].seq) if elements else "no elements"] += 1
+        return xi_all(elements)
+
+    monkeypatch.setattr(crystals, "schutzenberger_all", counted)
+    result = bat.suite_crystal_coherence(CASES, rng_seed=0)
+    assert result.passed and result.checks == FULL_CHECKS["crystal-coherence"]
+    assert 1 <= calls["D4:(1,1,1,1)"] <= 2 and 1 <= calls["E6:(1,6,1,6)"] <= 2
+    assert set(calls) == {bat.describe(s) for s in CASES}
+    assert max(calls.values()) <= 2
+
+
 def test_criterion_4_catches_a_descent_that_skips_a_letter(monkeypatch):
     # without the last S_i of w0 the descent stops short of the bottom, and
     # replaying the raising record from there leaves the crystal

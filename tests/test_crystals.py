@@ -388,6 +388,48 @@ class TestProperties:
             assert commutor_rotate(path_bijection(p)) == path_bijection(rotate(p))
 
 
+def kashiwara(rs, i, factors):
+    """(eps_i, phi_i, e_i b, f_i b) of b = head (x) tail by Kashiwara's
+    two-factor rule, recursing on the tail; e_i b and f_i b are factor
+    tuples, None for the crystal zero.  On one factor, e_i and f_i are
+    s_i where the pairing is -1 and +1.  Lowering acts on the head when
+    phi(head) > eps(tail), raising when phi(head) >= eps(tail)."""
+    head, tail = factors[0], factors[1:]
+    a = head[i - 1]
+    eps_h, phi_h = max(0, -a), max(0, a)
+    up_h = (simple_reflection(rs, i, head),) if a == -1 else None
+    down_h = (simple_reflection(rs, i, head),) if a == 1 else None
+    if not tail:
+        return eps_h, phi_h, up_h, down_h
+    eps_t, phi_t, up_t, down_t = kashiwara(rs, i, tail)
+    eps = eps_h + max(0, eps_t - phi_h)
+    ph = phi_t + max(0, phi_h - eps_t)
+    if phi_h >= eps_t:
+        up = None if up_h is None else up_h + tail
+    else:
+        up = (head,) + up_t
+    if phi_h > eps_t:
+        down = down_h + tail
+    else:
+        down = None if down_t is None else (head,) + down_t
+    return eps, ph, up, down
+
+
+class TestKashiwaraOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(elements())
+    def test_operators_match_the_tensor_rule(self, b):
+        rs = b.seq.rs
+        for i in range(1, rs.rank + 1):
+            eps, ph, up, down = kashiwara(rs, i, b.factors)
+            assert (epsilon(i, b), phi(i, b)) == (eps, ph)
+            for direction, want in (("raise", up), ("lower", down)):
+                got = crystal_op(direction, i, b)
+                assert (None if got is None else got.factors) == want
+                if got is not None:
+                    assert got.seq is b.seq and revalidated(got) == got
+
+
 @st.composite
 def samples(draw):
     """A sequence and a sample of its crystal: drawn elements together with

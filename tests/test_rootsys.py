@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import minuscule
 from minuscule import rootsys
+from minuscule.crystals import TensorCrystalElement, crystal_op, epsilon, phi
 from minuscule.errors import InvalidIndex, InvalidType, OrbitTooLarge
 from minuscule.rootsys import (
     apply_word,
@@ -23,6 +24,7 @@ from minuscule.rootsys import (
     two_rho_pairing,
     weyl_orbit,
 )
+from minuscule.paths import WeightSequence
 
 # closed-form data used as oracles, independent of the closure algorithm
 POSITIVE_ROOT_COUNTS = {
@@ -94,6 +96,36 @@ def test_g2_has_six_positive_coroots():
 def test_invalid_types(family, rank):
     with pytest.raises(InvalidType):
         build_root_system(family, rank)
+
+
+def _index_calls():
+    """Every public function that takes a simple-root index or a rank, as a
+    call of that one argument, with the error a bad value must raise."""
+    a2 = build_root_system("A", 2)
+    b = TensorCrystalElement(WeightSequence(a2, ((1, 0), (1, 0))), ((1, 0), (0, -1)))
+    return {
+        "build_root_system": (lambda n: build_root_system("A", n), InvalidType),
+        "fundamental_weight": (a2.fundamental_weight, InvalidIndex),
+        "simple_reflection": (lambda i: simple_reflection(a2, i, (1, 0)), InvalidIndex),
+        "apply_word": (lambda i: apply_word(a2, (2, i), (1, 0)), InvalidIndex),
+        "dual_index": (lambda i: dual_index(a2, i), InvalidIndex),
+        "crystal_op raise": (lambda i: crystal_op("raise", i, b), InvalidIndex),
+        "crystal_op lower": (lambda i: crystal_op("lower", i, b), InvalidIndex),
+        "epsilon": (lambda i: epsilon(i, b), InvalidIndex),
+        "phi": (lambda i: phi(i, b), InvalidIndex),
+    }
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 1.5, 2.0, "1", None, (1,)], ids=repr)
+@pytest.mark.parametrize("name", list(_index_calls()))
+def test_indices_and_ranks_must_be_int(name, bad):
+    # bool and float values equal to 1 or 2 would pass a range check, read
+    # a coordinate or hit a cache entry of that int; each must be refused
+    call, error = _index_calls()[name]
+    call(1)  # the int is accepted, and any cache now holds it
+    call(2)
+    with pytest.raises(error):
+        call(bad)
 
 
 @pytest.mark.parametrize("family", "ABCD")
