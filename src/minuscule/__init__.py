@@ -2,7 +2,7 @@
 tableau promotion, crystal commutors, Kostka-Foulkes polynomials, and
 cyclic-sieving verification."""
 
-from .errors import MinusculeError
+from .errors import InvalidWeight, MinusculeError
 from .rootsys import (
     RootSystem,
     apply_word,
@@ -41,6 +41,7 @@ from .csp import CSPReport, csp_check, cyclotomic, eval_matches, type_a_csp_poly
 __version__ = "0.1.0"
 
 __all__ = [
+    "InvalidWeight",
     "MinusculeError",
     "RootSystem",
     "apply_word",

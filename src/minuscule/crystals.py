@@ -10,12 +10,12 @@ adjacent "+-" pairs, then lowering acts at the leftmost surviving '+' and
 raising at the rightmost surviving '-'.  The crystal zero is represented
 by ``None``; it is a value, never an error.
 
-The surviving signs always read '-'^a '+'^p, so a whole operator string
-is one pass over the factors: e_i^c flips the rightmost c surviving '-',
-f_i^c the leftmost c surviving '+'.  Kashiwara's Weyl-group action S_i
-reflects an element within its i-string; it flips the leftmost p - a '+'
-or the rightmost a - p '-'.  Along a reduced word of w0, the S_i carry a
-highest-weight element to the lowest-weight element of its component.
+The surviving signs always read '-'^a '+'^p: e_i^c flips the rightmost
+c surviving '-', f_i^c the leftmost c surviving '+'.  Kashiwara's
+Weyl-group action S_i reflects an element within its i-string; it is
+f_i^(p-a) or e_i^(a-p), applied one operator at a time (``_reflect``).
+Along a reduced word of w0, the S_i carry a highest-weight element to
+the lowest-weight element of its component.
 
 The Schutzenberger involution xi is fixed one component at a time: every
 element of a component rises to the same top, and the descent from that
@@ -27,31 +27,24 @@ top met and stops each ascent at the first element already mapped.
 The commutor b_1 (x) c -> xi(c) (x) xi(b_1) needs none of that on an
 invariant.  There b_1 = lambda_1 and c is lowest weight in its component
 (phi_i(c) = 0 for every i, see ``commutor_rotate``), so xi(c) is the top
-of c's component, one ascent away, and xi(b_1) = w0.lambda_1 is a
-table lookup.  ``schutzenberger_all`` stays the general algorithm.
+of c's component, one ascent away, and xi(b_1) = w0.lambda_1 is
+-omega_{i*} for lambda_1 = omega_i.  ``schutzenberger_all`` stays the
+general algorithm.
 
-The one-step public operators ``crystal_op``, ``epsilon`` and ``phi``
-read the signs straight off the weights, in one pass (``_string``):
-``w[i-1]`` is the pairing of a factor with alpha_i_vee, and the one
-factor an operator moves changes by +-alpha_i, column i of the Cartan
-matrix (``_simple_roots``).  Nothing is encoded for them.
-
-The kernels that take many steps on one element work on integer ids
-instead: the Schutzenberger ascent, descent and replay,
-``commutor_rotate``, and ``is_highest_weight``, which checks every
-candidate of the invariant search.  There each factor is its index in
-the sorted union of the orbits of the sequence's own distinct weights.
-Read-only tables, built once per (root system, distinct weights), give
-each id's pairing with every simple coroot, its id after every simple
-reflection and its id after w0 (``_tables``), so signatures, strings, S_i and the replay are lookups
-over a list of ints; such a kernel encodes its input once (``_encode``)
-and decodes its result once (``_decode``).  The ascent to a component's
-top takes one e_i per step, at the smallest index that can still raise,
-found by one pass over the factors (``_to_highest``).  That xi does not
-depend on this choice is the local rule xi(b) = e_{i*} xi(e_i b) at
-every i with e_i b nonzero, which the battery checks with the public
-weight-level operators, so the id kernels and a second implementation
-of e_i check each other.
+Every kernel works on the factor weights themselves.  ``w[i-1]`` is the
+pairing of a factor with alpha_i_vee, so one pass over the factors reads
+an i-string off the weights (``_string``), and every kernel reads its
+signs that way: ``crystal_op``, ``epsilon`` and ``phi``, Kashiwara's S_i,
+the replay, and the search for the smallest index that can still raise
+(``_unmatched``), which is also the highest-weight test of every
+candidate of the invariant search.  A factor that e_i or f_i moves
+changes by +-alpha_i, column i of the Cartan matrix (``_simple_roots``),
+and the descent reads a reduced word of w0 (``_w0_word``); both are kept
+once per root system, and no orbit is enumerated to run a kernel.  The
+ascent to a component's top takes one e_i per step, at the smallest
+index that can still raise (``_to_highest``).  That xi does not depend
+on this choice is the local rule xi(b) = e_{i*} xi(e_i b) at every i
+with e_i b nonzero, which the battery checks with the public operators.
 
 Validation happens once, where data enters: the public
 ``TensorCrystalElement`` constructor checks that it gets a list of
@@ -66,7 +59,6 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from types import MappingProxyType
 
 from .errors import (
     AlgorithmInvariantViolated,
@@ -76,12 +68,11 @@ from .errors import (
     NotInvariant,
 )
 from .paths import LittelmannPath, WeightSequence, _add, _budget, _int_lists, _orbit_set, _sub
-from .paths import _tables as _path_tables
+from .paths import _tables as _path_memos
 from .rootsys import (
     Weight,
     _check_index,
     dual_index,
-    simple_reflection,
     to_dominant,
     weyl_orbit,
 )
@@ -125,125 +116,17 @@ class TensorCrystalElement:
         return {"factors": [list(f) for f in self.factors]}
 
 
-class _IdTables:
-    """Read-only id tables for the factors of a sequence over ``rs`` whose
-    distinct weights are ``lams``.
-
-    ``weights`` is the sorted union of the orbits of those weights, and a
-    factor's id is its position there; only these orbits are enumerated,
-    never those of the other minuscule weights, which can be far larger.
-    For the 0-based index j of alpha_(j+1): ``pair[j][id]`` is the pairing
-    of the weight with the coroot, in {-1, 0, 1}, and ``refl[j][id]`` is
-    the id after the simple reflection.  ``ups[id]`` and ``downs[id]``
-    list the j where the pairing is +1 and -1.  ``w0`` is a reduced word
-    of the longest element, ``w0_image[id]`` the id of w0 applied to the
-    weight, and ``dual[j]`` the dual index of j + 1.
-    """
-
-    __slots__ = ("weights", "index", "pair", "refl", "ups", "downs", "w0", "w0_image",
-                 "dual")
-
-    def __init__(self, rs, lams):
-        weights = tuple(sorted(set().union(*(weyl_orbit(rs, lam) for lam in lams))))
-        index = {w: k for k, w in enumerate(weights)}
-        span = range(rs.rank)
-        self.weights = weights
-        self.index = MappingProxyType(index)  # cached and shared: read only
-        self.pair = tuple(tuple(w[j] for w in weights) for j in span)
-        self.refl = tuple(tuple(index[simple_reflection(rs, j + 1, w)] for w in weights)
-                          for j in span)
-        self.ups = tuple(tuple(j for j in span if w[j] == 1) for w in weights)
-        self.downs = tuple(tuple(j for j in span if w[j] == -1) for w in weights)
-        self.w0 = to_dominant(rs, (-1,) * rs.rank)[1]  # w0 sends -rho to rho
-        image = list(range(len(weights)))
-        for i in reversed(self.w0):
-            refl = self.refl[i - 1]
-            image = [refl[x] for x in image]
-        self.w0_image = tuple(image)
-        self.dual = tuple(dual_index(rs, j + 1) for j in span)
-
-
-@functools.lru_cache(maxsize=None)
-def _tables(rs, lams: frozenset) -> _IdTables:
-    """The id tables of ``rs`` and a set of distinct weights, built once."""
-    return _IdTables(rs, lams)
-
-
-def _encode(b: TensorCrystalElement) -> tuple[_IdTables, list[int]]:
-    """The tables of ``b``'s sequence and its factors as a list of ids."""
-    t = _tables(b.seq.rs, frozenset(b.seq.weights))
-    index = t.index
-    return t, [index[f] for f in b.factors]
-
-
-def _decode(seq: WeightSequence, t: _IdTables, ids) -> TensorCrystalElement:
-    weights = t.weights
-    return TensorCrystalElement._trusted(seq, tuple([weights[x] for x in ids]))
-
-
-def _signature(t: _IdTables, ids, i: int):
-    """Surviving signs at alpha_i after cancelling "+-": the positions of
-    the factors left with a '-' and of those left with a '+', both
-    ascending.  Every surviving '-' lies left of every surviving '+'."""
-    pair = t.pair[i - 1]
-    minus: list[int] = []
-    plus: list[int] = []
-    for k, x in enumerate(ids):
-        a = pair[x]
-        if a == 1:
-            plus.append(k)
-        elif a == -1:
-            if plus:
-                plus.pop()
-            else:
-                minus.append(k)
-    return minus, plus
-
-
-def _unmatched(t: _IdTables, ids):
-    """Every index in one pass over the factors: for each 0-based j, the
-    number of surviving '+' (phi) and the position of the rightmost
-    surviving '-' (-1 when eps is 0)."""
-    n = len(t.pair)
-    plus = [0] * n
-    last = [-1] * n
-    ups, downs = t.ups, t.downs
-    for k, x in enumerate(ids):
-        for j in downs[x]:
-            if plus[j]:
-                plus[j] -= 1
-            else:
-                last[j] = k
-        for j in ups[x]:
-            plus[j] += 1
-    return plus, last
-
-
-def _is_invariant(t: _IdTables, ids) -> bool:
-    # weight zero and highest weight: every eps and then every phi is 0
-    plus, last = _unmatched(t, ids)
-    return not any(plus) and max(last) < 0
-
-
-def _flip(t: _IdTables, ids: list, i: int, positions):
-    """Reflect the listed factors at alpha_i, in place."""
-    refl = t.refl[i - 1]
-    for k in positions:
-        ids[k] = refl[ids[k]]
-
-
-def _reflect(t: _IdTables, ids: list, i: int):
-    """Kashiwara's S_i in place: f_i^(p-a) or e_i^(a-p) along the i-string."""
-    minus, plus = _signature(t, ids, i)
-    a, p = len(minus), len(plus)
-    _flip(t, ids, i, plus[:p - a] if p > a else minus[p:])
-
-
 @functools.lru_cache(maxsize=None)
 def _simple_roots(rs) -> tuple[Weight, ...]:
     """alpha_1..alpha_rank in the fundamental-weight basis: the columns of
     the Cartan matrix."""
     return tuple(zip(*rs.cartan))
+
+
+@functools.lru_cache(maxsize=None)
+def _w0_word(rs) -> tuple[int, ...]:
+    """A reduced word of the longest element w0, which sends -rho to rho."""
+    return to_dominant(rs, (-1,) * rs.rank)[1]
 
 
 def _string(factors, j: int):
@@ -268,6 +151,45 @@ def _string(factors, j: int):
                 eps += 1
                 last = k
     return eps, plus, last, first if plus else -1
+
+
+def _unmatched(factors):
+    """The first index that can still raise: the smallest 0-based j with
+    eps > 0 and the position of its rightmost surviving '-', or ``None``
+    at a top, where every eps is 0."""
+    for j in range(len(factors[0])):
+        k = _string(factors, j)[2]
+        if k >= 0:
+            return j, k
+    return None
+
+
+def _is_invariant(factors) -> bool:
+    # highest weight (every eps is 0) and weight zero, so every phi is 0
+    return _unmatched(factors) is None and not any(map(sum, zip(*factors)))
+
+
+def _flip(factors: list, j: int, k: int, roots, moves: dict):
+    """Reflect factor k at alpha_(j+1), in place: it pairs to +-1 with the
+    coroot, so it moves by -+alpha_(j+1), column j of ``roots``.  ``moves``
+    maps (j, factor) to the moved factor over the root system of
+    ``roots``, so each move is computed once per call and the states a
+    call keeps share their factors."""
+    f = factors[k]
+    moved = moves.get((j, f))
+    if moved is None:
+        move = operator.sub if f[j] == 1 else operator.add
+        moved = moves[j, f] = tuple(map(move, f, roots[j]))
+    factors[k] = moved
+
+
+def _reflect(factors: list, j: int, roots, moves: dict):
+    """Kashiwara's S_(j+1) in place: f^(p-a) or e^(a-p) along the string,
+    one move at a time."""
+    a, p = _string(factors, j)[:2]
+    pick = 3 if p > a else 2  # the leftmost '+' or the rightmost '-'
+    for _ in range(abs(p - a)):
+        _flip(factors, j, _string(factors, j)[pick], roots, moves)
 
 
 def crystal_op(direction: str, i: int, b: TensorCrystalElement):
@@ -302,12 +224,11 @@ def phi(i: int, b: TensorCrystalElement) -> int:
 
 
 def is_highest_weight(b: TensorCrystalElement) -> bool:
-    _, last = _unmatched(*_encode(b))
-    return max(last) < 0
+    return _unmatched(b.factors) is None
 
 
 def is_invariant(b: TensorCrystalElement) -> bool:
-    return _is_invariant(*_encode(b))
+    return _is_invariant(b.factors)
 
 
 def all_elements(seq: WeightSequence):
@@ -350,8 +271,8 @@ def invariant_elements(seq: WeightSequence, cap: int = DEFAULT_NODE_CAP) -> tupl
     rs = seq.rs
     m = len(seq)
     budget = _budget(seq)
-    moves = [_path_tables(rs, lam).moves for lam in seq.weights]
-    closing = _path_tables(rs, seq.weights[-1]).shift_id
+    moves = [_path_memos(rs, lam).moves for lam in seq.weights]
+    closing = _path_memos(rs, seq.weights[-1]).shift_id
 
     visited = 0
     out = []
@@ -383,39 +304,38 @@ def invariant_elements(seq: WeightSequence, cap: int = DEFAULT_NODE_CAP) -> tupl
     return tuple(out)
 
 
-def _to_highest(t: _IdTables, ids: list, known) -> list:
-    """Raise ``ids`` in place toward the top of its connected component and
-    return the steps taken, in order, each as ``(i, state)``: the index i
-    of the e_i applied and the state (tuple of ids) it was applied to.
+def _to_highest(rs, factors: list, known, moves: dict) -> list:
+    """Raise ``factors`` in place toward the top of its connected component
+    and return the steps taken, in order, each as ``(i, state)``: the index
+    i of the e_i applied and the state (tuple of factors) it was applied to.
 
     Each step is a single e_i at the smallest index with eps_i > 0, which
-    one pass over the factors finds together with that index's rightmost
+    one scan (``_unmatched``) finds together with that index's rightmost
     surviving '-'.  The ascent stops at a top, or at the first state in
     ``known``, a map keyed on states, before scanning it.
     """
+    roots = _simple_roots(rs)
     record: list = []
-    refl = t.refl
     while True:
-        state = tuple(ids)
+        state = tuple(factors)
         if state in known:
             return record
-        _, last = _unmatched(t, ids)
-        for j, k in enumerate(last):
-            if k >= 0:
-                break
-        else:
+        found = _unmatched(factors)
+        if found is None:
             return record
+        j, k = found
         record.append((j + 1, state))
-        ids[k] = refl[j][ids[k]]
+        _flip(factors, j, k, roots, moves)
 
 
-def _to_lowest(t: _IdTables, ids: list):
-    """Move the highest-weight ``ids`` in place to the lowest-weight
+def _to_lowest(rs, factors: list, moves: dict):
+    """Move the highest-weight ``factors`` in place to the lowest-weight
     element of its component: Kashiwara's S_i along a reduced word of w0.
     As w0 is an involution, the word's letters may be applied in either
     order."""
-    for i in t.w0:
-        _reflect(t, ids, i)
+    roots = _simple_roots(rs)
+    for i in _w0_word(rs):
+        _reflect(factors, i - 1, roots, moves)
 
 
 def schutzenberger_all(elements) -> list[TensorCrystalElement]:
@@ -433,39 +353,41 @@ def schutzenberger_all(elements) -> list[TensorCrystalElement]:
     Every element of a component rises to the same top, and the descent
     from that top depends on nothing else.  The ascent is fixed as well:
     its record from b is i followed by its record from e_i b.
-    ``images`` maps each state met in this call to its image and is
-    dropped when the call returns.  The ascent stops at the first state
-    already in it, or at a top, which is descended once; the replay walks
-    the trail back down one e_{i*} at a time and files the image of every
+    ``known`` maps each state met in this call to its image, and
+    ``moves`` each factor moved to its image (see ``_flip``); both are
+    kept per root system, as A3 and C3 share weight tuples, and dropped
+    when the call returns.  The ascent stops at the first state already
+    known, or at a top, which is descended once; the replay walks the
+    trail back down one e_{i*} at a time and files the image of every
     state on it, so a new element costs one ascent step and a repeat
     costs none.
 
-    The work happens on factor ids: each element is encoded once on the
-    way in and its image decoded once on the way out.  The input was
-    validated when it was built, and every step maps ids inside their
-    orbits, so nothing is re-checked.
+    The input was validated when it was built, and every step moves a
+    factor inside its orbit, so nothing is re-checked.
     """
-    images: dict = {}  # tables -> {state: image state}
+    # root system -> ({state: image state}, {(j, factor): moved factor})
+    maps: dict = {}
     out = []
     for b in elements:
-        t, ids = _encode(b)
-        known = images.setdefault(t, {})
-        steps = _to_highest(t, ids, known)
-        end = tuple(ids)
+        rs = b.seq.rs
+        roots = _simple_roots(rs)
+        factors = list(b.factors)
+        known, moves = maps.setdefault(rs, ({}, {}))
+        steps = _to_highest(rs, factors, known, moves)
+        end = tuple(factors)
         image = known.get(end)
         if image is None:  # a top not met before
-            _to_lowest(t, ids)
-            image = known[end] = tuple(ids)
-        ids = list(image)
-        dual = t.dual
+            _to_lowest(rs, factors, moves)
+            image = known[end] = tuple(factors)
+        factors = list(image)
         for i, state in reversed(steps):
-            j = dual[i - 1]
-            minus, _ = _signature(t, ids, j)
-            if not minus:  # would signal a bug
+            j = dual_index(rs, i) - 1
+            k = _string(factors, j)[2]
+            if k < 0:  # would signal a bug
                 raise AlgorithmInvariantViolated("replay of the raising record left the crystal")
-            _flip(t, ids, j, minus[-1:])
-            known[state] = tuple(ids)
-        out.append(_decode(b.seq, t, ids))
+            _flip(factors, j, k, roots, moves)
+            known[state] = tuple(factors)
+        out.append(TensorCrystalElement._trusted(b.seq, tuple(factors)))
     return out
 
 
@@ -488,21 +410,26 @@ def commutor_rotate(b: TensorCrystalElement) -> TensorCrystalElement:
     <lambda_1, alpha_i_vee>; with wt(c) = -lambda_1 that gives
     phi_i(c) = eps_i(c) - <lambda_1, alpha_i_vee> <= 0 for every i: c is
     the lowest-weight element of its component.
-    Then xi(c) is the top of that component, which one ascent
-    reaches, and xi(b_1) = w0.lambda_1, one lookup in ``w0_image``.  The
-    descent by S_i and the replay of the general involution never run.
+    Then xi(c) is the top of that component, which one ascent reaches,
+    and xi(b_1) = w0.lambda_1.  A minuscule lambda_1 is some omega_i, and
+    -w0.omega_i is the dominant representative of -omega_i, which is
+    omega_{i*}; so xi(b_1) = -omega_{i*}.  The descent by S_i and the
+    replay of the general involution never run.
 
-    Both parts are factors of one sequence, so one encoding serves both.
     The input must be invariant and the output is checked to be."""
-    t, ids = _encode(b)
-    if not _is_invariant(t, ids):
+    if not _is_invariant(b.factors):
         raise NotInvariant("commutor rotation is defined on invariant elements only")
-    out = ids[1:]
-    _to_highest(t, out, {})
-    out.append(t.w0_image[ids[0]])
-    if not _is_invariant(t, out):  # pragma: no cover - would signal a bug
+    rs = b.seq.rs
+    roots = _simple_roots(rs)
+    out = list(b.factors[1:])
+    moves: dict = {}
+    while (found := _unmatched(out)) is not None:  # the ascent, with no record
+        _flip(out, *found, roots, moves)
+    i = b.factors[0].index(1) + 1  # b_1 = lambda_1 = omega_i
+    out.append(_sub(rs.zero(), rs.fundamental_weight(dual_index(rs, i))))
+    if not _is_invariant(out):  # pragma: no cover - would signal a bug
         raise AlgorithmInvariantViolated("rotated element is no longer invariant")
-    return _decode(b.seq.rotated(1), t, out)
+    return TensorCrystalElement._trusted(b.seq.rotated(1), tuple(out))
 
 
 def path_bijection(p: LittelmannPath) -> TensorCrystalElement:

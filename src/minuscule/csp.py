@@ -99,7 +99,10 @@ def type_a_csp_polynomial(seq: WeightSequence) -> IntPolynomial:
 
 @dataclass(frozen=True)
 class CSPInstance:
-    """A checked sieving triple; ``csp_check`` validates before building it."""
+    """A sieving triple as a plain record: the sequence, the rotation step
+    ell, the order r of that rotation and the polynomial.  It checks
+    nothing; ``csp_check`` fills it in after ``orbit_structure`` and the
+    root-lattice test have accepted the input."""
 
     seq: WeightSequence
     ell: int

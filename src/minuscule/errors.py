@@ -13,6 +13,10 @@ class InvalidIndex(MinusculeError):
     """Simple-reflection or crystal-operator index out of range."""
 
 
+class InvalidWeight(MinusculeError):
+    """A weight is not a list or tuple of ``rank`` int entries."""
+
+
 class OrbitTooLarge(MinusculeError):
     """Weyl orbit enumeration exceeded the configured cap."""
 

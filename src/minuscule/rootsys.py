@@ -23,7 +23,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidIndex, InvalidType, OrbitTooLarge
+from .errors import InvalidIndex, InvalidType, InvalidWeight, OrbitTooLarge
 
 Weight = tuple  # tuple[int, ...] in the fundamental-weight basis
 
@@ -163,9 +163,24 @@ def _check_index(rs: RootSystem, i: int):
         raise InvalidIndex(f"index {i} out of range for {rs}")
 
 
+def _check_weight(rs: RootSystem, w: Weight):
+    """A weight of ``rs`` is a list or tuple of exactly ``rank`` ints;
+    ``bool`` and ``float`` entries are refused like any other type."""
+    if (not isinstance(w, (list, tuple)) or len(w) != rs.rank
+            or any(type(x) is not int for x in w)):
+        raise InvalidWeight(f"{w!r} is not a weight of {rs}: it needs {rs.rank} int entries")
+
+
 def simple_reflection(rs: RootSystem, i: int, w: Weight) -> Weight:
     """Reflect ``w`` at the i-th simple root: w - <w, alpha_i_vee> alpha_i."""
     _check_index(rs, i)
+    _check_weight(rs, w)
+    return _simple_reflection(rs, i, w)
+
+
+def _simple_reflection(rs: RootSystem, i: int, w: Weight) -> Weight:
+    """w - <w, alpha_i_vee> alpha_i for an index and a weight already
+    checked."""
     c = w[i - 1]
     if c == 0:
         return tuple(w)
@@ -173,9 +188,12 @@ def simple_reflection(rs: RootSystem, i: int, w: Weight) -> Weight:
 
 
 def apply_word(rs: RootSystem, letters: tuple[int, ...], w: Weight) -> Weight:
-    """Apply the simple reflections ``letters`` (1-based), right to left."""
+    """Apply the simple reflections ``letters`` (1-based), right to left.
+    The weight is checked once and every letter as it is applied."""
+    _check_weight(rs, w)
     for i in reversed(letters):
-        w = simple_reflection(rs, i, w)
+        _check_index(rs, i)
+        w = _simple_reflection(rs, i, w)
     return w
 
 
@@ -200,8 +218,10 @@ def to_dominant(rs: RootSystem, w: Weight) -> tuple[Weight, tuple[int, ...]]:
     Each step is ``simple_reflection`` done in place on a list: coordinate
     i with value x becomes -x, and only the coordinates j where column i of
     the Cartan matrix is nonzero off the diagonal move, by -x * cartan[j][i].
-    ``simple_reflection`` stays the reference that ``apply_word`` uses.
+    ``_simple_reflection`` stays the reference that ``simple_reflection``
+    and ``apply_word`` use.
     """
+    _check_weight(rs, w)
     columns = _cartan_columns(rs)
     n = rs.rank
     w = list(w)
@@ -223,7 +243,10 @@ def to_dominant(rs: RootSystem, w: Weight) -> tuple[Weight, tuple[int, ...]]:
 
 def weyl_orbit(rs: RootSystem, w: Weight) -> tuple[Weight, ...]:
     """Full Weyl orbit of ``w``, sorted and cached.  The one place orbits
-    are capped: past ``DEFAULT_ORBIT_CAP`` elements it raises ``OrbitTooLarge``."""
+    are capped: past ``DEFAULT_ORBIT_CAP`` elements it raises ``OrbitTooLarge``.
+    The weight is checked before the cache, which would take ``(True, 0)``
+    for the entry of ``(1, 0)``."""
+    _check_weight(rs, w)
     return _orbit(rs, tuple(w))
 
 
@@ -235,7 +258,7 @@ def _orbit(rs, w):
         fresh = []
         for v in frontier:
             for i in range(1, rs.rank + 1):
-                img = simple_reflection(rs, i, v)
+                img = _simple_reflection(rs, i, v)
                 if img not in seen:
                     seen.add(img)
                     fresh.append(img)
@@ -262,6 +285,7 @@ def minuscule_weights(rs: RootSystem) -> tuple[Weight, ...]:
 
 def two_rho_pairing(rs: RootSystem, w: Weight) -> int:
     """Pairing of ``w`` with the sum of the positive coroots."""
+    _check_weight(rs, w)
     return sum(a * b for a, b in zip(w, rs.two_rho_covector))
 
 
@@ -285,6 +309,7 @@ def _cartan_inverse(rs: RootSystem):
 
 def in_root_lattice(rs: RootSystem, w: Weight) -> bool:
     """True iff ``w`` is an integer combination of the simple roots."""
+    _check_weight(rs, w)
     inv = _cartan_inverse(rs)
     for row in inv:
         coeff = sum(f * c for f, c in zip(row, w))

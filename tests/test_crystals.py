@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 from minuscule.crystals import (
     DEFAULT_NODE_CAP,
     TensorCrystalElement,
-    _decode,
-    _encode,
+    _flip,
     _reflect,
-    _tables,
+    _simple_roots,
     _to_highest,
     _to_lowest,
+    _w0_word,
     all_elements,
     commutor_rotate,
     crystal_op,
@@ -131,9 +132,9 @@ class TestCrystalOp:
                 x = b
                 for _ in range(abs(n)):
                     x = crystal_op("lower" if n > 0 else "raise", i, x)
-                t, ids = _encode(b)
-                _reflect(t, ids, i)
-                assert _decode(seq, t, ids).factors == x.factors
+                factors = list(b.factors)
+                _reflect(factors, i - 1, _simple_roots(rs), {})
+                assert tuple(factors) == x.factors
 
 
 class TestHighestLowest:
@@ -340,12 +341,14 @@ class TestProperties:
     @settings(max_examples=80, deadline=None)
     @given(elements())
     def test_lowest_of_top_has_no_phi(self, b):
-        t, ids = _encode(b)
-        _to_highest(t, ids, {})
-        assert is_highest_weight(_decode(b.seq, t, ids))
-        _to_lowest(t, ids)
-        low = _decode(b.seq, t, ids)
-        assert all(phi(i, low) == 0 for i in range(1, b.seq.rs.rank + 1))
+        rs = b.seq.rs
+        factors = list(b.factors)
+        _to_highest(rs, factors, {}, {})
+        assert is_highest_weight(TensorCrystalElement._trusted(b.seq, tuple(factors)))
+        _to_lowest(rs, factors, {})
+        low = TensorCrystalElement._trusted(b.seq, tuple(factors))
+        assert revalidated(low) == low
+        assert all(phi(i, low) == 0 for i in range(1, rs.rank + 1))
 
     @settings(max_examples=80, deadline=None)
     @given(elements())
@@ -415,6 +418,39 @@ def kashiwara(rs, i, factors):
     return eps, ph, up, down
 
 
+@st.composite
+def walks(draw):
+    """Elements of every minuscule type, half of them drawn so that each
+    factor keeps the running weight dominant (there is always one: the
+    orbit's dominant weight), so highest-weight elements are common."""
+    seq = draw(sequences())
+    rs = seq.rs
+    dominant = draw(st.booleans())
+    total = rs.zero()
+    factors = []
+    for lam in seq.weights:
+        orbit = weyl_orbit(rs, lam)
+        if dominant:
+            orbit = [f for f in orbit if all(a + x >= 0 for a, x in zip(total, f))]
+        f = draw(st.sampled_from(orbit))
+        factors.append(f)
+        total = tuple(a + x for a, x in zip(total, f))
+    return TensorCrystalElement(seq, tuple(factors))
+
+
+class TestPathOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(walks())
+    def test_highest_weight_is_a_dominant_path(self, b):
+        # a tensor element is highest weight exactly when its partial sums,
+        # the points of its path, are all dominant; it is invariant when
+        # the path also closes at zero
+        points = list(itertools.accumulate(b.factors, lambda p, f: tuple(map(sum, zip(p, f)))))
+        dominant = all(min(p) >= 0 for p in points)
+        assert is_highest_weight(b) == dominant
+        assert is_invariant(b) == (dominant and not any(points[-1]))
+
+
 class TestKashiwaraOracle:
     @settings(max_examples=200, deadline=None)
     @given(elements())
@@ -460,6 +496,17 @@ class TestSchutzenbergerAll:
     def test_empty_sample(self):
         assert schutzenberger_all(()) == []
 
+    def test_one_call_keeps_root_systems_apart(self):
+        # both elements have the factors ((1,0,0), (1,-1,0)), and their
+        # images differ, so one map keyed on factors alone would mix them
+        A3, C3 = build_root_system("A", 3), build_root_system("C", 3)
+        a = elem(WeightSequence(A3, ((1, 0, 0), (0, 0, 1))), (1, 0, 0), (1, -1, 0))
+        c = elem(WeightSequence(C3, ((1, 0, 0), (1, 0, 0))), (1, 0, 0), (1, -1, 0))
+        assert schutzenberger(a).factors == ((0, 0, -1), (0, 1, -1))
+        assert schutzenberger(c).factors == ((-1, 1, 0), (-1, 0, 0))
+        for pair in ([a, c], [c, a]):
+            assert schutzenberger_all(pair) == [schutzenberger(b) for b in pair]
+
     def test_one_descent_per_top_and_the_memo_dies_with_the_call(self, monkeypatch):
         seq = WeightSequence(A1, (W,) * 4)
         sample = list(all_elements(seq))
@@ -469,22 +516,23 @@ class TestSchutzenbergerAll:
         expected = [schutzenberger(b) for b in sample]
         descents = []
 
-        def counted(t, ids):
-            descents.append(tuple(ids))
-            _to_lowest(t, ids)
+        def counted(rs, factors, moves):
+            descents.append(tuple(factors))
+            _to_lowest(rs, factors, moves)
 
         before = dict(vars(crystals))
-        tables = crystals._tables.cache_info().currsize
+        caches = [f.cache_info().currsize for f in (_simple_roots, _w0_word)]
         monkeypatch.setattr(crystals, "_to_lowest", counted)
         for _ in range(2):
             descents.clear()
             assert schutzenberger_all(sample) == expected
             assert len(descents) == len(set(descents)) == tops
         monkeypatch.undo()
-        # nothing new at module level, no binding replaced, no table built
+        # nothing new at module level, no binding replaced, and the only
+        # caches, one entry per root system, hold nothing new
         assert vars(crystals).keys() == before.keys()
         assert all(vars(crystals)[name] is value for name, value in before.items())
-        assert crystals._tables.cache_info().currsize == tables
+        assert [f.cache_info().currsize for f in (_simple_roots, _w0_word)] == caches
 
     @pytest.mark.parametrize("shuffled", [False, True])
     def test_one_scan_per_element_on_the_default_route(self, monkeypatch, shuffled):
@@ -497,9 +545,9 @@ class TestSchutzenbergerAll:
         scans = []
         unmatched = crystals._unmatched
 
-        def counted(t, ids):
+        def counted(factors):
             scans.append(1)
-            return unmatched(t, ids)
+            return unmatched(factors)
 
         monkeypatch.setattr(crystals, "_unmatched", counted)
         assert schutzenberger_all(sample) == expected
@@ -507,37 +555,43 @@ class TestSchutzenbergerAll:
 
 
 class TestIdTables:
+    # the only tables the kernels read, one entry per root system: the
+    # simple-root columns that move a factor and the reduced word of w0
     @pytest.mark.parametrize("family,rank", MINUSCULE_TYPES)
     def test_tables_reproduce_reflections_and_pairings(self, family, rank):
         rs = build_root_system(family, rank)
-        lams = minuscule_weights(rs)
-        t = _tables(rs, frozenset(lams))
-        assert t.weights == tuple(sorted(set().union(*(weyl_orbit(rs, lam) for lam in lams))))
-        for k, w in enumerate(t.weights):
-            assert t.index[w] == k
-            for i in range(1, rs.rank + 1):
-                reflected = simple_reflection(rs, i, w)
-                # s_i(w) = w - <w, alpha_i_vee> alpha_i, and alpha_i has 2 at i
-                pairing = (w[i - 1] - reflected[i - 1]) // 2
-                assert t.pair[i - 1][k] == pairing in (-1, 0, 1)
-                assert t.weights[t.refl[i - 1][k]] == reflected
-                assert (i - 1 in t.ups[k], i - 1 in t.downs[k]) == (pairing == 1, pairing == -1)
+        roots = _simple_roots(rs)
+        moves = {}
+        for lam in minuscule_weights(rs):
+            for w in weyl_orbit(rs, lam):
+                for i in range(1, rs.rank + 1):
+                    reflected = simple_reflection(rs, i, w)
+                    # s_i(w) = w - <w, alpha_i_vee> alpha_i, and alpha_i has 2 at i
+                    pairing = (w[i - 1] - reflected[i - 1]) // 2
+                    assert w[i - 1] == pairing in (-1, 0, 1)
+                    if pairing:
+                        # a move by the column is s_i, computed once per call
+                        factors, again = [w], [w]
+                        _flip(factors, i - 1, 0, roots, moves)
+                        _flip(again, i - 1, 0, roots, moves)
+                        assert factors == [reflected] and again[0] is factors[0]
 
     @pytest.mark.parametrize("family,rank", MINUSCULE_TYPES)
     def test_w0_column(self, family, rank):
         rs = build_root_system(family, rank)
-        lams = minuscule_weights(rs)
-        t = _tables(rs, frozenset(lams))
-        # rho has trivial stabilizer, so only w0 sends it to -rho
-        assert apply_word(rs, t.w0, (1,) * rank) == (-1,) * rank
-        for k, w in enumerate(t.weights):
-            image = t.w0_image[k]
-            assert t.weights[image] == apply_word(rs, t.w0, w)
-            assert t.w0_image[image] == k
-        for lam in lams:
+        w0 = _w0_word(rs)
+        # rho has trivial stabilizer, so only w0 sends it to -rho; a reduced
+        # word has one letter per positive root
+        assert apply_word(rs, w0, (1,) * rank) == (-1,) * rank
+        assert len(w0) == len(rs.positive_coroots)
+        for lam in minuscule_weights(rs):
             seq = WeightSequence(rs, (lam,))
+            # the commutor's xi(lambda) = w0.lambda = -omega_{i*}
+            star = rs.fundamental_weight(dual_index(rs, lam.index(1) + 1))
+            assert apply_word(rs, w0, lam) == tuple(-x for x in star)
             for w in weyl_orbit(rs, lam):
-                lowest = t.weights[t.w0_image[t.index[w]]]
+                lowest = apply_word(rs, w0, w)
+                assert apply_word(rs, w0, lowest) == w
                 assert schutzenberger(elem(seq, w)).factors == (lowest,)
 
     def test_tables_cover_only_the_sequences_own_orbits(self):
@@ -547,7 +601,6 @@ class TestIdTables:
         with pytest.raises(OrbitTooLarge):
             weyl_orbit(A15, A15.fundamental_weight(8))
         seq = WeightSequence(A15, (A15.fundamental_weight(1), A15.fundamental_weight(15)))
-        assert len(_tables(A15, frozenset(seq.weights)).weights) == 32
         for b in all_elements(seq):
             xi = schutzenberger(b)
             assert schutzenberger(xi) == b

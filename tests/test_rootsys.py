@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import minuscule
 from minuscule import rootsys
 from minuscule.crystals import TensorCrystalElement, crystal_op, epsilon, phi
-from minuscule.errors import InvalidIndex, InvalidType, OrbitTooLarge
+from minuscule.errors import InvalidIndex, InvalidType, InvalidWeight, OrbitTooLarge
 from minuscule.rootsys import (
     apply_word,
     build_root_system,
@@ -125,6 +125,37 @@ def test_indices_and_ranks_must_be_int(name, bad):
     call(1)  # the int is accepted, and any cache now holds it
     call(2)
     with pytest.raises(error):
+        call(bad)
+
+
+def _weight_calls():
+    """Every public rootsys function that takes a weight, as a call of that
+    one argument over A2."""
+    a2 = build_root_system("A", 2)
+    return {
+        "simple_reflection": lambda w: simple_reflection(a2, 1, w),
+        "apply_word": lambda w: apply_word(a2, (1, 2), w),
+        "apply_word empty": lambda w: apply_word(a2, (), w),
+        "to_dominant": lambda w: to_dominant(a2, w),
+        "weyl_orbit": lambda w: weyl_orbit(a2, w),
+        "in_root_lattice": lambda w: in_root_lattice(a2, w),
+        "two_rho_pairing": lambda w: two_rho_pairing(a2, w),
+    }
+
+
+@pytest.mark.parametrize("bad", [
+    (1.5, 0), (1.0, 0), (True, 0), ("1", 0), (None, 0), (1,), (1, 0, 0), (), 10, "10", None,
+    {1: 0, 2: 0},
+], ids=repr)
+@pytest.mark.parametrize("name", list(_weight_calls()))
+def test_weights_must_be_rank_ints(name, bad):
+    # a float or bool entry would reflect to a non-weight or hit the cache
+    # entry of the equal int weight; a wrong length would read past the
+    # rank or build a mixed-length orbit; each must be refused
+    call = _weight_calls()[name]
+    call((1, 0))  # the int weight is accepted, and any cache now holds it
+    call([0, 1])
+    with pytest.raises(InvalidWeight):
         call(bad)
 
 
