@@ -38,10 +38,11 @@ signs that way: ``crystal_op``, ``epsilon`` and ``phi``, Kashiwara's S_i,
 the replay, and the search for the smallest index that can still raise
 (``_unmatched``), which is also the highest-weight test of every
 candidate of the invariant search.  A factor that e_i or f_i moves
-changes by +-alpha_i, column i of the Cartan matrix (``_simple_roots``),
-and the descent reads a reduced word of w0 (``_w0_word``); both are kept
-once per root system, and no orbit is enumerated to run a kernel.  The
-ascent to a component's top takes one e_i per step, at the smallest
+changes by +-alpha_i, column i of the Cartan matrix; the descent reads
+a reduced word of w0, and the replay and the commutor read the dual
+indices i*.  All three are fields of the root system (``simple_roots``,
+``w0_word``, ``duals``), and no orbit is enumerated to run a kernel.
+The ascent to a component's top takes one e_i per step, at the smallest
 index that can still raise (``_to_highest``).  That xi does not depend
 on this choice is the local rule xi(b) = e_{i*} xi(e_i b) at every i
 with e_i b nonzero, which the battery checks with the public operators.
@@ -55,7 +56,6 @@ with the unchecked ``TensorCrystalElement._trusted``.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -69,13 +69,7 @@ from .errors import (
 )
 from .paths import LittelmannPath, WeightSequence, _add, _budget, _int_lists, _orbit_set, _sub
 from .paths import _tables as _path_memos
-from .rootsys import (
-    Weight,
-    _check_index,
-    dual_index,
-    to_dominant,
-    weyl_orbit,
-)
+from .rootsys import Weight, _check_index, weyl_orbit
 
 DEFAULT_NODE_CAP = 5_000_000
 
@@ -114,19 +108,6 @@ class TensorCrystalElement:
 
     def to_json_dict(self):
         return {"factors": [list(f) for f in self.factors]}
-
-
-@functools.lru_cache(maxsize=None)
-def _simple_roots(rs) -> tuple[Weight, ...]:
-    """alpha_1..alpha_rank in the fundamental-weight basis: the columns of
-    the Cartan matrix."""
-    return tuple(zip(*rs.cartan))
-
-
-@functools.lru_cache(maxsize=None)
-def _w0_word(rs) -> tuple[int, ...]:
-    """A reduced word of the longest element w0, which sends -rho to rho."""
-    return to_dominant(rs, (-1,) * rs.rank)[1]
 
 
 def _string(factors, j: int):
@@ -209,7 +190,7 @@ def crystal_op(direction: str, i: int, b: TensorCrystalElement):
         raise InvalidIndex(f"unknown direction {direction!r}")
     if k < 0:
         return None
-    moved = tuple(map(move, factors[k], _simple_roots(seq.rs)[i - 1]))
+    moved = tuple(map(move, factors[k], seq.rs.simple_roots[i - 1]))
     return TensorCrystalElement._trusted(seq, (*factors[:k], moved, *factors[k + 1:]))
 
 
@@ -314,7 +295,7 @@ def _to_highest(rs, factors: list, known, moves: dict) -> list:
     surviving '-'.  The ascent stops at a top, or at the first state in
     ``known``, a map keyed on states, before scanning it.
     """
-    roots = _simple_roots(rs)
+    roots = rs.simple_roots
     record: list = []
     while True:
         state = tuple(factors)
@@ -333,8 +314,8 @@ def _to_lowest(rs, factors: list, moves: dict):
     element of its component: Kashiwara's S_i along a reduced word of w0.
     As w0 is an involution, the word's letters may be applied in either
     order."""
-    roots = _simple_roots(rs)
-    for i in _w0_word(rs):
+    roots = rs.simple_roots
+    for i in rs.w0_word:
         _reflect(factors, i - 1, roots, moves)
 
 
@@ -370,7 +351,7 @@ def schutzenberger_all(elements) -> list[TensorCrystalElement]:
     out = []
     for b in elements:
         rs = b.seq.rs
-        roots = _simple_roots(rs)
+        roots = rs.simple_roots
         factors = list(b.factors)
         known, moves = maps.setdefault(rs, ({}, {}))
         steps = _to_highest(rs, factors, known, moves)
@@ -381,7 +362,7 @@ def schutzenberger_all(elements) -> list[TensorCrystalElement]:
             image = known[end] = tuple(factors)
         factors = list(image)
         for i, state in reversed(steps):
-            j = dual_index(rs, i) - 1
+            j = rs.duals[i - 1] - 1
             k = _string(factors, j)[2]
             if k < 0:  # would signal a bug
                 raise AlgorithmInvariantViolated("replay of the raising record left the crystal")
@@ -420,13 +401,13 @@ def commutor_rotate(b: TensorCrystalElement) -> TensorCrystalElement:
     if not _is_invariant(b.factors):
         raise NotInvariant("commutor rotation is defined on invariant elements only")
     rs = b.seq.rs
-    roots = _simple_roots(rs)
+    roots = rs.simple_roots
     out = list(b.factors[1:])
     moves: dict = {}
     while (found := _unmatched(out)) is not None:  # the ascent, with no record
         _flip(out, *found, roots, moves)
     i = b.factors[0].index(1) + 1  # b_1 = lambda_1 = omega_i
-    out.append(_sub(rs.zero(), rs.fundamental_weight(dual_index(rs, i))))
+    out.append(_sub(rs.zero(), rs.fundamental_weight(rs.duals[i - 1])))
     if not _is_invariant(out):  # pragma: no cover - would signal a bug
         raise AlgorithmInvariantViolated("rotated element is no longer invariant")
     return TensorCrystalElement._trusted(b.seq.rotated(1), tuple(out))

@@ -15,15 +15,19 @@ Conventions, fixed once for the whole package:
 Every object here is immutable and every function is pure.  A root system
 is built once per type and process by ``build_root_system`` and equals
 only itself; pickling one and loading it again returns that process's
-instance of the same type.
+instance of the same type.  Besides the Cartan matrix C, its positive
+coroots and their sum, it carries what the kernels derive from C, built
+with it: ``simple_roots`` (the columns of C), their off-diagonal support
+``columns`` that ``to_dominant`` walks, a reduced word ``w0_word`` of w0,
+the dual indices ``duals`` (w0.omega_i = -omega_{i*}), and ``lattice``,
+the pair (det C, det C * C^-1) of the integer root-lattice test.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import InvalidIndex, InvalidType, InvalidWeight, OrbitTooLarge
+from .errors import AlgorithmInvariantViolated, InvalidIndex, InvalidType, InvalidWeight, OrbitTooLarge
 
 Weight = tuple  # tuple[int, ...] in the fundamental-weight basis
 
@@ -46,6 +50,11 @@ class RootSystem:
     cartan: tuple[tuple[int, ...], ...]
     positive_coroots: tuple[tuple[int, ...], ...]
     two_rho_covector: tuple[int, ...]
+    simple_roots: tuple[Weight, ...]
+    columns: tuple[tuple[tuple[int, int], ...], ...]
+    w0_word: tuple[int, ...]
+    duals: tuple[int, ...]
+    lattice: tuple[int, tuple[tuple[int, ...], ...]]
 
     def __reduce__(self):
         return build_root_system, (self.family, self.rank)
@@ -153,7 +162,62 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     cartan = _cartan_matrix(family, rank)
     coroots = _positive_coroots(cartan)
     two_rho = tuple(sum(c[i] for c in coroots) for i in range(rank))
-    return RootSystem(family, rank, cartan, coroots, two_rho)
+    roots = tuple(zip(*cartan))
+    columns = tuple(tuple((j, a) for j, a in enumerate(root) if j != i and a)
+                    for i, root in enumerate(roots))
+    w0 = _straighten(columns, [-1] * rank)  # -rho to rho
+    w0.reverse()
+    return RootSystem(family, rank, cartan, coroots, two_rho, roots, columns,
+                      tuple(w0), _duals(columns), _lattice(cartan))
+
+
+def _straighten(columns, w: list) -> list[int]:
+    """Reflect the list ``w`` in place at its smallest negative coordinate
+    until it is dominant; return the 1-based indices, in order.  A step at
+    i negates w[i] = x and moves only the w[j] in ``columns[i]``, the pairs
+    (j, cartan[j][i]) of nonzero entries off the diagonal, by -x * cartan[j][i]."""
+    applied = []
+    while True:
+        for i, x in enumerate(w):
+            if x < 0:
+                break
+        else:
+            return applied
+        w[i] = -x
+        for j, a in columns[i]:
+            w[j] -= x * a
+        applied.append(i + 1)
+
+
+def _duals(columns) -> tuple[int, ...]:
+    """i* for each i: -omega_i straightens to omega_{i*}; anything else
+    would signal a bug."""
+    out = []
+    for i in range(len(columns)):
+        w = [-int(j == i) for j in range(len(columns))]
+        _straighten(columns, w)
+        if sum(w) != 1 or set(w) - {0, 1}:
+            raise AlgorithmInvariantViolated(
+                f"-omega_{i + 1} did not straighten to a fundamental weight")
+        out.append(w.index(1) + 1)
+    return tuple(out)
+
+
+def _lattice(cartan) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, d * C^-1) with d = det C, by fraction-free Gauss-Jordan on [C | I]:
+    each division is exact, as every entry after step k is a minor of order
+    k + 1.  The pivots are the leading principal minors, positive for a
+    Cartan matrix, so no row is swapped, and the last pivot is d."""
+    n = len(cartan)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(cartan)]
+    d = 1
+    for k, pivot in enumerate(aug):
+        p = pivot[k]
+        for i, row in enumerate(aug):
+            if i != k:
+                aug[i] = [(p * x - row[k] * y) // d for x, y in zip(row, pivot)]
+        d = p
+    return d, tuple(tuple(row[n:]) for row in aug)
 
 
 def _check_index(rs: RootSystem, i: int):
@@ -184,7 +248,7 @@ def _simple_reflection(rs: RootSystem, i: int, w: Weight) -> Weight:
     c = w[i - 1]
     if c == 0:
         return tuple(w)
-    return tuple(w[j] - c * rs.cartan[j][i - 1] for j in range(rs.rank))
+    return tuple(x - c * a for x, a in zip(w, rs.simple_roots[i - 1]))
 
 
 def apply_word(rs: RootSystem, letters: tuple[int, ...], w: Weight) -> Weight:
@@ -197,15 +261,6 @@ def apply_word(rs: RootSystem, letters: tuple[int, ...], w: Weight) -> Weight:
     return w
 
 
-@functools.lru_cache(maxsize=None)
-def _cartan_columns(rs: RootSystem):
-    """For each 0-based i, the pairs (j, cartan[j][i]) with j != i and a
-    nonzero entry: the off-diagonal support of column i."""
-    n = rs.rank
-    return tuple(tuple((j, rs.cartan[j][i]) for j in range(n) if j != i and rs.cartan[j][i])
-                 for i in range(n))
-
-
 def to_dominant(rs: RootSystem, w: Weight) -> tuple[Weight, tuple[int, ...]]:
     """Dominant representative of the orbit of ``w`` and a minimal word to it:
     a tuple of 1-based simple-reflection indices, applied right to left.
@@ -215,28 +270,12 @@ def to_dominant(rs: RootSystem, w: Weight) -> tuple[Weight, tuple[int, ...]]:
     the word reproducible.  The word length equals the number of positive
     coroots pairing negatively with ``w``.
 
-    Each step is ``simple_reflection`` done in place on a list: coordinate
-    i with value x becomes -x, and only the coordinates j where column i of
-    the Cartan matrix is nonzero off the diagonal move, by -x * cartan[j][i].
-    ``_simple_reflection`` stays the reference that ``simple_reflection``
-    and ``apply_word`` use.
+    The steps run in place (``_straighten``); ``_simple_reflection`` stays
+    the reference that ``simple_reflection``, ``apply_word`` and orbits use.
     """
     _check_weight(rs, w)
-    columns = _cartan_columns(rs)
-    n = rs.rank
     w = list(w)
-    applied = []
-    while True:
-        for i in range(n):
-            if w[i] < 0:
-                break
-        else:
-            break
-        x = w[i]
-        w[i] = -x
-        for j, a in columns[i]:
-            w[j] -= x * a
-        applied.append(i + 1)
+    applied = _straighten(rs.columns, w)
     applied.reverse()
     return tuple(w), tuple(applied)
 
@@ -289,44 +328,15 @@ def two_rho_pairing(rs: RootSystem, w: Weight) -> int:
     return sum(a * b for a, b in zip(w, rs.two_rho_covector))
 
 
-@functools.lru_cache(maxsize=None)
-def _cartan_inverse(rs: RootSystem):
-    """Exact inverse of the Cartan matrix, as rows of Fractions."""
-    n = rs.rank
-    aug = [[Fraction(rs.cartan[i][j]) for j in range(n)]
-           + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
 def in_root_lattice(rs: RootSystem, w: Weight) -> bool:
-    """True iff ``w`` is an integer combination of the simple roots."""
+    """True iff ``w`` is an integer combination of the simple roots, that
+    is, iff every row of d * C^-1 (``rs.lattice``) pairs with it to a multiple of d."""
     _check_weight(rs, w)
-    inv = _cartan_inverse(rs)
-    for row in inv:
-        coeff = sum(f * c for f, c in zip(row, w))
-        if coeff.denominator != 1:
-            return False
-    return True
+    d, rows = rs.lattice
+    return all(sum(a * b for a, b in zip(row, w)) % d == 0 for row in rows)
 
 
-@functools.lru_cache(maxsize=None, typed=True)
 def dual_index(rs: RootSystem, i: int) -> int:
-    """Index i* with omega_{i*} the dominant representative of -omega_i.
-
-    The cache is typed, so ``True`` or ``1.0`` reaches the index check
-    instead of the entry of 1."""
+    """Index i* with omega_{i*} the dominant representative of -omega_i."""
     _check_index(rs, i)
-    neg = tuple(-x for x in rs.fundamental_weight(i))
-    dom, _ = to_dominant(rs, neg)
-    if sum(dom) != 1 or set(dom) - {0, 1}:
-        raise InvalidIndex(f"-omega_{i} did not straighten to a fundamental weight")
-    return dom.index(1) + 1
+    return rs.duals[i - 1]

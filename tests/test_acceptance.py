@@ -139,9 +139,8 @@ def test_criterion_4_catches_a_descent_that_skips_a_letter(monkeypatch):
     # without the last S_i of w0 the descent stops short of the bottom, and
     # replaying the raising record from there leaves the crystal
     def short(rs, factors, moves):
-        roots = crystals._simple_roots(rs)
-        for i in crystals._w0_word(rs)[:-1]:
-            crystals._reflect(factors, i - 1, roots, moves)
+        for i in rs.w0_word[:-1]:
+            crystals._reflect(factors, i - 1, rs.simple_roots, moves)
 
     monkeypatch.setattr(crystals, "_to_lowest", short)
     with pytest.raises(AlgorithmInvariantViolated, match="replay"):

@@ -9,10 +9,8 @@ from minuscule.crystals import (
     TensorCrystalElement,
     _flip,
     _reflect,
-    _simple_roots,
     _to_highest,
     _to_lowest,
-    _w0_word,
     all_elements,
     commutor_rotate,
     crystal_op,
@@ -133,7 +131,7 @@ class TestCrystalOp:
                 for _ in range(abs(n)):
                     x = crystal_op("lower" if n > 0 else "raise", i, x)
                 factors = list(b.factors)
-                _reflect(factors, i - 1, _simple_roots(rs), {})
+                _reflect(factors, i - 1, rs.simple_roots, {})
                 assert tuple(factors) == x.factors
 
 
@@ -521,18 +519,15 @@ class TestSchutzenbergerAll:
             _to_lowest(rs, factors, moves)
 
         before = dict(vars(crystals))
-        caches = [f.cache_info().currsize for f in (_simple_roots, _w0_word)]
         monkeypatch.setattr(crystals, "_to_lowest", counted)
         for _ in range(2):
             descents.clear()
             assert schutzenberger_all(sample) == expected
             assert len(descents) == len(set(descents)) == tops
         monkeypatch.undo()
-        # nothing new at module level, no binding replaced, and the only
-        # caches, one entry per root system, hold nothing new
+        # nothing new at module level and no binding replaced
         assert vars(crystals).keys() == before.keys()
         assert all(vars(crystals)[name] is value for name, value in before.items())
-        assert [f.cache_info().currsize for f in (_simple_roots, _w0_word)] == caches
 
     @pytest.mark.parametrize("shuffled", [False, True])
     def test_one_scan_per_element_on_the_default_route(self, monkeypatch, shuffled):
@@ -555,12 +550,12 @@ class TestSchutzenbergerAll:
 
 
 class TestIdTables:
-    # the only tables the kernels read, one entry per root system: the
-    # simple-root columns that move a factor and the reduced word of w0
+    # the root-system data the kernels read besides the factor weights:
+    # the simple roots that move a factor and the reduced word of w0
     @pytest.mark.parametrize("family,rank", MINUSCULE_TYPES)
     def test_tables_reproduce_reflections_and_pairings(self, family, rank):
         rs = build_root_system(family, rank)
-        roots = _simple_roots(rs)
+        roots = rs.simple_roots
         moves = {}
         for lam in minuscule_weights(rs):
             for w in weyl_orbit(rs, lam):
@@ -579,11 +574,7 @@ class TestIdTables:
     @pytest.mark.parametrize("family,rank", MINUSCULE_TYPES)
     def test_w0_column(self, family, rank):
         rs = build_root_system(family, rank)
-        w0 = _w0_word(rs)
-        # rho has trivial stabilizer, so only w0 sends it to -rho; a reduced
-        # word has one letter per positive root
-        assert apply_word(rs, w0, (1,) * rank) == (-1,) * rank
-        assert len(w0) == len(rs.positive_coroots)
+        w0 = rs.w0_word  # a reduced word of w0, see tests/test_rootsys.py
         for lam in minuscule_weights(rs):
             seq = WeightSequence(rs, (lam,))
             # the commutor's xi(lambda) = w0.lambda = -omega_{i*}

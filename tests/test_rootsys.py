@@ -1,9 +1,11 @@
+import functools
 import itertools
 import math
 import os
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,13 @@ from hypothesis import given, settings, strategies as st
 import minuscule
 from minuscule import rootsys
 from minuscule.crystals import TensorCrystalElement, crystal_op, epsilon, phi
-from minuscule.errors import InvalidIndex, InvalidType, InvalidWeight, OrbitTooLarge
+from minuscule.errors import (
+    AlgorithmInvariantViolated,
+    InvalidIndex,
+    InvalidType,
+    InvalidWeight,
+    OrbitTooLarge,
+)
 from minuscule.rootsys import (
     apply_word,
     build_root_system,
@@ -268,6 +276,46 @@ def test_to_dominant_matches_repeated_simple_reflections(case):
     assert len(word) == inversions
 
 
+MAX_RANK_TYPES = [(family, rootsys.MAX_RANK) for family in "ABCD"]
+
+
+@pytest.mark.parametrize("family,rank", EVERY_FINITE_TYPE + MAX_RANK_TYPES)
+def test_simple_roots_are_the_cartan_columns(family, rank):
+    rs = build_root_system(family, rank)
+    assert len(rs.simple_roots) == rank
+    for i, root in enumerate(rs.simple_roots):
+        assert root == tuple(rs.cartan[j][i] for j in range(rank))
+
+
+@pytest.mark.parametrize("family,rank", EVERY_FINITE_TYPE + MAX_RANK_TYPES)
+def test_w0_word_is_a_reduced_word_of_w0(family, rank):
+    # rho has trivial stabilizer, so only w0 sends it to -rho, and a reduced
+    # word of w0 has one letter per positive coroot
+    rs = build_root_system(family, rank)
+    assert len(rs.w0_word) == len(rs.positive_coroots)
+    assert apply_word(rs, rs.w0_word, (1,) * rank) == (-1,) * rank
+
+
+@pytest.mark.parametrize("family,rank", EVERY_FINITE_TYPE + MAX_RANK_TYPES)
+def test_duals_are_an_involution_given_by_w0(family, rank):
+    rs = build_root_system(family, rank)
+    for i in range(1, rank + 1):
+        star = rs.duals[i - 1]
+        assert rs.duals[star - 1] == i and dual_index(rs, i) == star
+        minus_omega = tuple(-x for x in rs.fundamental_weight(i))
+        # omega_{i*} is the dominant form of -omega_i, and -w0.omega_i
+        assert to_dominant(rs, minus_omega)[0] == rs.fundamental_weight(star)
+        assert apply_word(rs, rs.w0_word, rs.fundamental_weight(star)) == minus_omega
+
+
+def test_a_dual_that_does_not_straighten_is_an_internal_error():
+    # the column support of ((2, 0), (-1, 2)), which is no Cartan matrix:
+    # there -omega_1 straightens to omega_1 + omega_2, which only a bug
+    # could produce from a root system, so it is never reported as bad input
+    with pytest.raises(AlgorithmInvariantViolated, match="omega_1"):
+        rootsys._duals((((1, -1),), ()))
+
+
 def test_weyl_orbit_examples():
     a1 = build_root_system("A", 1)
     assert weyl_orbit(a1, (1,)) == ((-1,), (1,))
@@ -343,6 +391,69 @@ def test_in_root_lattice_examples():
     assert not in_root_lattice(a1, (1,))
     a2 = build_root_system("A", 2)
     assert in_root_lattice(a2, (1, 1))
+
+
+LATTICE_TYPES = ([("A", n) for n in range(1, 10)] + [("B", n) for n in range(2, 7)]
+                 + [("C", n) for n in range(2, 7)] + [("D", n) for n in range(4, 9)]
+                 + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)] + MAX_RANK_TYPES)
+
+# det C in closed form: the index of the root lattice in the weight lattice
+DETERMINANTS = {"A": lambda n: n + 1, "B": lambda n: 2, "C": lambda n: 2, "D": lambda n: 4,
+                "E": lambda n: 9 - n, "F": lambda n: 1, "G": lambda n: 1}
+
+
+@functools.lru_cache(maxsize=None)
+def fraction_inverse(family, rank):
+    """Reference: the inverse of the Cartan matrix over the rationals, by
+    Gauss-Jordan elimination with ``Fraction`` entries and row swaps."""
+    cartan = build_root_system(family, rank).cartan
+    n = rank
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(cartan)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+@pytest.mark.parametrize("family,rank", LATTICE_TYPES)
+def test_lattice_rows_are_det_times_the_inverse(family, rank):
+    rs = build_root_system(family, rank)
+    d, rows = rs.lattice
+    assert d == DETERMINANTS[family](rank)
+    assert all(type(x) is int for row in rows for x in row)
+    product = [[sum(row[k] * rs.cartan[k][j] for k in range(rank)) for j in range(rank)]
+               for row in rows]
+    assert product == [[d * int(i == j) for j in range(rank)] for i in range(rank)]
+
+
+@st.composite
+def lattice_cases(draw):
+    """A type and a weight: either random, or a random element of the root
+    lattice shifted by a random multiple of one fundamental weight, so
+    both verdicts are drawn in every type."""
+    family, rank = draw(st.sampled_from(LATTICE_TYPES))
+    rs = build_root_system(family, rank)
+    if draw(st.booleans()):
+        return rs, tuple(draw(st.lists(st.integers(-6, 6), min_size=rank, max_size=rank)))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank))
+    w = [sum(a * c for a, c in zip(row, coeffs)) for row in rs.cartan]
+    w[draw(st.integers(0, rank - 1))] += draw(st.integers(-2, 2))
+    return rs, tuple(w)
+
+
+@settings(max_examples=500, deadline=None)
+@given(lattice_cases())
+def test_in_root_lattice_matches_a_fraction_reference(case):
+    rs, w = case
+    inverse = fraction_inverse(rs.family, rs.rank)
+    expected = all(sum(f * x for f, x in zip(row, w)).denominator == 1 for row in inverse)
+    assert in_root_lattice(rs, w) == expected
 
 
 @pytest.mark.parametrize("family,rank", SMALL_TYPES)
