@@ -10,12 +10,10 @@ adjacent "+-" pairs, then lowering acts at the leftmost surviving '+' and
 raising at the rightmost surviving '-'.  The crystal zero is represented
 by ``None``; it is a value, never an error.
 
-The surviving signs always read '-'^a '+'^p: e_i^c flips the rightmost
-c surviving '-', f_i^c the leftmost c surviving '+'.  Kashiwara's
-Weyl-group action S_i reflects an element within its i-string; it is
-f_i^(p-a) or e_i^(a-p), applied one operator at a time (``_reflect``).
-Along a reduced word of w0, the S_i carry a highest-weight element to
-the lowest-weight element of its component.
+The dual D(b_1 (x) ... (x) b_m) = (-b_m) (x) ... (x) (-b_1) swaps e_i
+and f_i (``_dual``), so it swaps the tops and the bottoms of components,
+and one walk, the ascent, finds both: the bottom of the component of a
+top h is D(top(D(h))).
 
 The Schutzenberger involution xi is fixed one component at a time: every
 element of a component rises to the same top, and the descent from that
@@ -34,25 +32,26 @@ general algorithm.
 Every kernel works on the factor weights themselves.  ``w[i-1]`` is the
 pairing of a factor with alpha_i_vee, so one pass over the factors reads
 an i-string off the weights (``_string``), and every kernel reads its
-signs that way: ``crystal_op``, ``epsilon`` and ``phi``, Kashiwara's S_i,
-the replay, and the search for the smallest index that can still raise
+signs that way: ``crystal_op``, ``epsilon`` and ``phi``, the replay,
+and the search for the smallest index that can still raise
 (``_unmatched``), which is also the highest-weight test of every
 candidate of the invariant search.  A factor that e_i or f_i moves
-changes by +-alpha_i, column i of the Cartan matrix; the descent reads
-a reduced word of w0, and the replay and the commutor read the dual
-indices i*.  All three are fields of the root system (``simple_roots``,
-``w0_word``, ``duals``), and no orbit is enumerated to run a kernel.
-The ascent to a component's top takes one e_i per step, at the smallest
-index that can still raise (``_to_highest``).  That xi does not depend
-on this choice is the local rule xi(b) = e_{i*} xi(e_i b) at every i
-with e_i b nonzero, which the battery checks with the public operators.
+changes by +-alpha_i, column i of the Cartan matrix; the ascent restarts
+its search at the Dynkin neighbours of i, and the replay and the
+commutor read the dual indices i*.  All three are fields of the root
+system (``simple_roots``, ``columns``, ``duals``), and no orbit is
+enumerated to run a kernel.  The ascent to a component's top takes one
+e_i per step, at the smallest index that can still raise
+(``_to_highest``).  That xi does not depend on this choice is the local
+rule xi(b) = e_{i*} xi(e_i b) at every i with e_i b nonzero, which the
+battery checks with the public operators.
 
 Validation happens once, where data enters: the public
 ``TensorCrystalElement`` constructor checks that it gets a list of
 ``int`` weights, one per factor, each in its orbit.  Operators,
-strings, S_i, the invariant search and the commutor only ever reflect
-factors that are already in their orbits, so they build their results
-with the unchecked ``TensorCrystalElement._trusted``.
+strings, the ascent, the invariant search and the commutor only ever
+reflect factors that are already in their orbits, so they build their
+results with the unchecked ``TensorCrystalElement._trusted``.
 """
 from __future__ import annotations
 
@@ -134,11 +133,11 @@ def _string(factors, j: int):
     return eps, plus, last, first if plus else -1
 
 
-def _unmatched(factors):
-    """The first index that can still raise: the smallest 0-based j with
-    eps > 0 and the position of its rightmost surviving '-', or ``None``
-    at a top, where every eps is 0."""
-    for j in range(len(factors[0])):
+def _unmatched(factors, start=0):
+    """The first index that can still raise: the smallest 0-based j >=
+    ``start`` with eps > 0 and the position of its rightmost surviving
+    '-', or ``None`` if there is none, which from 0 means a top."""
+    for j in range(start, len(factors[0])):
         k = _string(factors, j)[2]
         if k >= 0:
             return j, k
@@ -164,13 +163,13 @@ def _flip(factors: list, j: int, k: int, roots, moves: dict):
     factors[k] = moved
 
 
-def _reflect(factors: list, j: int, roots, moves: dict):
-    """Kashiwara's S_(j+1) in place: f^(p-a) or e^(a-p) along the string,
-    one move at a time."""
-    a, p = _string(factors, j)[:2]
-    pick = 3 if p > a else 2  # the leftmost '+' or the rightmost '-'
-    for _ in range(abs(p - a)):
-        _flip(factors, j, _string(factors, j)[pick], roots, moves)
+def _dual(factors) -> list:
+    """D(b_1 (x) ... (x) b_m) = (-b_m) (x) ... (x) (-b_1), an element of the
+    crystal of (lambda_m*, ..., lambda_1*).  Reversing the factors and
+    negating each one turns each '+' into a '-' and keeps every cancelling
+    "+-" pair, so D(e_i b) = f_i D(b): D swaps e_i and f_i, and tops and
+    bottoms, and is its own inverse."""
+    return [tuple(map(operator.neg, f)) for f in reversed(factors)]
 
 
 def crystal_op(direction: str, i: int, b: TensorCrystalElement):
@@ -292,31 +291,36 @@ def _to_highest(rs, factors: list, known, moves: dict) -> list:
 
     Each step is a single e_i at the smallest index with eps_i > 0, which
     one scan (``_unmatched``) finds together with that index's rightmost
-    surviving '-'.  The ascent stops at a top, or at the first state in
-    ``known``, a map keyed on states, before scanning it.
+    surviving '-'.  An e_j changes the strings at j and at its Dynkin
+    neighbours (``rs.columns[j]``) only, and every index below j had
+    eps = 0, so the next scan starts at the smallest of these.  The
+    ascent stops at a top, or at the first state in ``known``, a map keyed
+    on states, before scanning it.
     """
-    roots = rs.simple_roots
+    roots, columns = rs.simple_roots, rs.columns
     record: list = []
+    start = 0
     while True:
         state = tuple(factors)
         if state in known:
             return record
-        found = _unmatched(factors)
+        found = _unmatched(factors, start)
         if found is None:
             return record
         j, k = found
         record.append((j + 1, state))
         _flip(factors, j, k, roots, moves)
+        start = min(j, columns[j][0][0]) if columns[j] else j
 
 
-def _to_lowest(rs, factors: list, moves: dict):
-    """Move the highest-weight ``factors`` in place to the lowest-weight
-    element of its component: Kashiwara's S_i along a reduced word of w0.
-    As w0 is an involution, the word's letters may be applied in either
-    order."""
-    roots = rs.simple_roots
-    for i in rs.w0_word:
-        _reflect(factors, i - 1, roots, moves)
+def _to_lowest(rs, factors, moves: dict) -> tuple:
+    """The lowest-weight element of the component of the top ``factors``,
+    as D(top(D(h))).  D(h) has every phi_i = 0, as h has every eps_i = 0,
+    so it is the bottom of its own component; one ascent takes it to
+    that component's top, which D maps back to the bottom of h's."""
+    dual = _dual(factors)
+    _to_highest(rs, dual, {}, moves)
+    return tuple(_dual(dual))
 
 
 def schutzenberger_all(elements) -> list[TensorCrystalElement]:
@@ -324,8 +328,8 @@ def schutzenberger_all(elements) -> list[TensorCrystalElement]:
     to each of ``elements`` in order.
 
     Raise an element to the top of its component recording indices
-    i_1..i_k in application order, move to the component's bottom by
-    Kashiwara's S_i along a reduced word of w0, then replay the record
+    i_1..i_k in application order, move to the component's bottom as
+    the dual of the ascent (``_to_lowest``), then replay the record
     backwards, one raising operator e_{i*} at the dual index per entry.
     The ascent takes one e_i per step, at the smallest index i with
     eps_i > 0.  The result does not depend on that route, which the
@@ -358,8 +362,7 @@ def schutzenberger_all(elements) -> list[TensorCrystalElement]:
         end = tuple(factors)
         image = known.get(end)
         if image is None:  # a top not met before
-            _to_lowest(rs, factors, moves)
-            image = known[end] = tuple(factors)
+            image = known[end] = _to_lowest(rs, factors, moves)
         factors = list(image)
         for i, state in reversed(steps):
             j = rs.duals[i - 1] - 1
@@ -394,18 +397,15 @@ def commutor_rotate(b: TensorCrystalElement) -> TensorCrystalElement:
     Then xi(c) is the top of that component, which one ascent reaches,
     and xi(b_1) = w0.lambda_1.  A minuscule lambda_1 is some omega_i, and
     -w0.omega_i is the dominant representative of -omega_i, which is
-    omega_{i*}; so xi(b_1) = -omega_{i*}.  The descent by S_i and the
-    replay of the general involution never run.
+    omega_{i*}; so xi(b_1) = -omega_{i*}.  The descent and the replay
+    of the general involution never run.
 
     The input must be invariant and the output is checked to be."""
     if not _is_invariant(b.factors):
         raise NotInvariant("commutor rotation is defined on invariant elements only")
     rs = b.seq.rs
-    roots = rs.simple_roots
     out = list(b.factors[1:])
-    moves: dict = {}
-    while (found := _unmatched(out)) is not None:  # the ascent, with no record
-        _flip(out, *found, roots, moves)
+    _to_highest(rs, out, {}, {})
     i = b.factors[0].index(1) + 1  # b_1 = lambda_1 = omega_i
     out.append(_sub(rs.zero(), rs.fundamental_weight(rs.duals[i - 1])))
     if not _is_invariant(out):  # pragma: no cover - would signal a bug

@@ -18,9 +18,9 @@ only itself; pickling one and loading it again returns that process's
 instance of the same type.  Besides the Cartan matrix C, its positive
 coroots and their sum, it carries what the kernels derive from C, built
 with it: ``simple_roots`` (the columns of C), their off-diagonal support
-``columns`` that ``to_dominant`` walks, a reduced word ``w0_word`` of w0,
-the dual indices ``duals`` (w0.omega_i = -omega_{i*}), and ``lattice``,
-the pair (det C, det C * C^-1) of the integer root-lattice test.
+``columns`` that ``to_dominant`` and the crystal ascent walk, the dual
+indices ``duals`` (w0.omega_i = -omega_{i*}), and ``lattice``, the pair
+(det C, det C * C^-1) of the integer root-lattice test.
 """
 from __future__ import annotations
 
@@ -52,7 +52,6 @@ class RootSystem:
     two_rho_covector: tuple[int, ...]
     simple_roots: tuple[Weight, ...]
     columns: tuple[tuple[tuple[int, int], ...], ...]
-    w0_word: tuple[int, ...]
     duals: tuple[int, ...]
     lattice: tuple[int, tuple[tuple[int, ...], ...]]
 
@@ -165,10 +164,8 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     roots = tuple(zip(*cartan))
     columns = tuple(tuple((j, a) for j, a in enumerate(root) if j != i and a)
                     for i, root in enumerate(roots))
-    w0 = _straighten(columns, [-1] * rank)  # -rho to rho
-    w0.reverse()
     return RootSystem(family, rank, cartan, coroots, two_rho, roots, columns,
-                      tuple(w0), _duals(columns), _lattice(cartan))
+                      _duals(columns), _lattice(cartan))
 
 
 def _straighten(columns, w: list) -> list[int]:

@@ -136,11 +136,15 @@ def test_criterion_4_maps_each_case_in_at_most_two_calls(monkeypatch):
 
 
 def test_criterion_4_catches_a_descent_that_skips_a_letter(monkeypatch):
-    # without the last S_i of w0 the descent stops short of the bottom, and
-    # replaying the raising record from there leaves the crystal
+    # a descent whose dual ascent stops one e_i short of the dual's top
+    # stops one f_i short of the bottom, and replaying the raising record
+    # from there leaves the crystal
     def short(rs, factors, moves):
-        for i in rs.w0_word[:-1]:
-            crystals._reflect(factors, i - 1, rs.simple_roots, moves)
+        dual = crystals._dual(factors)
+        steps = crystals._to_highest(rs, dual, {}, moves)
+        if steps:
+            dual = steps[-1][1]
+        return tuple(crystals._dual(dual))
 
     monkeypatch.setattr(crystals, "_to_lowest", short)
     with pytest.raises(AlgorithmInvariantViolated, match="replay"):

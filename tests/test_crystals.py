@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from minuscule.crystals import (
     DEFAULT_NODE_CAP,
     TensorCrystalElement,
+    _dual,
     _flip,
-    _reflect,
+    _string,
     _to_highest,
     _to_lowest,
     all_elements,
@@ -24,7 +25,7 @@ from minuscule.crystals import (
     schutzenberger,
     schutzenberger_all,
 )
-from minuscule import crystals, paths
+from minuscule import battery, crystals, paths
 from minuscule.errors import EnumerationTooLarge, InvalidIndex, NotInvariant, OrbitTooLarge
 from minuscule.kostka import invariant_dim
 from minuscule.paths import WeightSequence, enumerate_paths, rotate
@@ -35,6 +36,7 @@ from minuscule.rootsys import (
     in_root_lattice,
     minuscule_weights,
     simple_reflection,
+    to_dominant,
     weyl_orbit,
 )
 
@@ -57,6 +59,21 @@ SMALL_SEQUENCES = [
 
 def elem(seq, *factors):
     return TensorCrystalElement(seq, tuple(factors))
+
+
+def _reflect(factors: list, j: int, roots, moves: dict):
+    """Kashiwara's S_(j+1) in place: f^(p-a) or e^(a-p) along the string,
+    one move at a time.  Along a reduced word of w0 the S_i carry a top to
+    the bottom of its component, the reference for ``_to_lowest``."""
+    a, p = _string(factors, j)[:2]
+    pick = 3 if p > a else 2  # the leftmost '+' or the rightmost '-'
+    for _ in range(abs(p - a)):
+        _flip(factors, j, _string(factors, j)[pick], roots, moves)
+
+
+def w0_word(rs):
+    """A reduced word of w0: the minimal word that straightens -rho."""
+    return to_dominant(rs, (-1,) * rs.rank)[1]
 
 
 class TestCrystalOp:
@@ -292,6 +309,17 @@ def test_crystal_size():
 # Random minuscule sequences from every family that has minuscule weights.
 MINUSCULE_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 5), ("B", 2), ("B", 4),
                    ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("E", 6), ("E", 7)]
+WALK_TYPES = ([("A", n) for n in range(1, 6)] + [(f, n) for f in "BC" for n in (2, 3, 4)]
+              + [("D", n) for n in (4, 5, 6)] + [("E", 6), ("E", 7)])
+
+
+def dual_element(b):
+    """D(b) = (-b_m) (x) ... (x) (-b_1), through the checking constructor
+    over the reversed dual sequence (lambda_m*, ..., lambda_1*)."""
+    rs = b.seq.rs
+    weights = tuple(rs.fundamental_weight(dual_index(rs, lam.index(1) + 1))
+                    for lam in reversed(b.seq.weights))
+    return TensorCrystalElement(WeightSequence(rs, weights), tuple(_dual(b.factors)))
 
 
 @st.composite
@@ -318,8 +346,8 @@ def _closed(seq):
 
 
 @st.composite
-def elements(draw):
-    seq = draw(sequences())
+def elements(draw, types=MINUSCULE_TYPES):
+    seq = draw(sequences(types))
     factors = tuple(draw(st.sampled_from(weyl_orbit(seq.rs, lam))) for lam in seq.weights)
     return TensorCrystalElement(seq, factors)
 
@@ -343,8 +371,7 @@ class TestProperties:
         factors = list(b.factors)
         _to_highest(rs, factors, {}, {})
         assert is_highest_weight(TensorCrystalElement._trusted(b.seq, tuple(factors)))
-        _to_lowest(rs, factors, {})
-        low = TensorCrystalElement._trusted(b.seq, tuple(factors))
+        low = TensorCrystalElement._trusted(b.seq, _to_lowest(rs, factors, {}))
         assert revalidated(low) == low
         assert all(phi(i, low) == 0 for i in range(1, rs.rank + 1))
 
@@ -516,7 +543,7 @@ class TestSchutzenbergerAll:
 
         def counted(rs, factors, moves):
             descents.append(tuple(factors))
-            _to_lowest(rs, factors, moves)
+            return _to_lowest(rs, factors, moves)
 
         before = dict(vars(crystals))
         monkeypatch.setattr(crystals, "_to_lowest", counted)
@@ -532,26 +559,99 @@ class TestSchutzenbergerAll:
     @pytest.mark.parametrize("shuffled", [False, True])
     def test_one_scan_per_element_on_the_default_route(self, monkeypatch, shuffled):
         # the ascent stops at the first state mapped earlier in the call, so
-        # over a whole crystal each element is scanned exactly once
+        # over a whole crystal each element is scanned exactly once; apart
+        # from those, each top's descent makes one ascent of its dual
         sample = list(all_elements(WeightSequence(D4, (D4.fundamental_weight(1),) * 4)))
         if shuffled:
             random.Random(13).shuffle(sample)
+        tops = sum(1 for b in sample if is_highest_weight(b))
         expected = [schutzenberger(b) for b in sample]
-        scans = []
-        unmatched = crystals._unmatched
+        descending = [False]
+        scans = {False: 0, True: 0}
+        ascents = {False: 0, True: 0}
+        unmatched, to_highest, to_lowest = crystals._unmatched, crystals._to_highest, crystals._to_lowest
 
-        def counted(factors):
-            scans.append(1)
-            return unmatched(factors)
+        def counted_scan(factors, start=0):
+            scans[descending[0]] += 1
+            return unmatched(factors, start)
 
-        monkeypatch.setattr(crystals, "_unmatched", counted)
+        def counted_ascent(rs, factors, known, moves):
+            ascents[descending[0]] += 1
+            return to_highest(rs, factors, known, moves)
+
+        def counted_descent(rs, factors, moves):
+            descending[0] = True
+            bottom = to_lowest(rs, factors, moves)
+            descending[0] = False
+            return bottom
+
+        monkeypatch.setattr(crystals, "_unmatched", counted_scan)
+        monkeypatch.setattr(crystals, "_to_highest", counted_ascent)
+        monkeypatch.setattr(crystals, "_to_lowest", counted_descent)
         assert schutzenberger_all(sample) == expected
-        assert len(sample) == len(scans) == 4096
+        assert len(sample) == scans[False] == ascents[False] == 4096
+        assert ascents[True] == tops
+
+    def test_string_scans_of_the_coherence_suite_are_pinned(self, monkeypatch):
+        # every sign scan of one full crystal-coherence run, operators and
+        # walks together; a change that walks more fails here
+        calls = []
+        string = crystals._string
+
+        def counted(factors, j):
+            calls.append(1)
+            return string(factors, j)
+
+        monkeypatch.setattr(crystals, "_string", counted)
+        result = battery.suite_crystal_coherence(battery.standard_battery(), 0)
+        assert result.passed and len(calls) == 111_899
+
+
+class TestOneWalk:
+    """The ascent is the only walk: it finds a component's top, and as the
+    dual D swaps e_i and f_i, the bottom as D(top(D(h)))."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(elements(WALK_TYPES))
+    def test_dual_swaps_raising_and_lowering(self, b):
+        d = dual_element(b)
+        assert tuple(_dual(d.factors)) == b.factors
+        for i in range(1, b.seq.rs.rank + 1):
+            for op, swapped in (("raise", "lower"), ("lower", "raise")):
+                image = crystal_op(op, i, b)
+                want = None if image is None else dual_element(image)
+                assert crystal_op(swapped, i, d) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(elements(WALK_TYPES))
+    def test_bottom_is_the_kashiwara_descent_along_w0(self, b):
+        rs = b.seq.rs
+        top = list(b.factors)
+        _to_highest(rs, top, {}, {})
+        low = list(top)
+        for i in w0_word(rs):
+            _reflect(low, i - 1, rs.simple_roots, {})
+        assert _to_lowest(rs, top, {}) == tuple(low)
+
+    @settings(max_examples=100, deadline=None)
+    @given(elements(WALK_TYPES))
+    def test_restarted_ascent_takes_the_rescanning_route(self, b):
+        # the reference rescans every index from 1 before each e_i
+        rs = b.seq.rs
+        for start in (b, dual_element(b)):
+            route, x = [], start
+            while (i := next((i for i in range(1, rs.rank + 1) if epsilon(i, x)), 0)):
+                route.append((i, x.factors))
+                x = crystal_op("raise", i, x)
+            factors = list(start.factors)
+            assert _to_highest(rs, factors, {}, {}) == route
+            assert tuple(factors) == x.factors
 
 
 class TestIdTables:
     # the root-system data the kernels read besides the factor weights:
-    # the simple roots that move a factor and the reduced word of w0
+    # the simple roots that move a factor and w0, which maps each one-factor
+    # element to its image under xi
     @pytest.mark.parametrize("family,rank", MINUSCULE_TYPES)
     def test_tables_reproduce_reflections_and_pairings(self, family, rank):
         rs = build_root_system(family, rank)
@@ -574,7 +674,7 @@ class TestIdTables:
     @pytest.mark.parametrize("family,rank", MINUSCULE_TYPES)
     def test_w0_column(self, family, rank):
         rs = build_root_system(family, rank)
-        w0 = rs.w0_word  # a reduced word of w0, see tests/test_rootsys.py
+        w0 = w0_word(rs)
         for lam in minuscule_weights(rs):
             seq = WeightSequence(rs, (lam,))
             # the commutor's xi(lambda) = w0.lambda = -omega_{i*}
