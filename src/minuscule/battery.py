@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 
 from . import crystals, csp, kostka, paths, rootsys, tableaux
 from .errors import NotInRootLattice
 from .paths import WeightSequence
 from .poly import IntPolynomial
+from .records import Record
 
 
 def _seq(family, rank, indices):
@@ -55,12 +55,11 @@ EXHAUSTIVE_CRYSTAL_LIMIT = 10_000
 CRYSTAL_SAMPLE = 300
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    passed: bool
-    checks: int
-    failures: list[str] = field(default_factory=list)
+class SuiteResult(Record):
+    __slots__ = ("name", "passed", "checks", "failures")
+
+    def __init__(self, name: str, passed: bool, checks: int, failures: list[str] | None = None):
+        self._fill(name, passed, checks, [] if failures is None else failures)
 
     def fail(self, message: str):
         self.passed = False

@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 
 from .errors import (
     AlgorithmInvariantViolated,
@@ -68,19 +67,22 @@ from .errors import (
 )
 from .paths import LittelmannPath, WeightSequence, _add, _budget, _int_lists, _orbit_set, _sub
 from .paths import _tables as _path_memos
+from .records import FrozenRecord
 from .rootsys import Weight, _check_index, weyl_orbit
 
 DEFAULT_NODE_CAP = 5_000_000
 
 
-@dataclass(frozen=True, slots=True)
-class TensorCrystalElement:
+class TensorCrystalElement(FrozenRecord):
     """An element b_1 (x) ... (x) b_m, one orbit weight per tensor factor."""
 
-    seq: WeightSequence
-    factors: tuple[Weight, ...]
+    __slots__ = ("seq", "factors")
 
-    def __post_init__(self):
+    def __init__(self, seq: WeightSequence, factors: tuple[Weight, ...]):
+        self._fill(seq, factors)
+        self._validate()
+
+    def _validate(self):
         if not _int_lists(self.factors):
             raise InvalidPath(f"factors must be a list of int weights, not {self.factors!r}")
         object.__setattr__(self, "factors", tuple(tuple(f) for f in self.factors))

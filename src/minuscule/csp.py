@@ -18,7 +18,6 @@ path enumeration are each capped.  Weyl orbits are capped in
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .errors import (
     AlgorithmInvariantViolated,
@@ -28,6 +27,7 @@ from .errors import (
 from .kostka import kostka_foulkes
 from .paths import WeightSequence, orbit_structure
 from .poly import IntPolynomial
+from .records import FrozenRecord
 from .rootsys import in_root_lattice, two_rho_pairing
 
 
@@ -97,25 +97,24 @@ def type_a_csp_polynomial(seq: WeightSequence) -> IntPolynomial:
     return kostka_foulkes((n,) * b, content).shift(exponent2 // 2)
 
 
-@dataclass(frozen=True)
-class CSPInstance:
+class CSPInstance(FrozenRecord):
     """A sieving triple as a plain record: the sequence, the rotation step
     ell, the order r of that rotation and the polynomial.  It checks
     nothing; ``csp_check`` fills it in after ``orbit_structure`` and the
     root-lattice test have accepted the input."""
 
-    seq: WeightSequence
-    ell: int
-    r: int
-    poly: IntPolynomial
+    __slots__ = ("seq", "ell", "r", "poly")
+
+    def __init__(self, seq: WeightSequence, ell: int, r: int, poly: IntPolynomial):
+        self._fill(seq, ell, r, poly)
 
 
-@dataclass(frozen=True)
-class CSPReport:
-    instance: CSPInstance
-    fixed_counts: tuple[int, ...]
-    evaluations_ok: tuple[bool, ...]
-    sign_diagnostic: int
+class CSPReport(FrozenRecord):
+    __slots__ = ("instance", "fixed_counts", "evaluations_ok", "sign_diagnostic")
+
+    def __init__(self, instance: CSPInstance, fixed_counts: tuple[int, ...],
+                 evaluations_ok: tuple[bool, ...], sign_diagnostic: int):
+        self._fill(instance, fixed_counts, evaluations_ok, sign_diagnostic)
 
     @property
     def verdict(self) -> str:

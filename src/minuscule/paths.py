@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
 
 from .errors import (
     AlgorithmInvariantViolated,
@@ -59,6 +58,7 @@ from .errors import (
     InvalidSequence,
     SequenceNotPeriodic,
 )
+from .records import FrozenRecord
 from .rootsys import (
     RootSystem,
     Weight,
@@ -150,14 +150,16 @@ def _tables(rs, lam) -> _PathTables:
     return _PathTables(rs, lam)
 
 
-@dataclass(frozen=True)
-class WeightSequence:
+class WeightSequence(FrozenRecord):
     """A sequence of dominant minuscule weights over a fixed root system."""
 
-    rs: RootSystem
-    weights: tuple[Weight, ...]
+    __slots__ = ("rs", "weights")
 
-    def __post_init__(self):
+    def __init__(self, rs: RootSystem, weights: tuple[Weight, ...]):
+        self._fill(rs, weights)
+        self._validate()
+
+    def _validate(self):
         if not _int_lists(self.weights):
             raise InvalidSequence(f"weights must be a list of int weights, not {self.weights!r}")
         if len(self.weights) < 1:
@@ -191,17 +193,19 @@ class WeightSequence:
         return total
 
 
-@dataclass(frozen=True)
-class LittelmannPath:
+class LittelmannPath(FrozenRecord):
     """Points gamma_1..gamma_m of a dominant path returning to the origin;
     the step into each must stay in its orbit.
 
     Every step is tested against its orbit; no memo is consulted."""
 
-    seq: WeightSequence
-    points: tuple[Weight, ...]
+    __slots__ = ("seq", "points")
 
-    def __post_init__(self):
+    def __init__(self, seq: WeightSequence, points: tuple[Weight, ...]):
+        self._fill(seq, points)
+        self._validate()
+
+    def _validate(self):
         rank = self.seq.rs.rank
         if not _int_lists(self.points) or any(len(p) != rank for p in self.points):
             raise InvalidPath(f"points must be a list of points of {rank} int coordinates, "
@@ -403,13 +407,12 @@ def rotate(p: LittelmannPath) -> LittelmannPath:
     return rotate_all((p,), 1)[0]
 
 
-@dataclass(frozen=True)
-class OrbitStructure:
-    seq: WeightSequence
-    ell: int
-    r: int
-    orbits: tuple[tuple[LittelmannPath, ...], ...]
-    fixed_counts: tuple[int, ...]
+class OrbitStructure(FrozenRecord):
+    __slots__ = ("seq", "ell", "r", "orbits", "fixed_counts")
+
+    def __init__(self, seq: WeightSequence, ell: int, r: int,
+                 orbits: tuple[tuple[LittelmannPath, ...], ...], fixed_counts: tuple[int, ...]):
+        self._fill(seq, ell, r, orbits, fixed_counts)
 
     def to_json_dict(self):
         return {

@@ -25,9 +25,9 @@ indices ``duals`` (w0.omega_i = -omega_{i*}), and ``lattice``, the pair
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .errors import AlgorithmInvariantViolated, InvalidIndex, InvalidType, InvalidWeight, OrbitTooLarge
+from .records import FrozenRecord
 
 Weight = tuple  # tuple[int, ...] in the fundamental-weight basis
 
@@ -40,20 +40,22 @@ DEFAULT_ORBIT_CAP = 10_000
 MAX_RANK = 32
 
 
-@dataclass(frozen=True, eq=False)
-class RootSystem:
+class RootSystem(FrozenRecord):
     """Cartan data of one finite type.  ``build_root_system`` builds each
     type once, so a root system equals only itself and hashes by identity."""
 
-    family: str
-    rank: int
-    cartan: tuple[tuple[int, ...], ...]
-    positive_coroots: tuple[tuple[int, ...], ...]
-    two_rho_covector: tuple[int, ...]
-    simple_roots: tuple[Weight, ...]
-    columns: tuple[tuple[tuple[int, int], ...], ...]
-    duals: tuple[int, ...]
-    lattice: tuple[int, tuple[tuple[int, ...], ...]]
+    __slots__ = ("family", "rank", "cartan", "positive_coroots", "two_rho_covector",
+                 "simple_roots", "columns", "duals", "lattice")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, family: str, rank: int, cartan: tuple[tuple[int, ...], ...],
+                 positive_coroots: tuple[tuple[int, ...], ...],
+                 two_rho_covector: tuple[int, ...], simple_roots: tuple[Weight, ...],
+                 columns: tuple[tuple[tuple[int, int], ...], ...], duals: tuple[int, ...],
+                 lattice: tuple[int, tuple[tuple[int, ...], ...]]):
+        self._fill(family, rank, cartan, positive_coroots, two_rho_covector,
+                   simple_roots, columns, duals, lattice)
 
     def __reduce__(self):
         return build_root_system, (self.family, self.rank)
@@ -130,6 +132,11 @@ def _coroot_reflection(cartan, coroot, j):
 
 
 def _positive_coroots(cartan):
+    """The positive coroots, sorted.  s_j negates alpha_j_vee and permutes
+    the other positive coroots, and each non-simple positive coroot is s_j
+    of a lower one for some j.  So the search reflects positive coroots
+    only, skips alpha_j_vee at j, and reaches every positive coroot and no
+    negative one."""
     rank = len(cartan)
     simple = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
     seen = set(simple)
@@ -138,12 +145,14 @@ def _positive_coroots(cartan):
         fresh = []
         for c in frontier:
             for j in range(rank):
+                if c == simple[j]:
+                    continue
                 img = _coroot_reflection(cartan, c, j)
                 if img not in seen:
                     seen.add(img)
                     fresh.append(img)
         frontier = fresh
-    return tuple(sorted(c for c in seen if all(x >= 0 for x in c)))
+    return tuple(sorted(seen))
 
 
 @functools.lru_cache(maxsize=None, typed=True)

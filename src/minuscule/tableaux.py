@@ -30,21 +30,24 @@ checks.  A step missing from the table has left its orbit, which is an
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import AlgorithmInvariantViolated, InvalidTableau, TypeMismatch
 from .paths import LittelmannPath, WeightSequence, _int_lists, _sub
+from .records import FrozenRecord
 from .rootsys import Weight, build_root_system, weyl_orbit
 
 
-@dataclass(frozen=True)
-class RowStrictTableau:
+class RowStrictTableau(FrozenRecord):
     """n x b array, rows strictly increasing, columns weakly increasing."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        self._fill(rows)
+        self._validate()
+
+    def _validate(self):
         if not _int_lists(self.rows):
             raise InvalidTableau(f"a tableau is a list of rows of integers, not {self.rows!r}")
         rows = tuple(tuple(row) for row in self.rows)

@@ -236,7 +236,7 @@ class TestTableauCommands:
 
     def test_promotion_that_breaks_its_invariant_exits_3(self, monkeypatch):
         # with validation off, a grid that is not column-weak reaches promote
-        monkeypatch.setattr(tableaux.RowStrictTableau, "__post_init__", lambda self: None)
+        monkeypatch.setattr(tableaux.RowStrictTableau, "_validate", lambda self: None)
         argv = ["tableau", "promote"]
         code, out, err = invoke(argv, text="[[1, 4], [5, 6], [2, 3]]")
         assert code == 3 and out == ""

@@ -287,6 +287,33 @@ def test_simple_roots_are_the_cartan_columns(family, rank):
         assert root == tuple(rs.cartan[j][i] for j in range(rank))
 
 
+def positive_coroots_by_all_reflections(cartan):
+    """Reference: close the simple coroots under every simple reflection,
+    negative coroots included, then keep the positive ones."""
+    rank = len(cartan)
+    simple = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
+    seen = set(simple)
+    frontier = list(simple)
+    while frontier:
+        fresh = []
+        for c in frontier:
+            for j in range(rank):
+                img = list(c)
+                img[j] -= sum(c[k] * cartan[k][j] for k in range(rank))
+                img = tuple(img)
+                if img not in seen:
+                    seen.add(img)
+                    fresh.append(img)
+        frontier = fresh
+    return tuple(sorted(c for c in seen if all(x >= 0 for x in c)))
+
+
+@pytest.mark.parametrize("family,rank", EVERY_FINITE_TYPE + MAX_RANK_TYPES)
+def test_positive_coroots_match_the_search_over_all_coroots(family, rank):
+    rs = build_root_system(family, rank)
+    assert rs.positive_coroots == positive_coroots_by_all_reflections(rs.cartan)
+
+
 @pytest.mark.parametrize("family,rank", EVERY_FINITE_TYPE + MAX_RANK_TYPES)
 def test_w0_word_is_a_reduced_word_of_w0(family, rank):
     # rho has trivial stabilizer, so only w0 sends it to -rho, and a reduced

@@ -31,3 +31,15 @@ def test_importing_the_package_loads_no_rational_arithmetic():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_importing_the_package_loads_no_code_generation():
+    # the records are plain slotted classes, not dataclasses; ``site`` may
+    # preload modules, so only what the import itself adds counts
+    code = ("import sys; before = set(sys.modules); "
+            "import minuscule, minuscule.battery, minuscule.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & (set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
