@@ -79,8 +79,9 @@ def _build_parser() -> _Parser:
     def add_format(p, choices=("json", "csv"), default="json"):
         p.add_argument("--format", choices=choices, default=default)
 
-    def add_cap(p, default):
-        p.add_argument("--cap", type=_cap, default=default, help="search size cap, at least 1")
+    def add_cap(p):
+        p.add_argument("--cap", type=_cap, default=paths.DEFAULT_PATH_CAP,
+                       help="most paths or invariants to find, at least 1")
 
     root = sub.add_parser("root", help="root-system queries")
     root_sub = root.add_subparsers(dest="subcommand", required=True)
@@ -100,7 +101,7 @@ def _build_parser() -> _Parser:
         else:
             add_format(p)
         if name == "enumerate":
-            add_cap(p, paths.DEFAULT_PATH_CAP)
+            add_cap(p)
         if name == "orbits":
             p.add_argument("--ell", type=int, default=1)
 
@@ -126,7 +127,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--input", default="-", help="element JSON file, - for stdin")
         else:
             add_format(p)
-            add_cap(p, crystals.DEFAULT_NODE_CAP)
+            add_cap(p)
 
     kst = sub.add_parser("kostka", help="Kostka-Foulkes polynomial")
     kst.add_argument("--shape", required=True, help="comma-separated partition")

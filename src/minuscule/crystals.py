@@ -34,11 +34,11 @@ pairing of a factor with alpha_i_vee, so one pass over the factors reads
 an i-string off the weights (``_string``), and every kernel reads its
 signs that way: ``crystal_op``, ``epsilon`` and ``phi``, the replay,
 and the search for the smallest index that can still raise
-(``_unmatched``), which is also the highest-weight test of every
-candidate of the invariant search.  A factor that e_i or f_i moves
-changes by +-alpha_i, column i of the Cartan matrix; the ascent restarts
-its search at the Dynkin neighbours of i, and the replay and the
-commutor read the dual indices i*.  All three are fields of the root
+(``_unmatched``), which from the first index is the highest-weight
+test (``is_highest_weight``).  A factor that e_i or f_i moves changes
+by +-alpha_i, column i of the Cartan matrix; the ascent restarts its
+search at the Dynkin neighbours of i, and the replay and the commutor
+read the dual indices i*.  All three are fields of the root
 system (``simple_roots``, ``columns``, ``duals``), and no orbit is
 enumerated to run a kernel.  The ascent to a component's top takes one
 e_i per step, at the smallest index that can still raise
@@ -46,31 +46,30 @@ e_i per step, at the smallest index that can still raise
 rule xi(b) = e_{i*} xi(e_i b) at every i with e_i b nonzero, which the
 battery checks with the public operators.
 
+The invariants are not searched for here.  A tensor element is highest
+weight exactly when its partial sums, the points of its path, stay
+dominant, so the invariants are the images under ``path_bijection`` of
+the closed dominant paths that ``paths.enumerate_paths`` lists, and
+``invariant_elements`` adds only the signature-rule check of each image.
+
 Validation happens once, where data enters: the public
 ``TensorCrystalElement`` constructor checks that it gets a list of
 ``int`` weights, one per factor, each in its orbit.  Operators,
-strings, the ascent, the invariant search and the commutor only ever
-reflect factors that are already in their orbits, so they build their
-results with the unchecked ``TensorCrystalElement._trusted``.
+strings, the ascent and the commutor only ever reflect factors that are
+already in their orbits, and a path's steps were checked when it was
+built, so they and ``path_bijection`` build their results with the
+unchecked ``TensorCrystalElement._trusted``.
 """
 from __future__ import annotations
 
 import itertools
 import operator
 
-from .errors import (
-    AlgorithmInvariantViolated,
-    EnumerationTooLarge,
-    InvalidIndex,
-    InvalidPath,
-    NotInvariant,
-)
-from .paths import LittelmannPath, WeightSequence, _add, _budget, _int_lists, _orbit_set, _sub
-from .paths import _tables as _path_memos
+from .errors import AlgorithmInvariantViolated, InvalidIndex, InvalidPath, NotInvariant
+from .paths import DEFAULT_PATH_CAP, LittelmannPath, WeightSequence, enumerate_paths
+from .paths import _add, _int_lists, _orbit_set, _sub
 from .records import FrozenRecord
 from .rootsys import Weight, _check_index, weyl_orbit
-
-DEFAULT_NODE_CAP = 5_000_000
 
 
 class TensorCrystalElement(FrozenRecord):
@@ -227,90 +226,51 @@ def crystal_size(seq: WeightSequence) -> int:
     return size
 
 
-def invariant_elements(seq: WeightSequence, cap: int = DEFAULT_NODE_CAP) -> tuple[TensorCrystalElement, ...]:
-    """All highest-weight elements of weight zero, sorted by factors.
-
-    Depth-first, factor by factor, on an explicit stack that pops factors
-    in increasing order, as the moves are stored reversed.  Every prefix of
-    a highest-weight element is highest weight, so a branch is cut as soon
-    as a factor leaves a '-' that no earlier '+' cancels; as minuscule
-    factors pair with each simple coroot in {-1, 0, 1}, the unmatched '+'
-    count at alpha_i is the i-th coordinate of the running weight, so the
-    cut keeps that weight dominant.  Partial weights are bounded through
-    the positive-coroot sum by ``paths._budget``, as in ``enumerate_paths``,
-    the last factor is forced to whatever cancels the running total.  So
-    every candidate has dominant prefixes and closes at zero, hence is
-    highest weight; each is still checked with ``is_highest_weight``, and
-    a failure is an ``AlgorithmInvariantViolated``.  Every node popped
-    counts toward ``cap``.
-
-    Each weight's factors and their pairings are the ``moves`` of its path
-    tables, and the running total closes exactly when it lies in the last
-    weight's ``shift_id``, the orbit of minus that weight.  The search
-    never reads ``succ``, so its count stays independent of the path
-    enumeration that the battery compares it with.
-    """
-    rs = seq.rs
-    m = len(seq)
-    budget = _budget(seq)
-    moves = [_path_memos(rs, lam).moves for lam in seq.weights]
-    closing = _path_memos(rs, seq.weights[-1]).shift_id
-
-    visited = 0
+def invariant_elements(seq: WeightSequence, cap: int = DEFAULT_PATH_CAP) -> tuple[TensorCrystalElement, ...]:
+    """All highest-weight elements of weight zero, sorted by factors: the
+    ``path_bijection`` images of ``enumerate_paths(seq, cap)``, so ``cap``
+    counts the invariants found, as it counts paths there.  Each image is
+    checked with ``is_highest_weight``, the signature rule, and a failure
+    is an ``AlgorithmInvariantViolated``."""
     out = []
-    # prefix holds the factors b_1..b_k while the node (k, partial) is expanded
-    prefix: list[Weight] = []
-    stack = [(0, rs.zero(), 0, None)]
-    while stack:
-        k, partial, height, factor = stack.pop()
-        visited += 1
-        if visited > cap:
-            raise EnumerationTooLarge(f"crystal search exceeded {cap} nodes")
-        if height > budget[k]:
-            continue
-        if k:
-            prefix[k - 1:] = [factor]
-        if k == m - 1:
-            if partial in closing:
-                last = _sub(rs.zero(), partial)
-                candidate = TensorCrystalElement._trusted(seq, tuple(prefix) + (last,))
-                if not is_highest_weight(candidate):
-                    raise AlgorithmInvariantViolated(
-                        f"search candidate {candidate.factors} is not highest weight")
-                out.append(candidate)
-            continue
-        for f, rise in moves[k]:
-            nxt = _add(partial, f)
-            if min(nxt) >= 0:
-                stack.append((k + 1, nxt, height + rise, f))
+    for p in enumerate_paths(seq, cap):
+        b = path_bijection(p)
+        if not is_highest_weight(b):
+            raise AlgorithmInvariantViolated(f"path image {b.factors} is not highest weight")
+        out.append(b)
+    out.sort(key=operator.attrgetter("factors"))
     return tuple(out)
 
 
 def _to_highest(rs, factors: list, known, moves: dict) -> list:
-    """Raise ``factors`` in place toward the top of its connected component
-    and return the steps taken, in order, each as ``(i, state)``: the index
-    i of the e_i applied and the state (tuple of factors) it was applied to.
+    """Raise ``factors`` in place toward the top of its connected component.
 
     Each step is a single e_i at the smallest index with eps_i > 0, which
     one scan (``_unmatched``) finds together with that index's rightmost
     surviving '-'.  An e_j changes the strings at j and at its Dynkin
     neighbours (``rs.columns[j]``) only, and every index below j had
-    eps = 0, so the next scan starts at the smallest of these.  The
-    ascent stops at a top, or at the first state in ``known``, a map keyed
-    on states, before scanning it.
+    eps = 0, so the next scan starts at the smallest of these.
+
+    With ``known``, a map keyed on states, the ascent stops at a top or at
+    the first state in ``known``, before scanning it, and returns the
+    steps taken, in order, each as ``(i, state)``: the index i of the e_i
+    applied and the state (tuple of factors) it was applied to.  With
+    ``known`` None it runs to the top, builds no state and returns [].
     """
     roots, columns = rs.simple_roots, rs.columns
     record: list = []
     start = 0
     while True:
-        state = tuple(factors)
-        if state in known:
-            return record
+        if known is not None:
+            state = tuple(factors)
+            if state in known:
+                return record
         found = _unmatched(factors, start)
         if found is None:
             return record
         j, k = found
-        record.append((j + 1, state))
+        if known is not None:
+            record.append((j + 1, state))
         _flip(factors, j, k, roots, moves)
         start = min(j, columns[j][0][0]) if columns[j] else j
 
@@ -321,7 +281,7 @@ def _to_lowest(rs, factors, moves: dict) -> tuple:
     so it is the bottom of its own component; one ascent takes it to
     that component's top, which D maps back to the bottom of h's."""
     dual = _dual(factors)
-    _to_highest(rs, dual, {}, moves)
+    _to_highest(rs, dual, None, moves)
     return tuple(_dual(dual))
 
 
@@ -407,7 +367,7 @@ def commutor_rotate(b: TensorCrystalElement) -> TensorCrystalElement:
         raise NotInvariant("commutor rotation is defined on invariant elements only")
     rs = b.seq.rs
     out = list(b.factors[1:])
-    _to_highest(rs, out, {}, {})
+    _to_highest(rs, out, None, {})
     i = b.factors[0].index(1) + 1  # b_1 = lambda_1 = omega_i
     out.append(_sub(rs.zero(), rs.fundamental_weight(rs.duals[i - 1])))
     if not _is_invariant(out):  # pragma: no cover - would signal a bug

@@ -297,7 +297,7 @@ def enumerate_paths(seq: WeightSequence, cap: int = DEFAULT_PATH_CAP) -> tuple[L
             if point in closing:
                 found.append(tuple(prefix) + (zero,))
                 if len(found) > cap:
-                    raise EnumerationTooLarge(f"more than {cap} paths of type {seq.weights}")
+                    raise EnumerationTooLarge(f"more than {cap} paths of {m} steps over {rs}")
             continue
         t = tables[k]
         nexts = t.succ.get(point)

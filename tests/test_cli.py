@@ -80,11 +80,13 @@ class TestPathsCommands:
         assert code == 2 and out == "" and err.startswith("error:")
 
     def test_enumerate_deep_sequence_hits_the_cap_cleanly(self):
-        # 1200 steps deep; under the default cap this would build 100k paths
+        # 1200 steps deep; under the default cap this would build 100k paths.
+        # The refusal names the size, not the 1200 weights.
         proc = run_module("paths", "enumerate", "--type", "A", "--rank", "1",
                           "--weights", ",".join(["1"] * 1200), "--cap", "50")
-        assert proc.returncode == 2 and proc.stdout == ""
-        assert "more than 50 paths" in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.returncode == 2 and proc.stdout == "" and len(proc.stderr) < 200
+        assert "more than 50 paths of 1200 steps over A1" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_enumerate_outside_root_lattice_is_empty(self):
         code, out, err = invoke(
@@ -181,11 +183,12 @@ class TestRootAndCrystal:
         assert "stray kernel error" in report["message"]
 
     def test_invariant_search_is_not_bounded_by_recursion(self):
-        # 1200 factors deep; the node cap, not the interpreter stack, stops it
+        # 1200 factors deep; the cap, not the interpreter stack, stops it
         proc = run_module("crystal", "invariants", "--type", "A", "--rank", "1",
-                          "--weights", ",".join(["1"] * 1200), "--cap", "20000")
-        assert proc.returncode == 2 and proc.stdout == ""
-        assert "exceeded 20000 nodes" in proc.stderr and "Traceback" not in proc.stderr
+                          "--weights", ",".join(["1"] * 1200), "--cap", "50")
+        assert proc.returncode == 2 and proc.stdout == "" and len(proc.stderr) < 200
+        assert "more than 50 paths of 1200 steps over A1" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestCap:

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minuscule.crystals import (
-    DEFAULT_NODE_CAP,
     TensorCrystalElement,
     _dual,
     _flip,
@@ -26,9 +25,15 @@ from minuscule.crystals import (
     schutzenberger_all,
 )
 from minuscule import battery, crystals, paths
-from minuscule.errors import EnumerationTooLarge, InvalidIndex, NotInvariant, OrbitTooLarge
+from minuscule.errors import (
+    AlgorithmInvariantViolated,
+    EnumerationTooLarge,
+    InvalidIndex,
+    NotInvariant,
+    OrbitTooLarge,
+)
 from minuscule.kostka import invariant_dim
-from minuscule.paths import WeightSequence, enumerate_paths, rotate
+from minuscule.paths import DEFAULT_PATH_CAP, WeightSequence, enumerate_paths, rotate
 from minuscule.rootsys import (
     apply_word,
     build_root_system,
@@ -185,37 +190,36 @@ class TestInvariantElements:
         with pytest.raises(EnumerationTooLarge):
             invariant_elements(WeightSequence(A1, (W,) * 8), cap=5)
 
-    @pytest.mark.parametrize("seq, nodes", [
-        (WeightSequence(A1, (W,) * 8), 64),
-        (WeightSequence(D4, (D4.fundamental_weight(1),) * 4), 12),
+    @pytest.mark.parametrize("seq, count", [
+        (WeightSequence(A1, (W,) * 8), 14),
+        (WeightSequence(D4, (D4.fundamental_weight(1),) * 4), 3),
     ])
-    def test_cap_boundary(self, seq, nodes):
-        # the exact node count of the search: it passes at the count and
-        # stops one below it
-        found = invariant_elements(seq, cap=nodes)
-        assert found == invariant_elements(seq)
+    def test_cap_boundary(self, seq, count):
+        # the cap counts invariants found: it passes at the count and stops
+        # one below it
+        found = invariant_elements(seq, cap=count)
+        assert len(found) == count and found == invariant_elements(seq)
         with pytest.raises(EnumerationTooLarge):
-            invariant_elements(seq, cap=nodes - 1)
+            invariant_elements(seq, cap=count - 1)
 
-    @pytest.mark.parametrize("seq", SMALL_SEQUENCES)
-    def test_reads_no_path_successors(self, seq, monkeypatch):
-        # the battery compares this search with path enumeration, so it must
-        # not share enumeration's successor memo
-        count = len(enumerate_paths(seq))
-        for lam in set(seq.weights):
-            monkeypatch.setattr(paths._tables(seq.rs, lam), "succ", None)
-        assert len(invariant_elements(seq)) == count
+    def test_an_image_that_breaks_the_signature_rule_is_a_bug(self, monkeypatch):
+        # (1) (x) (-1) (x) (-1) (x) (1) is a closed walk through the point
+        # -1: its first '-' cancels the '+' and the second survives
+        seq = WeightSequence(A1, (W,) * 4)
+        bad = paths.LittelmannPath._trusted(seq, ((1,), (0,), (-1,), (0,)))
+        monkeypatch.setattr(crystals, "enumerate_paths", lambda seq, cap: (bad,))
+        with pytest.raises(AlgorithmInvariantViolated, match="is not highest weight"):
+            invariant_elements(seq)
 
     def test_single_factor_has_no_invariants(self):
         assert invariant_elements(WeightSequence(A1, (W,))) == ()
 
     def test_e6_six_factors_within_the_default_cap(self):
-        # without the prefix cut this search needs 14,246,524 nodes
         E6 = build_root_system("E", 6)
         seq = WeightSequence(E6, (E6.fundamental_weight(1),) * 6)
-        found = invariant_elements(seq, cap=DEFAULT_NODE_CAP)
+        found = invariant_elements(seq, cap=DEFAULT_PATH_CAP)
         assert len(found) == len(enumerate_paths(seq)) == 15
-        assert invariant_elements(seq, cap=10_000) == found
+        assert invariant_elements(seq, cap=15) == found
 
     def test_a3_twelve_factors(self):
         assert len(invariant_elements(WeightSequence(A3, ((1, 0, 0),) * 12))) == 462
@@ -646,14 +650,17 @@ class TestOneWalk:
             factors = list(start.factors)
             assert _to_highest(rs, factors, {}, {}) == route
             assert tuple(factors) == x.factors
+            # without a map the same route records nothing
+            untracked = list(start.factors)
+            assert _to_highest(rs, untracked, None, {}) == [] and untracked == factors
 
 
-class TestIdTables:
+class TestRootSystemData:
     # the root-system data the kernels read besides the factor weights:
     # the simple roots that move a factor and w0, which maps each one-factor
     # element to its image under xi
     @pytest.mark.parametrize("family,rank", MINUSCULE_TYPES)
-    def test_tables_reproduce_reflections_and_pairings(self, family, rank):
+    def test_simple_roots_reproduce_reflections_and_pairings(self, family, rank):
         rs = build_root_system(family, rank)
         roots = rs.simple_roots
         moves = {}
@@ -672,7 +679,7 @@ class TestIdTables:
                         assert factors == [reflected] and again[0] is factors[0]
 
     @pytest.mark.parametrize("family,rank", MINUSCULE_TYPES)
-    def test_w0_column(self, family, rank):
+    def test_w0_images(self, family, rank):
         rs = build_root_system(family, rank)
         w0 = w0_word(rs)
         for lam in minuscule_weights(rs):
@@ -685,9 +692,9 @@ class TestIdTables:
                 assert apply_word(rs, w0, lowest) == w
                 assert schutzenberger(elem(seq, w)).factors == (lowest,)
 
-    def test_tables_cover_only_the_sequences_own_orbits(self):
+    def test_kernels_touch_only_the_sequences_own_orbits(self):
         # A15 also has omega_8, whose orbit of 12,870 weights is past the
-        # orbit cap; the tables of (omega_1, omega_15) must never touch it
+        # orbit cap; the kernels on (omega_1, omega_15) must never touch it
         A15 = build_root_system("A", 15)
         with pytest.raises(OrbitTooLarge):
             weyl_orbit(A15, A15.fundamental_weight(8))
