@@ -26,7 +26,7 @@ for nu, gamma in [((2, 2), (1, 1, 1, 1)),
     a, b = kostka_foulkes(nu, gamma), q_kostant(nu, gamma)
     print(f"  K[{nu}, {gamma}] = {a}   (oracle agrees: {a == b})")
 
-print("\ninvariant dimensions by iterated reflection-signed tensoring:")
+print("\ninvariant dimensions, as dominant walks counted by weight:")
 a1 = build_root_system("A", 1)
 for m in (2, 4, 6, 8, 10):
     dim = invariant_dim(WeightSequence(a1, ((1,),) * m))

@@ -1,4 +1,4 @@
-"""Kostka-Foulkes polynomials and two independent dimension oracles.
+"""Kostka-Foulkes polynomials by two independent routes, and invariant dimensions.
 
 The charge route sums q^charge over the reading words (rows left to
 right, bottom row first) of the column-strict tableaux.  The tableaux
@@ -17,10 +17,12 @@ count runs forward from the signed terms, one level per positive root,
 merged on beta as the charge route merges on its state, and a state whose
 signed terms cancel is dropped; its work, root moves and the coefficients
 each carries, is bounded by ``Q_PARTITION_CAP``, and nothing is kept
-between calls.  A third routine
-computes invariant dimensions for arbitrary types by iterated tensoring
-with reflection signs, so path and crystal counts can be checked against
-something that shares no code with them.
+between calls.  A third routine,
+``invariant_dim``, computes invariant dimensions in every type by
+iterated tensoring with reflection signs.  On a minuscule sequence every
+sign is +1, so it counts walks that stay dominant, by weight: the rule
+that ``enumerate_paths`` applies.  Checked against it, path counts test
+the enumeration's pruning, lattice test and memos, not that rule.
 
 Charge convention used throughout: within an extracted standard subword
 the index of 1 is 0 and the index of k+1 increments exactly when k+1
@@ -373,7 +375,11 @@ def invariant_dim(seq: WeightSequence) -> int:
     """Dimension of the invariant space of the tensor product of the
     sequence, by iterated orbit sums with dot-action reflection signs.
 
-    Shares no code with path or crystal enumeration, which is the point.
+    mu is dominant and x minuscule, so mu + x + rho has no negative
+    coordinate: every straightening word is empty and every sign is +1.
+    The count is then of walks that stay dominant, merged by weight, the
+    rule that ``enumerate_paths`` applies along each path; it shares that
+    rule with the enumeration, not its pruning, lattice test or memos.
     """
     rs = seq.rs
     rho = (1,) * rs.rank

@@ -272,8 +272,11 @@ def enumerate_paths(seq: WeightSequence, cap: int = DEFAULT_PATH_CAP) -> tuple[L
 
     A closed path exists only if the total weight lies in the root
     lattice; otherwise the answer is empty and no search is made, since
-    the cap counts found paths and would never stop it.
+    the cap counts found paths and would never stop it.  A ``cap`` that
+    is not an ``int`` of at least 1 is refused before any search.
     """
+    if type(cap) is not int or cap < 1:
+        raise ValueError(f"cap must be an int of at least 1, got {cap!r}")
     rs = seq.rs
     if not in_root_lattice(rs, seq.total()):
         return ()
@@ -337,8 +340,8 @@ def rotate_all(paths, k: int = 1) -> list[LittelmannPath]:
     which closes the path, is checked the same way.  A failure is an
     ``AlgorithmInvariantViolated`` that names the input path.
     """
-    if k < 0:
-        raise ValueError(f"the number of rotations must be at least 0, got {k}")
+    if type(k) is not int or k < 0:
+        raise ValueError(f"the number of rotations must be an int of at least 0, got {k!r}")
     paths = tuple(paths)
     if not paths or not k:
         return list(paths)
@@ -431,9 +434,9 @@ def periods(seq: WeightSequence) -> tuple[int, ...]:
 
 def orbit_structure(seq: WeightSequence, ell: int) -> OrbitStructure:
     """Orbits of the ell-fold rotation and fixed-point counts of its powers;
-    ``ell`` must be one of ``periods(seq)``."""
-    if ell not in periods(seq):
-        raise SequenceNotPeriodic(f"ell={ell} is not a period; the periods are {periods(seq)}")
+    ``ell`` must be one of ``periods(seq)``, an ``int`` (not ``bool``)."""
+    if type(ell) is not int or ell not in periods(seq):
+        raise SequenceNotPeriodic(f"ell={ell!r} is not a period; the periods are {periods(seq)}")
     r = len(seq) // ell
     paths = enumerate_paths(seq)
     index = {p.points: i for i, p in enumerate(paths)}

@@ -14,8 +14,9 @@ import time
 import pytest
 
 from minuscule import battery as bat
-from minuscule import crystals, csp, kostka, paths
+from minuscule import crystals, csp, kostka, paths, tableaux
 from minuscule.errors import AlgorithmInvariantViolated
+from minuscule.poly import IntPolynomial
 
 CASES = bat.standard_battery()
 
@@ -96,6 +97,45 @@ def test_every_suite_check_count_is_pinned():
         results = bat.run_battery(scope, rng_seed=0)
         assert all(r.passed for r in results)
         assert {r.name: r.checks for r in results} == pinned
+
+
+QUICK = bat.quick_battery()
+
+# One planted fault per suite that unit tests hand their property to: the
+# public function the suite calls, the fault made from the real function,
+# the suite's run, and texts of the suite's own failure report.
+PLANTED = {
+    "rotate_all one level short": (
+        paths, "rotate_all", lambda real: lambda found, k=1: real(found, k - 1),
+        lambda: bat.suite_rotation_order(QUICK), ["rotation^4 moved"]),
+    "promote returns its input": (
+        tableaux, "promote", lambda real: lambda t: t,
+        lambda: bat.suite_promotion_equivariance(QUICK), ["promote/rotate disagree"]),
+    "enumerate_paths drops its last path": (
+        paths, "enumerate_paths", lambda real: lambda seq: real(seq)[:-1],
+        lambda: bat.suite_counting(QUICK), ["paths=0 dim=1"]),
+    "commutor_rotate shifts the factors": (
+        crystals, "commutor_rotate", lambda real: lambda b: crystals.TensorCrystalElement(
+            b.seq.rotated(1), b.factors[1:] + b.factors[:1]),
+        lambda: bat.suite_crystal_coherence(QUICK, 0), ["commutor/rotation disagree"]),
+    "cyclotomic(6) times 1 + q": (
+        csp, "cyclotomic", lambda real: lambda r: real(r) * IntPolynomial((1, 1)) if r == 6
+        else real(r), lambda: bat.suite_cyclotomic(48), ["at r=6 is", "at r=12 is"]),
+}
+
+
+@pytest.mark.parametrize("fault", PLANTED)
+def test_a_planted_fault_fails_its_suite(monkeypatch, fault):
+    module, name, plant, run, texts = PLANTED[fault]
+    # the recursion reads cyclotomic through the module: with every value
+    # cached first it never reads a planted one back into the cache
+    for r in range(1, 49):
+        csp.cyclotomic(r)
+    monkeypatch.setattr(module, name, plant(getattr(module, name)))
+    failures = run().failures
+    assert failures and all(any(t in f for f in failures) for t in texts), failures
+    monkeypatch.undo()
+    assert run().passed
 
 
 def test_criterion_4_builds_each_exhaustive_crystal_once(monkeypatch):

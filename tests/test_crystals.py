@@ -32,7 +32,6 @@ from minuscule.errors import (
     NotInvariant,
     OrbitTooLarge,
 )
-from minuscule.kostka import invariant_dim
 from minuscule.paths import DEFAULT_PATH_CAP, WeightSequence, enumerate_paths, rotate
 from minuscule.rootsys import (
     apply_word,
@@ -232,11 +231,6 @@ class TestSchutzenberger:
         seq2 = WeightSequence(A2, ((1, 0),))
         assert schutzenberger(elem(seq2, (1, 0))).factors == ((0, -1),)
 
-    @pytest.mark.parametrize("seq", SMALL_SEQUENCES)
-    def test_involution(self, seq):
-        for b in all_elements(seq):
-            assert schutzenberger(schutzenberger(b)).factors == b.factors
-
     @pytest.mark.parametrize("seq", SMALL_SEQUENCES[:5])
     def test_weight_negates_through_duality(self, seq):
         rs = seq.rs
@@ -245,13 +239,6 @@ class TestSchutzenberger:
             image = schutzenberger(b).weight()
             expected = tuple(-wt[dual_index(rs, i + 1) - 1] for i in range(rs.rank))
             assert image == expected
-
-    @pytest.mark.parametrize("seq", SMALL_SEQUENCES[:5])
-    def test_policy_independence(self, seq):
-        # the local rule at every element holds exactly when no choice of
-        # raising route changes xi
-        for b in all_elements(seq):
-            assert_local_rule(b)
 
 
 def assert_local_rule(b):
@@ -293,16 +280,11 @@ class TestPathBijection:
         assert path_bijection(paths4[0]).factors == ((1,), (-1,), (1,), (-1,))
 
     @pytest.mark.parametrize("seq", SMALL_SEQUENCES)
-    def test_bijection_onto_invariants(self, seq):
-        images = sorted(path_bijection(p).factors for p in enumerate_paths(seq))
-        assert images == [b.factors for b in invariant_elements(seq)]
-
-    @pytest.mark.parametrize("seq", SMALL_SEQUENCES)
     def test_exchanges_the_two_rotations(self, seq):
-        for p in enumerate_paths(seq):
-            via_crystal = commutor_rotate(path_bijection(p)).factors
-            via_path = path_bijection(rotate(p)).factors
-            assert via_crystal == via_path
+        # the suite also checks that the path images are invariant, and the
+        # involution and local rule of xi over the whole crystal
+        result = battery.suite_crystal_coherence([seq], 0)
+        assert result.passed, result.failures
 
 
 def test_crystal_size():
@@ -393,9 +375,9 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     @given(sequences())
     def test_invariant_counts_agree(self, seq):
-        found = invariant_elements(seq)
-        assert len(found) == len(enumerate_paths(seq)) == invariant_dim(seq)
-        for b in found:
+        result = battery.suite_counting([seq])
+        assert result.passed, result.failures
+        for b in invariant_elements(seq):
             image = commutor_rotate(b)
             assert revalidated(image) == image
 
@@ -413,11 +395,11 @@ class TestProperties:
             assert image.seq.weights == seq.rotated(1).weights
             assert image.factors == schutzenberger(tail).factors + schutzenberger(head).factors
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=20, deadline=None)
     @given(sequences().map(_closed))
     def test_commutor_is_rotation(self, seq):
-        for p in enumerate_paths(seq):
-            assert commutor_rotate(path_bijection(p)) == path_bijection(rotate(p))
+        result = battery.suite_crystal_coherence([seq], 0)
+        assert result.passed, result.failures
 
 
 def kashiwara(rs, i, factors):

@@ -39,14 +39,6 @@ class TestCyclotomic:
         assert cyclotomic(6) == poly(1, -1, 1)
         assert cyclotomic(12) == poly(1, 0, -1, 0, 1)
 
-    def test_product_over_divisors(self):
-        for r in range(1, 49):
-            product = poly(1)
-            for d in range(1, r + 1):
-                if r % d == 0:
-                    product = product * cyclotomic(d)
-            assert product == IntPolynomial((-1,) + (0,) * (r - 1) + (1,))
-
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             cyclotomic(0)
@@ -145,6 +137,11 @@ class TestCspCheck:
             csp_check(seq, 1)
         for ell in (2, 4):
             assert csp_check(seq, ell).verdict == "pass"
+
+    @pytest.mark.parametrize("ell", [True, 1.0, "1"])
+    def test_an_ell_that_is_not_an_int_is_not_a_period(self, ell):
+        with pytest.raises(SequenceNotPeriodic, match="is not a period"):
+            csp_check(WeightSequence(A1, (W,) * 4), ell)
 
     def test_wrong_polynomial_fails_cleanly(self):
         report = csp_check(WeightSequence(A1, (W,) * 4), 1, poly(2))

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minuscule import kostka
+from minuscule import battery, kostka
 from minuscule.errors import EnumerationTooLarge, InvalidContent, OracleTooLarge, SizeMismatch
 from minuscule.kostka import (
     _charge,
@@ -17,7 +17,7 @@ from minuscule.kostka import (
     kostka_foulkes,
     q_kostant,
 )
-from minuscule.paths import WeightSequence, enumerate_paths
+from minuscule.paths import WeightSequence
 from minuscule.poly import IntPolynomial
 from minuscule.rootsys import build_root_system
 from test_tableaux import BIG, peak_memory
@@ -362,7 +362,8 @@ class TestInvariantDim:
     def test_agrees_with_path_enumeration(self, family, rank, indices):
         rs = build_root_system(family, rank)
         seq = WeightSequence(rs, tuple(rs.fundamental_weight(i) for i in indices))
-        assert invariant_dim(seq) == len(enumerate_paths(seq))
+        result = battery.suite_counting([seq])
+        assert result.passed, result.failures
 
 
 def recursive_column_strict_tableaux(shape, content):

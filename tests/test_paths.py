@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minuscule import paths
+from minuscule import battery, paths
 from minuscule.errors import (
     AlgorithmInvariantViolated,
     EnumerationTooLarge,
@@ -151,6 +151,12 @@ class TestEnumerate:
         with pytest.raises(EnumerationTooLarge):
             enumerate_paths(seq_a1(8), cap=3)
 
+    @pytest.mark.parametrize("cap", [True, 0.5, 2.0, "2", 0, -1])
+    def test_cap_must_be_an_int_of_at_least_1(self, cap):
+        # refused before the lattice test, which alone answers (omega_1)^3
+        with pytest.raises(ValueError, match="cap must be an int of at least 1"):
+            enumerate_paths(seq_a1(3), cap=cap)
+
     def test_cap_boundary(self):
         # (omega_1)^8 of A1 has 14 paths: the cap counts found paths
         assert len(enumerate_paths(seq_a1(8), cap=14)) == 14
@@ -271,22 +277,17 @@ class TestRotate:
         images = {rotate(p).points for p in source}
         assert images == target and len(images) == len(source)
 
-    def test_rotation_order_divides_m(self):
-        for seq in (seq_a1(4), seq_a1(6)):
-            m = len(seq)
-            for p in enumerate_paths(seq):
-                q = p
-                for _ in range(m):
-                    q = rotate(q)
-                assert q.points == p.points
-
     def test_rotate_all_edge_cases(self):
         found = enumerate_paths(seq_a1(4))
         assert rotate_all((), 3) == [] and rotate_all(found, 0) == list(found)
-        with pytest.raises(ValueError):
-            rotate_all(found, -1)
         with pytest.raises(InvalidPath, match="one type"):
             rotate_all(found + enumerate_paths(seq_a1(2)), 1)
+
+    @pytest.mark.parametrize("k", [-1, True, 1.0, "1", None])
+    def test_rotate_all_takes_an_int_of_at_least_0(self, k):
+        found = enumerate_paths(seq_a1(4))
+        with pytest.raises(ValueError, match="rotations must be an int of at least 0"):
+            rotate_all(found, k)
 
     def test_bijection_across_whole_battery(self):
         from minuscule.battery import standard_battery
@@ -441,6 +442,11 @@ class TestOrbitStructure:
             orbit_structure(mixed, 1)
         assert orbit_structure(mixed, 2).r == 2
 
+    @pytest.mark.parametrize("ell", [True, 1.0, "1", None])
+    def test_an_ell_that_is_not_an_int_is_not_a_period(self, ell):
+        with pytest.raises(SequenceNotPeriodic, match="is not a period"):
+            orbit_structure(seq_a1(4), ell)
+
 
 def test_json_encoding():
     p = enumerate_paths(seq_a1(4))[0]
@@ -480,11 +486,8 @@ class TestProperties:
     @settings(max_examples=100, deadline=None)
     @given(sequences().map(_closed))
     def test_rotation_to_the_m_is_the_identity(self, seq):
-        for p in enumerate_paths(seq):
-            q = p
-            for _ in range(len(seq)):
-                q = rotate(q)
-            assert q.seq.weights == seq.weights and q.points == p.points
+        result = battery.suite_rotation_order([seq])
+        assert result.passed, result.failures
 
     @settings(max_examples=100, deadline=None)
     @given(sequences().map(_closed))
@@ -502,8 +505,9 @@ class TestProperties:
     @settings(max_examples=100, deadline=None)
     @given(sequences(types=TYPE_A).map(_closed))
     def test_promotion_is_rotation(self, seq):
-        for p in enumerate_paths(seq):
-            assert promote(path_to_tableau(p)) == path_to_tableau(rotate(p))
+        # the suite also checks that promotion^m is the identity
+        result = battery.suite_promotion_equivariance([seq])
+        assert result.passed, result.failures
 
     @settings(max_examples=100, deadline=None)
     @given(sequences().map(_closed), st.randoms(use_true_random=False))

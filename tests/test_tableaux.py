@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minuscule import battery
 from minuscule.errors import AlgorithmInvariantViolated, InvalidTableau, TypeMismatch
-from minuscule.paths import LittelmannPath, WeightSequence, enumerate_paths, rotate
+from minuscule.paths import LittelmannPath, WeightSequence, enumerate_paths
 from minuscule.rootsys import build_root_system
 from minuscule.tableaux import (
     RowStrictTableau,
@@ -151,18 +152,9 @@ class TestPromotion:
 
     @pytest.mark.parametrize("seq", TYPE_A_SEQUENCES)
     def test_equivariance(self, seq):
-        for p in enumerate_paths(seq):
-            assert promote(path_to_tableau(p)).rows == path_to_tableau(rotate(p)).rows
-
-    @pytest.mark.parametrize("seq", TYPE_A_SEQUENCES)
-    def test_order_divides_m(self, seq):
-        m = len(seq)
-        for p in enumerate_paths(seq):
-            t = path_to_tableau(p)
-            image = t
-            for _ in range(m):
-                image = promote(image)
-            assert image.rows == t.rows
+        # promote matches rotate through the bijection, and promotion^m = id
+        result = battery.suite_promotion_equivariance([seq])
+        assert result.passed, result.failures
 
     @pytest.mark.parametrize("seq", TYPE_A_SEQUENCES)
     def test_content_shifts_cyclically(self, seq):
