@@ -23,11 +23,13 @@ top met and stops each ascent at the first element already mapped.
 ``schutzenberger`` is its one-element case.
 
 The commutor b_1 (x) c -> xi(c) (x) xi(b_1) needs none of that on an
-invariant.  There b_1 = lambda_1 and c is lowest weight in its component
-(phi_i(c) = 0 for every i, see ``commutor_rotate``), so xi(c) is the top
-of c's component, one ascent away, and xi(b_1) = w0.lambda_1 is
--omega_{i*} for lambda_1 = omega_i.  ``schutzenberger_all`` stays the
-general algorithm.
+invariant.  There b_1 = lambda_1 = omega_i and c is the bottom of a copy
+of the minuscule crystal B(omega_{i*}) (see ``commutor_rotate``), where
+e_j applies exactly where the weight pairs to -1 with alpha_j_vee.  So
+xi(c), the top of that copy, is reached along the word that straightens
+-omega_i, one e_j per letter and no index search, and xi(b_1) =
+w0.lambda_1 is -omega_{i*}.  ``schutzenberger_all`` stays the general
+algorithm.
 
 Every kernel works on the factor weights themselves.  ``w[i-1]`` is the
 pairing of a factor with alpha_i_vee, so one pass over the factors reads
@@ -37,10 +39,11 @@ and the search for the smallest index that can still raise
 (``_unmatched``), which from the first index is the highest-weight
 test (``is_highest_weight``).  A factor that e_i or f_i moves changes
 by +-alpha_i, column i of the Cartan matrix; the ascent restarts its
-search at the Dynkin neighbours of i, and the replay and the commutor
-read the dual indices i*.  All three are fields of the root
-system (``simple_roots``, ``columns``, ``duals``), and no orbit is
-enumerated to run a kernel.  The ascent to a component's top takes one
+search at the Dynkin neighbours of i, the replay and the commutor read
+the dual indices i*, and the commutor walks the straightening word of
+-lambda_1.  All four are fields of the root system (``simple_roots``,
+``columns``, ``duals``, ``dual_words``), and no orbit is enumerated to
+run a kernel.  The ascent to a component's top takes one
 e_i per step, at the smallest index that can still raise
 (``_to_highest``).  That xi does not depend on this choice is the local
 rule xi(b) = e_{i*} xi(e_i b) at every i with e_i b nonzero, which the
@@ -351,37 +354,57 @@ def commutor_rotate(b: TensorCrystalElement) -> TensorCrystalElement:
     This is the Henriques-Kamnitzer commutor, and on an invariant both
     halves are known without running Schutzenberger.  Let b = b_1 (x) c be
     highest weight of weight zero.  Its one-factor prefix b_1 is highest
-    weight, so dominant, so b_1 = lambda_1.  The eps_i(c) signs '-' that
-    survive inside c must each cancel a '+' of b_1, so eps_i(c) <=
-    <lambda_1, alpha_i_vee>; with wt(c) = -lambda_1 that gives
-    phi_i(c) = eps_i(c) - <lambda_1, alpha_i_vee> <= 0 for every i: c is
-    the lowest-weight element of its component.
-    Then xi(c) is the top of that component, which one ascent reaches,
-    and xi(b_1) = w0.lambda_1.  A minuscule lambda_1 is some omega_i, and
-    -w0.omega_i is the dominant representative of -omega_i, which is
-    omega_{i*}; so xi(b_1) = -omega_{i*}.  The descent and the replay
-    of the general involution never run.
+    weight, so dominant, so b_1 = lambda_1 = omega_i.  The eps_j(c) signs
+    '-' that survive inside c must each cancel a '+' of b_1, so eps_j(c)
+    <= <lambda_1, alpha_j_vee>; with wt(c) = -lambda_1 that gives
+    phi_j(c) = eps_j(c) - <lambda_1, alpha_j_vee> <= 0 for every j: c is
+    the lowest-weight element of its component, which has lowest weight
+    -omega_i and so is a copy of the minuscule crystal B(omega_{i*}).
+    There an element of weight mu has eps_j = max(0, -<mu, alpha_j_vee>)
+    and e_j adds alpha_j, so the ascent from c to the top xi(c) is the
+    word that straightens -omega_i to omega_{i*} (``rs.dual_words``),
+    fixed by the root system: each letter j is one e_j, at the rightmost
+    surviving '-' of the j-string.  And xi(b_1) = w0.omega_i = -omega_{i*}.
+    The descent and the replay of the general involution never run.
 
-    The input must be invariant and the output is checked to be."""
-    if not _is_invariant(b.factors):
-        raise NotInvariant("commutor rotation is defined on invariant elements only")
-    rs = b.seq.rs
-    out = list(b.factors[1:])
-    _to_highest(rs, out, None, {})
-    i = b.factors[0].index(1) + 1  # b_1 = lambda_1 = omega_i
-    out.append(_sub(rs.zero(), rs.fundamental_weight(rs.duals[i - 1])))
-    if not _is_invariant(out):  # pragma: no cover - would signal a bug
-        raise AlgorithmInvariantViolated("rotated element is no longer invariant")
-    return TensorCrystalElement._trusted(b.seq.rotated(1), tuple(out))
+    The input is scanned for invariance only when this route fails.  A
+    first factor other than lambda_1 is refused at once.  Otherwise the
+    word is walked, and if every letter finds a '-' and the result out =
+    c' (x) (-omega_{i*}) is invariant, it is returned; and then b was
+    invariant.  For c' is a highest-weight prefix of weight omega_{i*},
+    the top of a copy of B(omega_{i*}); undoing the word, c = f...f c' is
+    in that copy with weight -omega_i, so it is its bottom, with eps_j(c)
+    = delta_ij and phi_j(c) = 0.  So eps_j(omega_i (x) c) = max(0,
+    delta_ij - delta_ij) = 0 for every j, and b has weight zero.  When the
+    route fails, the full scan of b tells a non-invariant input
+    (``NotInvariant``) from a bug (``AlgorithmInvariantViolated``)."""
+    seq = b.seq
+    rs = seq.rs
+    factors = b.factors
+    lam = seq.weights[0]
+    if factors[0] == lam:
+        i = lam.index(1)  # lambda_1 = omega_(i+1)
+        roots = rs.simple_roots
+        out = list(factors[1:])
+        for j in rs.dual_words[i]:
+            k = _string(out, j - 1)[2]
+            if k < 0:
+                break
+            out[k] = _add(out[k], roots[j - 1])
+        else:
+            xi = [0] * rs.rank  # xi(b_1) = -omega_{i*}
+            xi[rs.duals[i] - 1] = -1
+            out.append(tuple(xi))
+            if _is_invariant(out):
+                return TensorCrystalElement._trusted(seq.rotated(1), tuple(out))
+        if _is_invariant(factors):  # would signal a bug
+            raise AlgorithmInvariantViolated("rotated element is no longer invariant")
+    raise NotInvariant("commutor rotation is defined on invariant elements only")
 
 
 def path_bijection(p: LittelmannPath) -> TensorCrystalElement:
     """Successive differences of a dominant path, as a tensor element.
 
     A path's steps were checked against their orbits when it was built."""
-    prev = p.seq.rs.zero()
-    factors = []
-    for point in p.points:
-        factors.append(_sub(point, prev))
-        prev = point
-    return TensorCrystalElement._trusted(p.seq, tuple(factors))
+    points = p.points
+    return TensorCrystalElement._trusted(p.seq, (points[0], *map(_sub, points[1:], points)))

@@ -66,7 +66,6 @@ from .rootsys import (
     in_root_lattice,
     minuscule_weights,
     to_dominant,
-    two_rho_pairing,
     weyl_orbit,
 )
 
@@ -96,19 +95,25 @@ def _orbit_set(rs, lam):
 class _PathTables:
     """Lazily filled path memos of one minuscule weight ``lam`` over ``rs``.
 
-    ``moves`` is the steps of W.lam with their pairings, reversed so they
-    pop from a stack in sorted order.  ``shifts`` is the sorted orbit of
-    -lam and ``shift_id`` its index.  ``succ`` and ``carry`` (one dict per
-    shift id, keyed on the point) are the memos of the module docstring.
+    ``moves`` is the steps of W.lam with their pairings with 2 rho_vee,
+    reversed so they pop from a stack in sorted order, and ``rise`` is the
+    pairing of lam itself, the largest of them.  ``shifts`` is the sorted
+    orbit of -lam and ``shift_id`` its index.  ``succ`` and ``carry`` (one
+    dict per shift id, keyed on the point) are the memos of the module
+    docstring.
     """
 
-    __slots__ = ("rs", "lam", "moves", "shifts", "shift_id", "succ", "carry")
+    __slots__ = ("rs", "lam", "rise", "moves", "shifts", "shift_id", "succ", "carry")
 
     def __init__(self, rs, lam):
         self.rs = rs
         self.lam = lam
         orbit = weyl_orbit(rs, lam)
-        self.moves = tuple((step, two_rho_pairing(rs, step)) for step in reversed(orbit))
+        # the orbit's steps are trusted, so they pair without a weight check
+        covector = rs.two_rho_covector
+        self.rise = sum(map(operator.mul, lam, covector))
+        self.moves = tuple((step, sum(map(operator.mul, step, covector)))
+                           for step in reversed(orbit))
         self.shifts = tuple(sorted(tuple(-x for x in step) for step in orbit))
         self.shift_id = {s: k for k, s in enumerate(self.shifts)}
         self.succ: dict[Weight, dict[Weight, int]] = {}
@@ -183,6 +188,10 @@ class WeightSequence(FrozenRecord):
         return len(self.weights)
 
     def rotated(self, j: int = 1) -> "WeightSequence":
+        """The weights rotated left by ``j``: an ``int`` (not ``bool``), taken
+        modulo the length, so a negative ``j`` rotates right."""
+        if type(j) is not int:
+            raise ValueError(f"the rotation must be an int, got {j!r}")
         j %= len(self.weights)
         return WeightSequence._trusted(self.rs, self.weights[j:] + self.weights[:j])
 
@@ -244,15 +253,6 @@ class LittelmannPath(FrozenRecord):
         }
 
 
-def _budget(seq: WeightSequence) -> list[int]:
-    """``budget[k]``: the sum of <lambda_j, 2 rho_vee> over the steps after
-    the k-th, the most that they can lower a point's pairing with 2 rho_vee."""
-    budget = [0] * (len(seq) + 1)
-    for k in range(len(seq) - 1, -1, -1):
-        budget[k] = budget[k + 1] + two_rho_pairing(seq.rs, seq.weights[k])
-    return budget
-
-
 def enumerate_paths(seq: WeightSequence, cap: int = DEFAULT_PATH_CAP) -> tuple[LittelmannPath, ...]:
     """All dominant paths of the given type from the origin back to itself.
 
@@ -282,8 +282,12 @@ def enumerate_paths(seq: WeightSequence, cap: int = DEFAULT_PATH_CAP) -> tuple[L
         return ()
     m = len(seq)
     zero = rs.zero()
-    budget = _budget(seq)
     tables = [_tables(rs, lam) for lam in seq.weights]
+    # budget[k]: the sum of <lambda_j, 2 rho_vee> over the steps after the
+    # k-th, the most that they can lower a point's pairing with 2 rho_vee
+    budget = [0] * (m + 1)
+    for k in range(m - 1, -1, -1):
+        budget[k] = budget[k + 1] + tables[k].rise
     # -point is in W.lambda_m exactly when point is in W.(-lambda_m)
     closing = tables[-1].shift_id
 

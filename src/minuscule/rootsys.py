@@ -19,8 +19,10 @@ instance of the same type.  Besides the Cartan matrix C, its positive
 coroots and their sum, it carries what the kernels derive from C, built
 with it: ``simple_roots`` (the columns of C), their off-diagonal support
 ``columns`` that ``to_dominant`` and the crystal ascent walk, the dual
-indices ``duals`` (w0.omega_i = -omega_{i*}), and ``lattice``, the pair
-(det C, det C * C^-1) of the integer root-lattice test.
+indices ``duals`` (w0.omega_i = -omega_{i*}), the words ``dual_words``
+that straighten each -omega_i to omega_{i*}, which the commutor walks,
+and ``lattice``, the pair (det C, det C * C^-1) of the integer
+root-lattice test.
 """
 from __future__ import annotations
 
@@ -45,7 +47,7 @@ class RootSystem(FrozenRecord):
     type once, so a root system equals only itself and hashes by identity."""
 
     __slots__ = ("family", "rank", "cartan", "positive_coroots", "two_rho_covector",
-                 "simple_roots", "columns", "duals", "lattice")
+                 "simple_roots", "columns", "duals", "dual_words", "lattice")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -53,9 +55,10 @@ class RootSystem(FrozenRecord):
                  positive_coroots: tuple[tuple[int, ...], ...],
                  two_rho_covector: tuple[int, ...], simple_roots: tuple[Weight, ...],
                  columns: tuple[tuple[tuple[int, int], ...], ...], duals: tuple[int, ...],
+                 dual_words: tuple[tuple[int, ...], ...],
                  lattice: tuple[int, tuple[tuple[int, ...], ...]]):
         self._fill(family, rank, cartan, positive_coroots, two_rho_covector,
-                   simple_roots, columns, duals, lattice)
+                   simple_roots, columns, duals, dual_words, lattice)
 
     def __reduce__(self):
         return build_root_system, (self.family, self.rank)
@@ -174,7 +177,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     columns = tuple(tuple((j, a) for j, a in enumerate(root) if j != i and a)
                     for i, root in enumerate(roots))
     return RootSystem(family, rank, cartan, coroots, two_rho, roots, columns,
-                      _duals(columns), _lattice(cartan))
+                      *_duals(columns), _lattice(cartan))
 
 
 def _straighten(columns, w: list) -> list[int]:
@@ -195,18 +198,19 @@ def _straighten(columns, w: list) -> list[int]:
         applied.append(i + 1)
 
 
-def _duals(columns) -> tuple[int, ...]:
-    """i* for each i: -omega_i straightens to omega_{i*}; anything else
-    would signal a bug."""
-    out = []
+def _duals(columns) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(i* for each i, the word straightening -omega_i for each i): -omega_i
+    straightens to omega_{i*}, anything else would signal a bug, and the
+    word is its 1-based letters in application order."""
+    duals, words = [], []
     for i in range(len(columns)):
         w = [-int(j == i) for j in range(len(columns))]
-        _straighten(columns, w)
+        words.append(tuple(_straighten(columns, w)))
         if sum(w) != 1 or set(w) - {0, 1}:
             raise AlgorithmInvariantViolated(
                 f"-omega_{i + 1} did not straighten to a fundamental weight")
-        out.append(w.index(1) + 1)
-    return tuple(out)
+        duals.append(w.index(1) + 1)
+    return tuple(duals), tuple(words)
 
 
 def _lattice(cartan) -> tuple[int, tuple[tuple[int, ...], ...]]:

@@ -120,7 +120,16 @@ class TestWeightSequence:
         seq = WeightSequence(A2, ((1, 0), (0, 1), (1, 0)))
         assert seq.rotated(1).weights == ((0, 1), (1, 0), (1, 0))
         assert seq.rotated(3).weights == seq.weights
+        # a negative int keeps its modular meaning: it rotates right
+        assert seq.rotated(-1).weights == seq.rotated(2).weights == ((1, 0), (1, 0), (0, 1))
         assert seq.total() == (2, 1)
+
+    @pytest.mark.parametrize("j", [True, 1.0, "1", None])
+    def test_rotation_takes_an_int(self, j):
+        # True would equal 1 and 1.0 died inside the slicing
+        seq = WeightSequence(A2, ((1, 0), (0, 1), (1, 0)))
+        with pytest.raises(ValueError, match="rotation must be an int"):
+            seq.rotated(j)
 
 
 class TestEnumerate:

@@ -25,14 +25,14 @@ POLY = IntPolynomial((0, 1))
 
 def rs_fields(rs):
     return (rs.family, rs.rank, rs.cartan, rs.positive_coroots, rs.two_rho_covector,
-            rs.simple_roots, rs.columns, rs.duals, rs.lattice)
+            rs.simple_roots, rs.columns, rs.duals, rs.dual_words, rs.lattice)
 
 
 # each class: its field names in constructor order, the fields of one
 # record, and the fields of a record that differs from it
 RECORDS = {
     RootSystem: (("family", "rank", "cartan", "positive_coroots", "two_rho_covector",
-                  "simple_roots", "columns", "duals", "lattice"),
+                  "simple_roots", "columns", "duals", "dual_words", "lattice"),
                  rs_fields(A2), rs_fields(A1)),
     WeightSequence: (("rs", "weights"), (A2, ((1, 0), (0, 1))), (A2, ((0, 1), (1, 0)))),
     LittelmannPath: (("seq", "points"), (SEQ, ((1, 0), (0, 0))), (OTHER_SEQ, ((1,), (0,)))),

@@ -335,6 +335,8 @@ def test_duals_are_an_involution_given_by_w0(family, rank):
         minus_omega = tuple(-x for x in rs.fundamental_weight(i))
         # omega_{i*} is the dominant form of -omega_i, and -w0.omega_i
         assert to_dominant(rs, minus_omega)[0] == rs.fundamental_weight(star)
+        # the stored word is the straightening word, in application order
+        assert rs.dual_words[i - 1] == to_dominant(rs, minus_omega)[1][::-1]
         assert apply_word(rs, w0, rs.fundamental_weight(star)) == minus_omega
 
 
