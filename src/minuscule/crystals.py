@@ -54,14 +54,17 @@ weight exactly when its partial sums, the points of its path, stay
 dominant, so the invariants are the images under ``path_bijection`` of
 the closed dominant paths that ``paths.enumerate_paths`` lists, and
 ``invariant_elements`` adds only the signature-rule check of each image.
+The images need no sort: paths come in lexicographic order of points,
+and two paths whose points first differ at k share point k - 1, so
+their steps first differ at k too and compare there as the points do.
 
 Validation happens once, where data enters: the public
 ``TensorCrystalElement`` constructor checks that it gets a list of
-``int`` weights, one per factor, each in its orbit.  Operators,
-strings, the ascent and the commutor only ever reflect factors that are
-already in their orbits, and a path's steps were checked when it was
-built, so they and ``path_bijection`` build their results with the
-unchecked ``TensorCrystalElement._trusted``.
+``int`` weights, one per factor, each in the ``orbit`` of its path
+tables, not a memo.  Operators, strings, the ascent and the commutor
+only ever reflect factors that are already in their orbits, and a path's
+steps were checked when it was built, so they and ``path_bijection``
+build their results with the unchecked ``TensorCrystalElement._trusted``.
 """
 from __future__ import annotations
 
@@ -70,7 +73,7 @@ import operator
 
 from .errors import AlgorithmInvariantViolated, InvalidIndex, InvalidPath, NotInvariant
 from .paths import DEFAULT_PATH_CAP, LittelmannPath, WeightSequence, enumerate_paths
-from .paths import _add, _int_lists, _orbit_set, _sub
+from .paths import _add, _int_lists, _steps, _tables
 from .records import FrozenRecord
 from .rootsys import Weight, _check_index, weyl_orbit
 
@@ -91,7 +94,7 @@ class TensorCrystalElement(FrozenRecord):
         if len(self.factors) != len(self.seq):
             raise InvalidPath("factor count does not match the type sequence")
         for f, lam in zip(self.factors, self.seq.weights):
-            if f not in _orbit_set(self.seq.rs, lam):
+            if f not in _tables(self.seq.rs, lam).orbit:
                 raise InvalidPath(f"factor {f} is not in the orbit of {lam}")
 
     @classmethod
@@ -104,10 +107,7 @@ class TensorCrystalElement(FrozenRecord):
         return b
 
     def weight(self) -> Weight:
-        total = self.seq.rs.zero()
-        for f in self.factors:
-            total = _add(total, f)
-        return total
+        return tuple(map(sum, zip(*self.factors)))
 
     def to_json_dict(self):
         return {"factors": [list(f) for f in self.factors]}
@@ -234,14 +234,14 @@ def invariant_elements(seq: WeightSequence, cap: int = DEFAULT_PATH_CAP) -> tupl
     ``path_bijection`` images of ``enumerate_paths(seq, cap)``, so ``cap``
     counts the invariants found, as it counts paths there.  Each image is
     checked with ``is_highest_weight``, the signature rule, and a failure
-    is an ``AlgorithmInvariantViolated``."""
+    is an ``AlgorithmInvariantViolated``.  The images keep the paths'
+    order, which is already the order of factors (see the module docstring)."""
     out = []
     for p in enumerate_paths(seq, cap):
         b = path_bijection(p)
         if not is_highest_weight(b):
             raise AlgorithmInvariantViolated(f"path image {b.factors} is not highest weight")
         out.append(b)
-    out.sort(key=operator.attrgetter("factors"))
     return tuple(out)
 
 
@@ -406,5 +406,4 @@ def path_bijection(p: LittelmannPath) -> TensorCrystalElement:
     """Successive differences of a dominant path, as a tensor element.
 
     A path's steps were checked against their orbits when it was built."""
-    points = p.points
-    return TensorCrystalElement._trusted(p.seq, (points[0], *map(_sub, points[1:], points)))
+    return TensorCrystalElement._trusted(p.seq, _steps(p.points))

@@ -1,7 +1,8 @@
 """Dominant lattice paths with minuscule steps, and their rotation.
 
 A path is stored as its list of points (the origin is implicit), because
-rotation manipulates points, not steps.
+rotation manipulates points, not steps; ``_steps`` reads the steps off
+them for validation, ``path_bijection`` and ``path_to_tableau`` alike.
 
 Validation happens once, where data enters: the public ``LittelmannPath``
 constructor checks the shape of the input (a list of points of exactly
@@ -15,8 +16,9 @@ output exactly once, and a failure there is an
 Enumeration and rotation visit the same few thousand dominant points
 over and over, so each (root system, minuscule weight lambda) has one
 ``_PathTables`` (built by the ``lru_cache``d ``_tables`` on first use,
-nothing at import) holding two memos, each filled on a miss by the
-exact computation it replaces:
+nothing at import) holding the set ``orbit`` of W.lambda, fixed when
+built, and two memos, each filled on a miss by the exact computation it
+replaces:
 
 * ``succ``: a dominant point -> {each dominant point one step in
   W.lambda away: that step's pairing with 2 rho_vee}, in the order the
@@ -29,10 +31,9 @@ exact computation it replaces:
   beta + s fixes beta, so the carried shift stays in that orbit and
   rotation is a walk on finitely many (point, shift) pairs.
 
-The public ``LittelmannPath`` constructor neither reads nor fills these
-memos: data from outside is tested step by step against its orbit, never
-taken on a memo's word, and validating user paths does not grow the
-process.
+The validating constructors (``LittelmannPath``, ``TensorCrystalElement``)
+read ``orbit`` and neither read nor fill the memos: data from outside is
+tested step by step against its orbit, never taken on a memo's word.
 
 Rotation works on a whole set of paths of one type: ``rotate_all(paths,
 k)`` returns every path's k-fold rotation in one call, ``rotate`` is its
@@ -80,6 +81,12 @@ def _sub(a, b):
     return tuple(map(operator.sub, a, b))
 
 
+def _steps(points):
+    """The steps of a path: its first point, then each point minus the one
+    before it."""
+    return (points[0], *map(_sub, points[1:], points))
+
+
 def _int_lists(data) -> bool:
     """Whether outside data is a list of lists of ``int`` (not ``bool``), the
     form of a path's points, a tableau's rows and a crystal element's factors."""
@@ -87,28 +94,25 @@ def _int_lists(data) -> bool:
         isinstance(row, (list, tuple)) and all(type(x) is int for x in row) for row in data)
 
 
-@functools.lru_cache(maxsize=None)
-def _orbit_set(rs, lam):
-    return frozenset(weyl_orbit(rs, lam))
-
-
 class _PathTables:
     """Lazily filled path memos of one minuscule weight ``lam`` over ``rs``.
 
-    ``moves`` is the steps of W.lam with their pairings with 2 rho_vee,
-    reversed so they pop from a stack in sorted order, and ``rise`` is the
+    ``orbit`` is the set W.lam, which is not a memo.  ``moves`` is the
+    steps of W.lam with their pairings with 2 rho_vee, reversed so they
+    pop from a stack in sorted order, and ``rise`` is the
     pairing of lam itself, the largest of them.  ``shifts`` is the sorted
     orbit of -lam and ``shift_id`` its index.  ``succ`` and ``carry`` (one
     dict per shift id, keyed on the point) are the memos of the module
     docstring.
     """
 
-    __slots__ = ("rs", "lam", "rise", "moves", "shifts", "shift_id", "succ", "carry")
+    __slots__ = ("rs", "lam", "orbit", "rise", "moves", "shifts", "shift_id", "succ", "carry")
 
     def __init__(self, rs, lam):
         self.rs = rs
         self.lam = lam
         orbit = weyl_orbit(rs, lam)
+        self.orbit = frozenset(orbit)
         # the orbit's steps are trusted, so they pair without a weight check
         covector = rs.two_rho_covector
         self.rise = sum(map(operator.mul, lam, covector))
@@ -169,9 +173,8 @@ class WeightSequence(FrozenRecord):
             raise InvalidSequence(f"weights must be a list of int weights, not {self.weights!r}")
         if len(self.weights) < 1:
             raise InvalidSequence("weight sequence must be non-empty")
-        allowed = set(minuscule_weights(self.rs))
         for w in self.weights:
-            if tuple(w) not in allowed:
+            if tuple(w) not in minuscule_weights(self.rs):
                 raise InvalidSequence(f"{w} is not a dominant minuscule weight of {self.rs}")
         object.__setattr__(self, "weights", tuple(tuple(w) for w in self.weights))
 
@@ -196,10 +199,7 @@ class WeightSequence(FrozenRecord):
         return WeightSequence._trusted(self.rs, self.weights[j:] + self.weights[:j])
 
     def total(self) -> Weight:
-        total = self.rs.zero()
-        for w in self.weights:
-            total = _add(total, w)
-        return total
+        return tuple(map(sum, zip(*self.weights)))
 
 
 class LittelmannPath(FrozenRecord):
@@ -223,11 +223,9 @@ class LittelmannPath(FrozenRecord):
         if len(self.points) != len(self.seq):
             raise InvalidPath("point count does not match the type sequence")
         rs = self.seq.rs
-        prev = rs.zero()
-        for point, lam in zip(self.points, self.seq.weights):
-            if _sub(point, prev) not in _orbit_set(rs, lam):
+        for step, point, lam in zip(_steps(self.points), self.points, self.seq.weights):
+            if step not in _tables(rs, lam).orbit:
                 raise InvalidPath(f"step into {point} leaves the orbit of {lam}")
-            prev = point
         if min(map(min, self.points)) < 0:
             raise InvalidPath("all points of the path must be dominant")
         if any(self.points[-1]):

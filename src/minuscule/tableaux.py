@@ -33,7 +33,7 @@ import functools
 from types import MappingProxyType
 
 from .errors import AlgorithmInvariantViolated, InvalidTableau, TypeMismatch
-from .paths import LittelmannPath, WeightSequence, _int_lists, _sub
+from .paths import LittelmannPath, WeightSequence, _int_lists, _steps
 from .records import FrozenRecord
 from .rootsys import Weight, build_root_system, weyl_orbit
 
@@ -128,14 +128,13 @@ def path_to_tableau(p: LittelmannPath) -> RowStrictTableau:
     n = rs.rank + 1
     tables = {lam: _lift_table(rs, lam) for lam in set(p.seq.weights)}
     rows: list[list[int]] = [[] for _ in range(n)]
-    prev = rs.zero()
-    for j, (point, lam) in enumerate(zip(p.points, p.seq.weights), start=1):
-        lifted = tables[lam].get(_sub(point, prev))
+    steps = zip(_steps(p.points), p.points, p.seq.weights)
+    for j, (step, point, lam) in enumerate(steps, start=1):
+        lifted = tables[lam].get(step)
         if lifted is None:
             raise AlgorithmInvariantViolated(f"step into {point} leaves the orbit of {lam}")
         for r in lifted:
             rows[r].append(j)
-        prev = point
     if len({len(r) for r in rows}) != 1:
         raise AlgorithmInvariantViolated("path did not fill a rectangle")
     return RowStrictTableau._trusted(tuple(map(tuple, rows)))

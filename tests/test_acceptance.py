@@ -14,8 +14,8 @@ import time
 import pytest
 
 from minuscule import battery as bat
-from minuscule import crystals, csp, kostka, paths, tableaux
-from minuscule.errors import AlgorithmInvariantViolated
+from minuscule import crystals, csp, kostka, paths, rootsys, tableaux
+from minuscule.errors import AlgorithmInvariantViolated, NotInRootLattice
 from minuscule.poly import IntPolynomial
 
 CASES = bat.standard_battery()
@@ -97,13 +97,27 @@ def test_every_suite_check_count_is_pinned():
         results = bat.run_battery(scope, rng_seed=0)
         assert all(r.passed for r in results)
         assert {r.name: r.checks for r in results} == pinned
+    with pytest.raises(ValueError, match="unknown scope 'medium'"):
+        bat.run_battery("medium")
 
 
 QUICK = bat.quick_battery()
 
-# One planted fault per suite that unit tests hand their property to: the
-# public function the suite calls, the fault made from the real function,
-# the suite's run, and texts of the suite's own failure report.
+
+def _zero_instead_of_refusing(real):
+    """The automatic polynomial, answering 0 where it should refuse a total
+    outside the root lattice."""
+    def planted(seq):
+        try:
+            return real(seq)
+        except NotInRootLattice:
+            return IntPolynomial()
+    return planted
+
+
+# One planted fault per failure report of a suite: the public function the
+# suite calls, the fault made from the real function, the suite's run, and
+# texts of the suite's own failure report.
 PLANTED = {
     "rotate_all one level short": (
         paths, "rotate_all", lambda real: lambda found, k=1: real(found, k - 1),
@@ -121,6 +135,39 @@ PLANTED = {
     "cyclotomic(6) times 1 + q": (
         csp, "cyclotomic", lambda real: lambda r: real(r) * IntPolynomial((1, 1)) if r == 6
         else real(r), lambda: bat.suite_cyclotomic(48), ["at r=6 is", "at r=12 is"]),
+    # this promote sends the other A1 (omega_1)^4 tableau to one it fixes,
+    # so promotion^4 does not bring it back
+    "promote fixes a first row 1, 2": (
+        tableaux, "promote", lambda real: lambda t: t if t.rows[0][:2] == (1, 2) else real(t),
+        lambda: bat.suite_promotion_equivariance(QUICK), ["promotion^m moved"]),
+    "is_invariant negated": (
+        crystals, "is_invariant", lambda real: lambda b: not real(b),
+        lambda: bat.suite_crystal_coherence(QUICK, 0), ["a path image is not invariant"]),
+    # no exhaustive shapes: only the random trials' report (the exhaustive
+    # one is reached through the CLI's broken-charge test)
+    "kostka_foulkes times q on random shapes": (
+        kostka, "kostka_foulkes", lambda real: lambda nu, gamma: real(nu, gamma).shift(1),
+        lambda: bat.suite_kostka_oracle(0, 3), ["charge K != alternating-sum K at nu="]),
+    "enumerate_paths finds a path outside the root lattice": (
+        paths, "enumerate_paths", lambda real: lambda seq, cap=paths.DEFAULT_PATH_CAP:
+        real(seq, cap) or ("a phantom path",),
+        lambda: bat.suite_cyclic_sieving(QUICK), ["A2:(1,1,2,1,1,2): refused although paths"]),
+    "the automatic polynomial does not refuse": (
+        csp, "type_a_csp_polynomial", _zero_instead_of_refusing,
+        lambda: bat.suite_cyclic_sieving(QUICK), ["A2:(1,1,2,1,1,2): expected a root-lattice"]),
+    "stabilizer_word_fixes_base with its arguments swapped": (
+        paths, "stabilizer_word_fixes_base", lambda real: lambda rs, beta, x: real(rs, x, beta),
+        lambda: bat.suite_stabilizer_lemma(100, 0), [": word for "]),
+    "simple_reflection by twice the root": (
+        rootsys, "simple_reflection", lambda real: lambda rs, i, w: tuple(
+            2 * a - b for a, b in zip(real(rs, i, w), w)),
+        lambda: bat.suite_reflection_words(0), ["is not an involution on"]),
+    "to_dominant adds s_1 s_1 to its word": (
+        rootsys, "to_dominant", lambda real: lambda rs, w: (real(rs, w)[0], real(rs, w)[1] + (1, 1)),
+        lambda: bat.suite_reflection_words(0), ["word length"]),
+    "apply_word drops its last letter": (
+        rootsys, "apply_word", lambda real: lambda rs, word, w: real(rs, word[:-1], w),
+        lambda: bat.suite_reflection_words(0), ["does not reach the dominant point"]),
 }
 
 

@@ -333,15 +333,6 @@ class TestKostkaCommand:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert time.perf_counter() - start < 3
 
-    def test_readme_examples_print_their_comment(self):
-        lines = [line for line in (ROOT / "README.md").read_text().splitlines()
-                 if line.startswith("minuscule kostka ")]
-        assert len(lines) == 2
-        for line in lines:
-            command, comment = line.split("#")
-            code, out, _ = invoke(command.split()[1:])
-            assert code == 0 and out == comment.split(",")[0].strip() + "\n"
-
 
 class TestCspCommand:
     def test_pass(self):
@@ -388,6 +379,13 @@ class TestBatteryCommand:
         data = json.loads(out)
         failing = [s["name"] for s in data["suites"] if not s["passed"]]
         assert "kostka-oracle-equivalence" in failing
+        # the text form prints every failure under its suite's line
+        code, text, _ = invoke(["battery", "--scope", "quick", "--format", "text"])
+        assert code == 1 and text.endswith("battery: fail\n")
+        assert "kostka-oracle-equivalence: FAIL" in text
+        for suite in data["suites"]:
+            for failure in suite["failures"]:
+                assert f"\n  {failure}\n" in text
 
 
 class TestContract:

@@ -40,18 +40,13 @@ from minuscule.rootsys import (
     apply_word,
     build_root_system,
     dual_index,
-    in_root_lattice,
     minuscule_weights,
     simple_reflection,
     to_dominant,
     weyl_orbit,
 )
 
-A1 = build_root_system("A", 1)
-A2 = build_root_system("A", 2)
-A3 = build_root_system("A", 3)
-D4 = build_root_system("D", 4)
-W = (1,)
+from support import A1, A2, A3, D4, MINUSCULE_TYPES, W, closed, elements, sequences
 
 SMALL_SEQUENCES = [
     WeightSequence(A1, (W, W)),
@@ -340,9 +335,6 @@ def test_crystal_size():
     assert crystal_size(WeightSequence(D4, (D4.fundamental_weight(1),) * 4)) == 4096
 
 
-# Random minuscule sequences from every family that has minuscule weights.
-MINUSCULE_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 5), ("B", 2), ("B", 4),
-                   ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("E", 6), ("E", 7)]
 WALK_TYPES = ([("A", n) for n in range(1, 6)] + [(f, n) for f in "BC" for n in (2, 3, 4)]
               + [("D", n) for n in (4, 5, 6)] + [("E", 6), ("E", 7)])
 
@@ -354,36 +346,6 @@ def dual_element(b):
     weights = tuple(rs.fundamental_weight(dual_index(rs, lam.index(1) + 1))
                     for lam in reversed(b.seq.weights))
     return TensorCrystalElement(WeightSequence(rs, weights), tuple(_dual(b.factors)))
-
-
-@st.composite
-def sequences(draw, types=MINUSCULE_TYPES):
-    rs = build_root_system(*draw(st.sampled_from(types)))
-    weights = minuscule_weights(rs)
-    # fewer factors for larger orbits keeps every search small
-    orbit = max(len(weyl_orbit(rs, lam)) for lam in weights)
-    longest = 8 if orbit <= 4 else 6 if orbit <= 10 else 4 if orbit <= 32 else 3
-    picked = draw(st.lists(st.sampled_from(weights), min_size=1, max_size=longest))
-    return WeightSequence(rs, tuple(picked))
-
-
-def _closed(seq):
-    """``seq``, with one minuscule weight appended when its total lies
-    outside the root lattice (it would have no paths at all)."""
-    rs = seq.rs
-    total = seq.total()
-    if in_root_lattice(rs, total):
-        return seq
-    lam = next(lam for lam in minuscule_weights(rs)
-               if in_root_lattice(rs, tuple(a + b for a, b in zip(total, lam))))
-    return WeightSequence(rs, seq.weights + (lam,))
-
-
-@st.composite
-def elements(draw, types=MINUSCULE_TYPES):
-    seq = draw(sequences(types))
-    factors = tuple(draw(st.sampled_from(weyl_orbit(seq.rs, lam))) for lam in seq.weights)
-    return TensorCrystalElement(seq, factors)
 
 
 @st.composite
@@ -451,11 +413,14 @@ class TestProperties:
             assert image.seq.weights == b.seq.rotated(1).weights
 
     @settings(max_examples=60, deadline=None)
-    @given(sequences().map(_closed))
+    @given(sequences().map(closed))
     def test_commutor_matches_its_definition(self, seq):
         # Henriques-Kamnitzer: b_1 (x) c -> xi(c) (x) xi(b_1), each xi on its own factors
         rs = seq.rs
-        for b in invariant_elements(seq):
+        found = invariant_elements(seq)
+        # enumeration order is the order of factors, with no sort
+        assert [b.factors for b in found] == sorted(b.factors for b in found)
+        for b in found:
             head = TensorCrystalElement(WeightSequence(rs, seq.weights[:1]), b.factors[:1])
             tail = TensorCrystalElement(WeightSequence(rs, seq.weights[1:]), b.factors[1:])
             assert b.factors[0] == seq.weights[0]
@@ -465,7 +430,7 @@ class TestProperties:
             assert image.factors == schutzenberger(tail).factors + schutzenberger(head).factors
 
     @settings(max_examples=20, deadline=None)
-    @given(sequences().map(_closed))
+    @given(sequences().map(closed))
     def test_commutor_is_rotation(self, seq):
         result = battery.suite_crystal_coherence([seq], 0)
         assert result.passed, result.failures

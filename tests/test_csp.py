@@ -19,17 +19,9 @@ from minuscule.errors import (
     SequenceNotPeriodic,
 )
 from minuscule.paths import WeightSequence, orbit_structure
-from minuscule.poly import IntPolynomial
 from minuscule.rootsys import build_root_system, two_rho_pairing
 
-A1 = build_root_system("A", 1)
-A2 = build_root_system("A", 2)
-A3 = build_root_system("A", 3)
-W = (1,)
-
-
-def poly(*coeffs):
-    return IntPolynomial(coeffs)
+from support import A1, A2, A3, W, poly
 
 
 class TestCyclotomic:

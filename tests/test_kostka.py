@@ -20,22 +20,8 @@ from minuscule.kostka import (
 from minuscule.paths import WeightSequence
 from minuscule.poly import IntPolynomial
 from minuscule.rootsys import build_root_system
-from test_tableaux import BIG, peak_memory
 
-
-def partitions(n, maxpart=None):
-    if maxpart is None:
-        maxpart = n
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, maxpart), 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first,) + rest
-
-
-def poly(*coeffs):
-    return IntPolynomial(coeffs)
+from support import BIG, peak_memory, poly
 
 
 def reading_word(rows) -> tuple[int, ...]:
@@ -102,16 +88,16 @@ class TestKostkaFoulkes:
         assert kostka_foulkes((1, 1), (2,)) == poly()
 
     def test_value_at_one_counts_tableaux(self):
-        for nu in partitions(5):
-            for gamma in partitions(5):
+        for nu in battery._partitions(5):
+            for gamma in battery._partitions(5):
                 count = sum(1 for _ in recursive_column_strict_tableaux(nu, gamma))
                 assert kostka_foulkes(nu, gamma)(1) == count
 
     def test_degree_formula(self):
         def weighted(parts):
             return sum(i * p for i, p in enumerate(parts))
-        for nu in partitions(6):
-            for gamma in partitions(6):
+        for nu in battery._partitions(6):
+            for gamma in battery._partitions(6):
                 k = kostka_foulkes(nu, gamma)
                 if not k.is_zero():
                     assert k.degree == weighted(gamma) - weighted(nu)
@@ -205,7 +191,7 @@ class TestQKostant:
 
     def test_equivalence_sampled_large(self):
         rng = random.Random(11)
-        pool7 = list(partitions(7))
+        pool7 = list(battery._partitions(7))
         for _ in range(10):
             nu, gamma = rng.choice(pool7), rng.choice(pool7)
             assert kostka_foulkes(nu, gamma) == q_kostant(nu, gamma)

@@ -1,6 +1,8 @@
+import collections
 import functools
 import itertools
 import json
+import operator
 import os
 import pathlib
 import re
@@ -9,7 +11,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from minuscule import battery, paths
@@ -30,13 +32,9 @@ from minuscule.paths import (
 )
 from minuscule.rootsys import build_root_system, to_dominant, two_rho_pairing, weyl_orbit
 from minuscule.tableaux import RowStrictTableau, path_to_tableau, promote
-from test_crystals import MINUSCULE_TYPES, _closed, sequences
 
-A1 = build_root_system("A", 1)
-A2 = build_root_system("A", 2)
-A3 = build_root_system("A", 3)
-D4 = build_root_system("D", 4)
-W = (1,)
+from support import A1, A2, A3, D4, MINUSCULE_TYPES, W, closed, periodic_sequences, sequences
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
@@ -97,6 +95,62 @@ def brute_force_paths(seq):
                     grown.append((points + (nxt,), nxt))
         prefixes = grown
     return sorted(points for points, here in prefixes if not any(here))
+
+
+def weight_multiplicities(seq, limit):
+    """Every weight of the tensor product of ``seq``'s representations with
+    its multiplicity: the convolution of the factors' Weyl orbits, since a
+    minuscule representation has each weight of its orbit once.  None when
+    one convolution would visit more than ``limit`` (weight, step) pairs."""
+    rs = seq.rs
+    mult = {rs.zero(): 1}
+    for lam in seq.weights:
+        orbit = weyl_orbit(rs, lam)
+        if len(mult) * len(orbit) > limit:
+            return None
+        grown = collections.Counter()
+        for mu, m in mult.items():
+            for x in orbit:
+                grown[tuple(a + b for a, b in zip(mu, x))] += m
+        mult = grown
+    return mult
+
+
+def weyl_invariant_count(seq, limit=20_000):
+    """The invariant count by Brauer's formula (Humphreys, section 24):
+    dim Inv(W) is the sum over the Weyl group of sgn(w) m_W(w.rho - rho).
+
+    It reads only the orbits, the simple roots and 2 rho_vee, and applies
+    no dominance rule.  w.rho is walked from rho by s_i wherever
+    <v, alpha_i_vee> = c > 0: each step adds 1 to the length of w, whose
+    parity is the sign, and 2c to <rho - v, 2 rho_vee>.  A w can meet the
+    weights of W only while that pairing is at most the largest
+    <-mu, 2 rho_vee> over them, so the walk stops there.  None when the
+    convolution or the walk passes ``limit``."""
+    rs = seq.rs
+    mult = weight_multiplicities(seq, limit)
+    if mult is None:
+        return None
+    covector = rs.two_rho_covector
+    bound = max(-sum(map(operator.mul, mu, covector)) for mu in mult)
+    # level: every w.rho of one length, with its pairing <rho - w.rho, 2 rho_vee>
+    level = {(1,) * rs.rank: 0}
+    total = walked = length = 0
+    while level:
+        for v in level:
+            total += (-1) ** length * mult.get(tuple(a - 1 for a in v), 0)
+        walked += len(level)
+        if walked > limit:
+            return None
+        grown = {}
+        for v, height in level.items():
+            for i, c in enumerate(v):
+                if c > 0 and height + 2 * c <= bound:
+                    root = rs.simple_roots[i]
+                    grown[tuple(a - c * r for a, r in zip(v, root))] = height + 2 * c
+        level = grown
+        length += 1
+    return total
 
 
 class TestWeightSequence:
@@ -189,9 +243,21 @@ class TestEnumerate:
         assert [p.points for p in enumerate_paths(seq)] == brute_force_paths(seq)
 
     @settings(max_examples=100, deadline=None)
-    @given(sequences().map(_closed))
+    @given(sequences().map(closed))
     def test_matches_unpruned_search_in_every_type(self, seq):
         assert [p.points for p in enumerate_paths(seq)] == brute_force_paths(seq)
+
+    @pytest.mark.parametrize("seq", battery.standard_battery(), ids=battery.describe)
+    def test_count_matches_the_weyl_sum(self, seq):
+        assert weyl_invariant_count(seq, limit=10**6) == len(enumerate_paths(seq))
+
+    @settings(max_examples=100, deadline=None)
+    @given(sequences().map(closed))
+    def test_count_matches_the_weyl_sum_in_every_type(self, seq):
+        # the count suite_counting checks, against one without the dominance rule
+        count = weyl_invariant_count(seq)
+        assume(count is not None)
+        assert count == len(enumerate_paths(seq))
 
     def test_lexicographic_order(self):
         ps = enumerate_paths(seq_a1(8))
@@ -487,19 +553,19 @@ TYPE_A = [t for t in MINUSCULE_TYPES if t[0] == "A"]
 
 class TestProperties:
     @settings(max_examples=100, deadline=None)
-    @given(sequences().map(_closed))
+    @given(sequences().map(closed))
     def test_rotate_matches_repeated_raise_once(self, seq):
         for p in enumerate_paths(seq):
             assert rotate(p).points == rotate_by_raise_once(seq.rs, seq.weights, p.points)
 
     @settings(max_examples=100, deadline=None)
-    @given(sequences().map(_closed))
+    @given(sequences().map(closed))
     def test_rotation_to_the_m_is_the_identity(self, seq):
         result = battery.suite_rotation_order([seq])
         assert result.passed, result.failures
 
     @settings(max_examples=100, deadline=None)
-    @given(sequences().map(_closed))
+    @given(sequences().map(closed))
     def test_outputs_revalidate(self, seq):
         for p in enumerate_paths(seq):
             assert LittelmannPath(p.seq, p.points) == p
@@ -511,15 +577,21 @@ class TestProperties:
                 u = promote(t)
                 assert RowStrictTableau(u.rows) == u
 
+    @settings(max_examples=30, deadline=None)
+    @given(periodic_sequences())
+    def test_cyclic_sieving_on_periodic_draws(self, seq):
+        result = battery.suite_cyclic_sieving([seq])
+        assert result.passed and result.checks >= 1, result.failures
+
     @settings(max_examples=100, deadline=None)
-    @given(sequences(types=TYPE_A).map(_closed))
+    @given(sequences(types=TYPE_A).map(closed))
     def test_promotion_is_rotation(self, seq):
         # the suite also checks that promotion^m is the identity
         result = battery.suite_promotion_equivariance([seq])
         assert result.passed, result.failures
 
     @settings(max_examples=100, deadline=None)
-    @given(sequences().map(_closed), st.randoms(use_true_random=False))
+    @given(sequences().map(closed), st.randoms(use_true_random=False))
     def test_rotate_all_matches_raise_once_in_any_order(self, seq, rng):
         found = enumerate_paths(seq)
         shuffled = list(found)

@@ -11,11 +11,11 @@ from minuscule.csp import CSPInstance, CSPReport
 from minuscule.errors import InvalidPath, InvalidSequence, InvalidTableau
 from minuscule.paths import LittelmannPath, OrbitStructure, WeightSequence
 from minuscule.poly import IntPolynomial
-from minuscule.rootsys import RootSystem, build_root_system
+from minuscule.rootsys import RootSystem
 from minuscule.tableaux import RowStrictTableau
 
-A1 = build_root_system("A", 1)
-A2 = build_root_system("A", 2)
+from support import A1, A2
+
 SEQ = WeightSequence(A2, ((1, 0), (0, 1)))
 OTHER_SEQ = WeightSequence(A1, ((1,), (1,)))
 PATH = LittelmannPath(SEQ, ((1, 0), (0, 0)))

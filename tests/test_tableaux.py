@@ -1,6 +1,3 @@
-import contextlib
-import tracemalloc
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,11 +13,7 @@ from minuscule.tableaux import (
     tableau_to_path,
 )
 
-A1 = build_root_system("A", 1)
-A2 = build_root_system("A", 2)
-A3 = build_root_system("A", 3)
-W = (1,)
-BIG = 3_000_000
+from support import A1, A2, A3, BIG, W, peak_memory
 
 TYPE_A_SEQUENCES = [
     WeightSequence(A1, (W, W)),
@@ -106,19 +99,6 @@ class TestPathBijection:
     def test_round_trip(self, seq):
         for p in enumerate_paths(seq):
             assert tableau_to_path(path_to_tableau(p)).points == p.points
-
-
-@contextlib.contextmanager
-def peak_memory():
-    """Yield a list that receives the tracemalloc peak of the block, in
-    bytes, when the block ends."""
-    out: list[int] = []
-    tracemalloc.start()
-    try:
-        yield out
-    finally:
-        out.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.stop()
 
 
 class TestLargeEntries:
