@@ -15,6 +15,9 @@ Grammar (``TYPE`` stands for ``--type A --rank 1 --weights 1,1,1,1``)::
     minuscule csp check TYPE [--ell N] [--poly C0,C1,...] [--format json|csv]
     minuscule battery [--scope quick|full] [--seed N] [--format json|text]
 
+Each leaf subcommand above names its own handler in the parser, so argparse
+alone picks the command and ``run`` only calls ``args.handler``.
+
 Weight sequences are comma-separated fundamental-weight indices, 1-based,
 Bourbaki numbering; ``--rank`` is at most ``rootsys.MAX_RANK`` (32).  Output
 is JSON on stdout; ``--format`` offers only the encodings a subcommand
@@ -68,6 +71,15 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="minuscule", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def group(name, help_text):
+        p = sub.add_parser(name, help=help_text)
+        return p.add_subparsers(dest="subcommand", required=True)
+
+    def leaf(parent, name, help_text, handler):
+        p = parent.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        return p
+
     def add_type_flags(p, weights=True):
         p.add_argument("--type", required=True, dest="family",
                        help="root-system family letter, A..G")
@@ -83,73 +95,67 @@ def _build_parser() -> _Parser:
         p.add_argument("--cap", type=_cap, default=paths.DEFAULT_PATH_CAP,
                        help="most paths or invariants to find, at least 1")
 
-    root = sub.add_parser("root", help="root-system queries")
-    root_sub = root.add_subparsers(dest="subcommand", required=True)
-    root_min = root_sub.add_parser("minuscule", help="list the minuscule fundamental weights")
-    add_type_flags(root_min, weights=False)
-    add_format(root_min)
+    def add_input(p, what):
+        p.add_argument("--input", default="-", help=f"{what} file, - for stdin")
 
-    pth = sub.add_parser("paths", help="dominant-path operations")
-    pth_sub = pth.add_subparsers(dest="subcommand", required=True)
-    for name, help_text in (("enumerate", "list all paths of the type"),
-                            ("rotate", "rotate one path, read from --input"),
-                            ("orbits", "rotation orbits and fixed-point counts")):
-        p = pth_sub.add_parser(name, help=help_text)
-        add_type_flags(p)
-        if name == "rotate":
-            p.add_argument("--input", default="-", help="path JSON file, - for stdin")
-        else:
-            add_format(p)
-        if name == "enumerate":
-            add_cap(p)
-        if name == "orbits":
-            p.add_argument("--ell", type=int, default=1)
+    root = group("root", "root-system queries")
+    p = leaf(root, "minuscule", "list the minuscule fundamental weights", _root_minuscule)
+    add_type_flags(p, weights=False)
+    add_format(p)
 
-    tab = sub.add_parser("tableau", help="tableau operations")
-    tab_sub = tab.add_subparsers(dest="subcommand", required=True)
-    for name, help_text in (("promote", "jeu-de-taquin promotion"),
-                            ("from-path", "tableau of a path"),
-                            ("to-path", "path of a tableau")):
-        p = tab_sub.add_parser(name, help=help_text)
-        p.add_argument("--input", default="-", help="JSON file, - for stdin")
-        if name != "to-path":
-            add_format(p)
-        if name == "from-path":
-            add_type_flags(p)
+    pth = group("paths", "dominant-path operations")
+    p = leaf(pth, "enumerate", "list all paths of the type", _paths_enumerate)
+    add_type_flags(p)
+    add_format(p)
+    add_cap(p)
+    p = leaf(pth, "rotate", "rotate one path, read from --input", _paths_rotate)
+    add_type_flags(p)
+    add_input(p, "path JSON")
+    p = leaf(pth, "orbits", "rotation orbits and fixed-point counts", _paths_orbits)
+    add_type_flags(p)
+    add_format(p)
+    p.add_argument("--ell", type=int, default=1)
 
-    cry = sub.add_parser("crystal", help="tensor-crystal operations")
-    cry_sub = cry.add_subparsers(dest="subcommand", required=True)
-    for name, help_text in (("invariants", "highest-weight elements of weight zero"),
-                            ("rotate", "commutor rotation of one element")):
-        p = cry_sub.add_parser(name, help=help_text)
-        add_type_flags(p)
-        if name == "rotate":
-            p.add_argument("--input", default="-", help="element JSON file, - for stdin")
-        else:
-            add_format(p)
-            add_cap(p)
+    tab = group("tableau", "tableau operations")
+    p = leaf(tab, "promote", "jeu-de-taquin promotion", _tableau_promote)
+    add_input(p, "JSON")
+    add_format(p)
+    p = leaf(tab, "from-path", "tableau of a path", _tableau_from_path)
+    add_input(p, "JSON")
+    add_format(p)
+    add_type_flags(p)
+    p = leaf(tab, "to-path", "path of a tableau", _tableau_to_path)
+    add_input(p, "JSON")
 
-    kst = sub.add_parser("kostka", help="Kostka-Foulkes polynomial")
-    kst.add_argument("--shape", required=True, help="comma-separated partition")
-    kst.add_argument("--content", required=True, help="comma-separated content vector")
-    kst.add_argument("--oracle", action="store_true",
-                     help="use the alternating-sum route instead of charge")
-    add_format(kst, ("json", "csv", "text"), default="text")
+    cry = group("crystal", "tensor-crystal operations")
+    p = leaf(cry, "invariants", "highest-weight elements of weight zero", _crystal_invariants)
+    add_type_flags(p)
+    add_format(p)
+    add_cap(p)
+    p = leaf(cry, "rotate", "commutor rotation of one element", _crystal_rotate)
+    add_type_flags(p)
+    add_input(p, "element JSON")
 
-    csp_cmd = sub.add_parser("csp", help="cyclic-sieving verification")
-    csp_sub = csp_cmd.add_subparsers(dest="subcommand", required=True)
-    chk = csp_sub.add_parser("check", help="verify the sieving triple")
-    add_type_flags(chk)
-    chk.add_argument("--ell", type=int, default=1)
-    chk.add_argument("--poly", default=None,
-                     help="comma-separated coefficients, ascending; omit for the "
-                          "automatic type-A polynomial")
-    add_format(chk)
+    p = leaf(sub, "kostka", "Kostka-Foulkes polynomial", _kostka)
+    p.add_argument("--shape", required=True, help="comma-separated partition")
+    p.add_argument("--content", required=True, help="comma-separated content vector")
+    p.add_argument("--oracle", action="store_true",
+                   help="use the alternating-sum route instead of charge")
+    add_format(p, ("json", "csv", "text"), default="text")
 
-    bat = sub.add_parser("battery", help="run the property battery")
-    bat.add_argument("--scope", choices=("quick", "full"), default="quick")
-    bat.add_argument("--seed", type=int, default=0)
-    add_format(bat, ("json", "text"))
+    p = leaf(group("csp", "cyclic-sieving verification"), "check",
+             "verify the sieving triple", _csp_check)
+    add_type_flags(p)
+    p.add_argument("--ell", type=int, default=1)
+    p.add_argument("--poly", default=None,
+                   help="comma-separated coefficients, ascending; omit for the "
+                        "automatic type-A polynomial")
+    add_format(p)
+
+    p = leaf(sub, "battery", "run the property battery", _battery)
+    p.add_argument("--scope", choices=("quick", "full"), default="quick")
+    p.add_argument("--seed", type=int, default=0)
+    add_format(p, ("json", "text"))
 
     return parser
 
@@ -209,14 +215,14 @@ def _element_from_json(seq: WeightSequence, data) -> crystals.TensorCrystalEleme
 
 def _emit(args, payload, out, csv_rows=()):
     """JSON on stdout, or ``csv_rows`` under ``--format csv``."""
-    if getattr(args, "format", "json") == "csv":
+    if args.format == "csv":
         for row in csv_rows:
             print(",".join(str(x) for x in row), file=out)
     else:
         print(json.dumps(payload), file=out)
 
 
-def _cmd_root(args, out):
+def _root_minuscule(args, out, stdin):
     rs = rootsys.build_root_system(args.family, args.rank)
     weights = rootsys.minuscule_weights(rs)
     payload = {
@@ -228,55 +234,60 @@ def _cmd_root(args, out):
     return 0
 
 
-def _cmd_paths(args, out, stdin):
-    seq = _sequence(args)
-    if args.subcommand == "enumerate":
-        found = paths.enumerate_paths(seq, cap=args.cap)
-        payload = [p.to_json_dict() for p in found]
-        rows = [[c for point in p.points for c in point] for p in found]
-        _emit(args, payload, out, csv_rows=rows)
-        return 0
-    if args.subcommand == "rotate":
-        path = _path_from_json(seq, _read_json(args.input, stdin))
-        _emit(args, paths.rotate(path).to_json_dict(), out)
-        return 0
-    structure = paths.orbit_structure(seq, args.ell)
-    rows = [structure.fixed_counts]
-    _emit(args, structure.to_json_dict(), out, csv_rows=rows)
+def _paths_enumerate(args, out, stdin):
+    found = paths.enumerate_paths(_sequence(args), cap=args.cap)
+    payload = [p.to_json_dict() for p in found]
+    rows = [[c for point in p.points for c in point] for p in found]
+    _emit(args, payload, out, csv_rows=rows)
     return 0
 
 
-def _cmd_tableau(args, out, stdin):
-    if args.subcommand == "from-path":
-        seq = _sequence(args)
-        path = _path_from_json(seq, _read_json(args.input, stdin))
-        t = tableaux.path_to_tableau(path)
-        _emit(args, t.to_json_list(), out, csv_rows=t.rows)
-        return 0
+def _paths_rotate(args, out, stdin):
+    path = _path_from_json(_sequence(args), _read_json(args.input, stdin))
+    print(json.dumps(paths.rotate(path).to_json_dict()), file=out)
+    return 0
+
+
+def _paths_orbits(args, out, stdin):
+    structure = paths.orbit_structure(_sequence(args), args.ell)
+    _emit(args, structure.to_json_dict(), out, csv_rows=[structure.fixed_counts])
+    return 0
+
+
+def _tableau_promote(args, out, stdin):
+    promoted = tableaux.promote(tableaux.RowStrictTableau(_read_json(args.input, stdin)))
+    _emit(args, promoted.to_json_list(), out, csv_rows=promoted.rows)
+    return 0
+
+
+def _tableau_from_path(args, out, stdin):
+    seq = _sequence(args)
+    t = tableaux.path_to_tableau(_path_from_json(seq, _read_json(args.input, stdin)))
+    _emit(args, t.to_json_list(), out, csv_rows=t.rows)
+    return 0
+
+
+def _tableau_to_path(args, out, stdin):
     t = tableaux.RowStrictTableau(_read_json(args.input, stdin))
-    if args.subcommand == "promote":
-        promoted = tableaux.promote(t)
-        _emit(args, promoted.to_json_list(), out, csv_rows=promoted.rows)
-        return 0
-    path = tableaux.tableau_to_path(t)
-    _emit(args, path.to_json_dict(), out)
+    print(json.dumps(tableaux.tableau_to_path(t).to_json_dict()), file=out)
     return 0
 
 
-def _cmd_crystal(args, out, stdin):
-    seq = _sequence(args)
-    if args.subcommand == "invariants":
-        elements = crystals.invariant_elements(seq, cap=args.cap)
-        payload = [b.to_json_dict() for b in elements]
-        rows = [[c for f in b.factors for c in f] for b in elements]
-        _emit(args, payload, out, csv_rows=rows)
-        return 0
-    element = _element_from_json(seq, _read_json(args.input, stdin))
-    _emit(args, crystals.commutor_rotate(element).to_json_dict(), out)
+def _crystal_invariants(args, out, stdin):
+    elements = crystals.invariant_elements(_sequence(args), cap=args.cap)
+    payload = [b.to_json_dict() for b in elements]
+    rows = [[c for f in b.factors for c in f] for b in elements]
+    _emit(args, payload, out, csv_rows=rows)
     return 0
 
 
-def _cmd_kostka(args, out):
+def _crystal_rotate(args, out, stdin):
+    element = _element_from_json(_sequence(args), _read_json(args.input, stdin))
+    print(json.dumps(crystals.commutor_rotate(element).to_json_dict()), file=out)
+    return 0
+
+
+def _kostka(args, out, stdin):
     shape = _parse_ints(args.shape, "--shape")
     content = _parse_ints(args.content, "--content")
     compute = kostka.q_kostant if args.oracle else kostka.kostka_foulkes
@@ -288,18 +299,16 @@ def _cmd_kostka(args, out):
     return 0
 
 
-def _cmd_csp(args, out):
+def _csp_check(args, out, stdin):
     seq = _sequence(args)
-    poly = None
-    if args.poly is not None:
-        poly = IntPolynomial(_parse_ints(args.poly, "--poly"))
+    poly = None if args.poly is None else IntPolynomial(_parse_ints(args.poly, "--poly"))
     report = csp.csp_check(seq, args.ell, poly)
     _emit(args, report.to_json_dict(), out,
           csv_rows=[report.fixed_counts, [int(b) for b in report.evaluations_ok]])
     return 0 if report.verdict == "pass" else 1
 
 
-def _cmd_battery(args, out):
+def _battery(args, out, stdin):
     results = battery_mod.run_battery(args.scope, args.seed)
     payload = {
         "scope": args.scope,
@@ -341,19 +350,7 @@ def run(argv, stdout=None, stderr=None, stdin=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "root":
-            return _cmd_root(args, out)
-        if args.command == "paths":
-            return _cmd_paths(args, out, inp)
-        if args.command == "tableau":
-            return _cmd_tableau(args, out, inp)
-        if args.command == "crystal":
-            return _cmd_crystal(args, out, inp)
-        if args.command == "kostka":
-            return _cmd_kostka(args, out)
-        if args.command == "csp":
-            return _cmd_csp(args, out)
-        return _cmd_battery(args, out)
+        return args.handler(args, out, inp)
     except _UsageError as exc:
         print(f"error: {exc}", file=err)
         parser.print_usage(err)

@@ -6,14 +6,13 @@ divisibility of the difference by the r-th cyclotomic polynomial.  The
 verdicts are equalities of algebraic integers, so nothing here may
 approximate.
 
-Each precondition of a verdict is checked once.  The shift ell must be a
-period of the sequence (``paths.periods``); ``orbit_structure`` checks
-it.  The total weight must lie in the root lattice: the automatic type-A
-polynomial tests it while it computes the rectangle height, and a
-supplied polynomial is tested once in ``csp_check``, after the paths.
-The automatic polynomial comes first; its Kostka-Foulkes count and the
-path enumeration are each capped.  Weyl orbits are capped in
-``rootsys.weyl_orbit``.
+Each precondition of a verdict is checked once, and ``csp_check`` refuses
+in the same order with or without a supplied polynomial: the type (the
+automatic polynomial exists in type A only), the root lattice (outside
+it the instance is empty), the period ell (``orbit_structure``), then the
+path cap.  The automatic polynomial, which is public and refuses on its
+own, adds its capped Kostka-Foulkes count before the period test.  Weyl
+orbits are capped in ``rootsys.weyl_orbit``.
 """
 from __future__ import annotations
 
@@ -57,6 +56,11 @@ def eval_matches(f: IntPolynomial, r: int, d: int, value: int) -> bool:
     return rem.is_zero()
 
 
+def _check_lattice(seq: WeightSequence) -> None:
+    if not in_root_lattice(seq.rs, seq.total()):
+        raise NotInRootLattice("total weight outside the root lattice; the instance is empty")
+
+
 def _type_a_content(seq: WeightSequence) -> tuple[int, ...]:
     if seq.rs.family != "A":
         raise PolynomialUnavailable(f"no automatic sieving polynomial for {seq.rs}")
@@ -84,24 +88,20 @@ def type_a_csp_polynomial(seq: WeightSequence) -> IntPolynomial:
     lattice and a failed exponent identity are refused before any search.
     """
     content = _type_a_content(seq)
+    _check_lattice(seq)
     n = seq.rs.rank + 1
-    total_boxes = sum(content)
-    b, rem = divmod(total_boxes, n)
-    if rem:
-        raise NotInRootLattice(
-            f"content sum {total_boxes} is not a multiple of {n}; no invariants exist")
     exponent2, pairing = exponent_identity(seq)
     if exponent2 != pairing or exponent2 % 2 or exponent2 < 0:
         raise AlgorithmInvariantViolated(
             f"exponent identity failed: {exponent2} vs <total, 2 rho_vee> = {pairing}")
-    return kostka_foulkes((n,) * b, content).shift(exponent2 // 2)
+    return kostka_foulkes((n,) * (sum(content) // n), content).shift(exponent2 // 2)
 
 
 class CSPInstance(FrozenRecord):
     """A sieving triple as a plain record: the sequence, the rotation step
     ell, the order r of that rotation and the polynomial.  It checks
-    nothing; ``csp_check`` fills it in after ``orbit_structure`` and the
-    root-lattice test have accepted the input."""
+    nothing; ``csp_check`` fills it in after the root-lattice test and
+    ``orbit_structure`` have accepted the input."""
 
     __slots__ = ("seq", "ell", "r", "poly")
 
@@ -138,15 +138,14 @@ def csp_check(seq: WeightSequence, ell: int, poly: IntPolynomial | None = None) 
     ``poly=None`` requests the automatic type-A polynomial; outside type A
     a polynomial must be supplied, never fabricated.  The reported sign is
     the parity of the pairing of the first ell weights with the
-    positive-coroot sum; it is diagnostic only and does not enter the
-    verdict.
+    positive-coroot sum; it does not enter the verdict.  Its (r-1)-th
+    power is the one sign by which rotation permutes a basis of invariants.
     """
-    supplied = poly is not None
-    if not supplied:
+    if poly is None:
         poly = type_a_csp_polynomial(seq)
+    else:
+        _check_lattice(seq)
     structure = orbit_structure(seq, ell)
-    if supplied and not in_root_lattice(seq.rs, seq.total()):
-        raise NotInRootLattice("total weight outside the root lattice; the instance is empty")
     instance = CSPInstance(seq, ell, structure.r, poly)
     ok = tuple(
         eval_matches(poly, structure.r, d, count)

@@ -241,9 +241,6 @@ class LittelmannPath(FrozenRecord):
         object.__setattr__(p, "points", points)
         return p
 
-    def __len__(self):
-        return len(self.points)
-
     def to_json_dict(self):
         return {
             "type": [list(w) for w in self.seq.weights],

@@ -77,7 +77,9 @@ class IntPolynomial:
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "IntPolynomial":
-        """Multiply by q^k."""
+        """Multiply by q^k, for ``k`` an ``int`` (not ``bool``) of at least 0."""
+        if type(k) is not int or k < 0:
+            raise ValueError(f"the shift must be an int of at least 0, got {k!r}")
         if self.is_zero():
             return self
         return IntPolynomial((0,) * k + self.coeffs)

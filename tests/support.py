@@ -71,16 +71,18 @@ def elements(draw, types=MINUSCULE_TYPES):
 
 
 @st.composite
-def periodic_sequences(draw):
-    """A type-A block of 1-3 minuscule weights, closed into the root
-    lattice, repeated r = 2-4 times, in at most 12 steps of rank at most
-    3.  The closed block is not periodic itself, so its length is the
-    smallest period and r is the order of rotation by it.  A1 has no such
-    block (its closed blocks repeat omega_1), so the types are A2 and A3."""
-    rs = build_root_system(*draw(st.sampled_from([("A", 2), ("A", 3)])))
+def periodic_sequences(draw, types=(("A", 1), ("A", 2), ("A", 3))):
+    """A block of 1-3 minuscule weights whose smallest period is its own
+    length, repeated r = 2-6 times in at most 12 steps, with the r-fold
+    total (not the block's) in the root lattice, so that there are
+    invariants to rotate.  The block's length is then the smallest period
+    and r is the order of rotation by it."""
+    rs = build_root_system(*draw(st.sampled_from(types)))
     picked = draw(st.lists(st.sampled_from(minuscule_weights(rs)), min_size=1, max_size=3))
-    block = closed(WeightSequence(rs, tuple(picked))).weights
-    assume(periods(WeightSequence(rs, block)) == (len(block),))
-    # a closed block has at most 4 weights, so r = 2 always fits
-    r = draw(st.integers(2, min(4, 12 // len(block))))
-    return WeightSequence(rs, block * r)
+    block = WeightSequence(rs, tuple(picked))
+    assume(periods(block) == (len(picked),))
+    total = block.total()
+    orders = [r for r in range(2, min(6, 12 // len(picked)) + 1)
+              if in_root_lattice(rs, tuple(r * a for a in total))]
+    assume(orders)
+    return WeightSequence(rs, block.weights * draw(st.sampled_from(orders)))

@@ -1,8 +1,10 @@
 import argparse
 import io
+import itertools
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from minuscule import crystals, kostka, tableaux
+from minuscule import cli, crystals, kostka, tableaux
 from minuscule.cli import _build_parser, run
 from minuscule.errors import AlgorithmInvariantViolated
 from minuscule.poly import IntPolynomial
@@ -279,6 +281,10 @@ class TestKostkaCommand:
         code, _, err = invoke(["kostka", "--shape", "1,2", "--content", "1,1,1"])
         assert code == 2
 
+    def test_negative_content_is_invalid_input(self):
+        code, out, err = invoke(["kostka", "--shape", "1", "--content", "2,-1"])
+        assert code == 2 and out == "" and "nonnegative" in err
+
     def test_more_rows_than_the_recursion_limit(self):
         ones = ",".join(["1"] * 1200)
         code, out, _ = invoke(["kostka", "--shape", ones, "--content", ones])
@@ -359,6 +365,14 @@ class TestCspCommand:
             ["csp", "check", "--type", "A", "--rank", "1",
              "--weights", ",".join(["1"] * 41), "--ell", "1", "--poly", "1"])
         assert code == 2 and out == "" and "root lattice" in err
+
+    @pytest.mark.parametrize("poly", [[], ["--poly", "1"]], ids=["automatic", "supplied"])
+    def test_the_lattice_is_refused_before_the_period(self, poly):
+        code, out, err = invoke(
+            ["csp", "check", "--type", "A", "--rank", "1", "--weights", "1,1,1",
+             "--ell", "2"] + poly)
+        assert code == 2 and out == ""
+        assert err == "error: total weight outside the root lattice; the instance is empty\n"
 
 
 class TestBatteryCommand:
@@ -516,6 +530,33 @@ class TestNoIgnoredFlags:
             assert code == 0 and out
             outs.append(out)
         assert len(set(outs)) == len(outs)
+
+
+def _documented_leaves():
+    """(subcommand path, flags, --format choices) for each line of the
+    grammar block in the ``cli`` docstring; ``TYPE`` stands for the three
+    type flags."""
+    found = {}
+    for line in cli.__doc__.splitlines():
+        if not line.startswith("    minuscule "):
+            continue
+        words = line.split()
+        path = tuple(itertools.takewhile(lambda w: w[0].isalpha() and w != "TYPE", words[1:]))
+        flags = set(re.findall(r"--[a-z]+", line))
+        if "TYPE" in words:
+            flags |= {"--type", "--rank", "--weights"}
+        formats = re.search(r"--format ([a-z|]+)", line)
+        found[path] = (flags, set(formats.group(1).split("|")) if formats else None)
+    return found
+
+
+def test_the_docstring_grammar_matches_the_parser():
+    built = {}
+    for path, p in _leaves(_build_parser()):
+        flags = {f for a in p._actions for f in a.option_strings if f.startswith("--")}
+        formats = _option(p, "--format")
+        built[path] = (flags - {"--help"}, set(formats.choices) if formats else None)
+    assert _documented_leaves() == built
 
 
 # ---- argv fuzz: every subcommand, its choices and malformed flag values

@@ -156,6 +156,13 @@ class TestCspCheck:
         with pytest.raises(NotInRootLattice):
             csp_check(bad, 3, poly(0))
 
+    @pytest.mark.parametrize("supplied", [None, poly(1)], ids=["automatic", "supplied"])
+    def test_the_lattice_is_refused_before_the_period(self, supplied):
+        # ell = 2 is no period of 3 steps, but both routes refuse the lattice first
+        with pytest.raises(NotInRootLattice) as refused:
+            csp_check(WeightSequence(A1, (W,) * 3), 2, supplied)
+        assert str(refused.value) == "total weight outside the root lattice; the instance is empty"
+
     def test_supplied_polynomial_refused_without_a_search(self):
         # 41 A1 steps: outside the root lattice, and far too many to search
         with pytest.raises(NotInRootLattice):

@@ -83,6 +83,12 @@ class TestKostkaFoulkes:
         with pytest.raises(InvalidContent):
             kostka_foulkes((1, 2), (1, 1, 1))
 
+    def test_rejects_a_negative_content_entry(self):
+        # the sizes agree, so only the sign of -1 refuses
+        for compute in (kostka_foulkes, q_kostant):
+            with pytest.raises(InvalidContent, match="nonnegative"):
+                compute((1,), (2, -1))
+
     def test_zero_when_shape_cannot_hold_content(self):
         # more identical letters than columns in their rows
         assert kostka_foulkes((1, 1), (2,)) == poly()

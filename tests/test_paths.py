@@ -2,6 +2,7 @@ import collections
 import functools
 import itertools
 import json
+import math
 import operator
 import os
 import pathlib
@@ -15,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from minuscule import battery, paths
+from minuscule.csp import csp_check
 from minuscule.errors import (
     AlgorithmInvariantViolated,
     EnumerationTooLarge,
@@ -30,6 +32,7 @@ from minuscule.paths import (
     rotate,
     rotate_all,
 )
+from minuscule.poly import IntPolynomial
 from minuscule.rootsys import build_root_system, to_dominant, two_rho_pairing, weyl_orbit
 from minuscule.tableaux import RowStrictTableau, path_to_tableau, promote
 
@@ -97,11 +100,14 @@ def brute_force_paths(seq):
     return sorted(points for points, here in prefixes if not any(here))
 
 
-def weight_multiplicities(seq, limit):
+def weight_multiplicities(seq, limit, scale=1):
     """Every weight of the tensor product of ``seq``'s representations with
     its multiplicity: the convolution of the factors' Weyl orbits, since a
-    minuscule representation has each weight of its orbit once.  None when
-    one convolution would visit more than ``limit`` (weight, step) pairs."""
+    minuscule representation has each weight of its orbit once.  With
+    ``scale`` k every orbit is multiplied by k first: the Adams operation
+    psi^k, the virtual representation whose character at x is the
+    factor's at x^k.  None when one convolution would visit more than
+    ``limit`` (weight, step) pairs."""
     rs = seq.rs
     mult = {rs.zero(): 1}
     for lam in seq.weights:
@@ -111,26 +117,22 @@ def weight_multiplicities(seq, limit):
         grown = collections.Counter()
         for mu, m in mult.items():
             for x in orbit:
-                grown[tuple(a + b for a, b in zip(mu, x))] += m
+                grown[tuple(a + scale * b for a, b in zip(mu, x))] += m
         mult = grown
     return mult
 
 
-def weyl_invariant_count(seq, limit=20_000):
-    """The invariant count by Brauer's formula (Humphreys, section 24):
-    dim Inv(W) is the sum over the Weyl group of sgn(w) m_W(w.rho - rho).
+def brauer_sum(rs, mult, limit):
+    """The invariant count of a representation with weight multiplicities
+    ``mult``, by Brauer's formula (Humphreys, section 24): the sum over the
+    Weyl group of sgn(w) mult(w.rho - rho).
 
-    It reads only the orbits, the simple roots and 2 rho_vee, and applies
-    no dominance rule.  w.rho is walked from rho by s_i wherever
-    <v, alpha_i_vee> = c > 0: each step adds 1 to the length of w, whose
-    parity is the sign, and 2c to <rho - v, 2 rho_vee>.  A w can meet the
-    weights of W only while that pairing is at most the largest
-    <-mu, 2 rho_vee> over them, so the walk stops there.  None when the
-    convolution or the walk passes ``limit``."""
-    rs = seq.rs
-    mult = weight_multiplicities(seq, limit)
-    if mult is None:
-        return None
+    It reads only the simple roots and 2 rho_vee, and applies no dominance
+    rule.  w.rho is walked from rho by s_i wherever <v, alpha_i_vee> = c > 0:
+    each step adds 1 to the length of w, whose parity is the sign, and 2c
+    to <rho - v, 2 rho_vee>.  A w can meet the weights of ``mult`` only
+    while that pairing is at most the largest <-mu, 2 rho_vee> over them,
+    so the walk stops there.  None when the walk passes ``limit``."""
     covector = rs.two_rho_covector
     bound = max(-sum(map(operator.mul, mu, covector)) for mu in mult)
     # level: every w.rho of one length, with its pairing <rho - w.rho, 2 rho_vee>
@@ -151,6 +153,32 @@ def weyl_invariant_count(seq, limit=20_000):
         level = grown
         length += 1
     return total
+
+
+def weyl_invariant_count(seq, limit=20_000):
+    """The invariant count of ``seq``'s tensor product by Brauer's formula;
+    None when the convolution or the walk passes ``limit``."""
+    mult = weight_multiplicities(seq, limit)
+    return None if mult is None else brauer_sum(seq.rs, mult, limit)
+
+
+def rotation_traces(seq, ell, limit=20_000):
+    """The trace of c^d on the invariants of ``seq``'s tensor product, for
+    c the cyclic shift of its r = m / ell blocks of ell factors and each d
+    in 0..r-1.  c^d has g = gcd(d, r) cycles of length k = r / g on the
+    blocks, so its trace is the invariant count of (psi^k B)^(x)g, for B
+    the tensor product of one block.  None when a count passes ``limit``."""
+    r = len(seq) // ell
+    traces = []
+    for d in range(r):
+        g = math.gcd(d, r)
+        block = WeightSequence(seq.rs, seq.weights[:ell] * g)
+        mult = weight_multiplicities(block, limit, scale=r // g)
+        trace = None if mult is None else brauer_sum(seq.rs, mult, limit)
+        if trace is None:
+            return None
+        traces.append(trace)
+    return tuple(traces)
 
 
 class TestWeightSequence:
@@ -582,6 +610,31 @@ class TestProperties:
     def test_cyclic_sieving_on_periodic_draws(self, seq):
         result = battery.suite_cyclic_sieving([seq])
         assert result.passed and result.checks >= 1, result.failures
+
+    @settings(max_examples=40, deadline=None)
+    @given(periodic_sequences(types=MINUSCULE_TYPES))
+    def test_rotation_permutes_the_invariants_up_to_one_global_sign(self, seq):
+        # rotation by the block maps the basis of path invariants to itself
+        # up to one sign s, so c^d fixes s^d trace(c^d) paths; the
+        # polynomial is any, since the verdict is not read
+        ell = paths.periods(seq)[0]
+        traces = rotation_traces(seq, ell)
+        assume(traces is not None)
+        report = csp_check(seq, ell, IntPolynomial((1,)))
+        sign = report.sign_diagnostic ** (len(seq) // ell - 1)
+        assert report.fixed_counts == tuple(sign ** d * t for d, t in enumerate(traces))
+
+    @pytest.mark.parametrize("family,rank,m,traces,fixed,sign", [
+        ("A", 1, 6, (5, 0, 2, -3, 2, 0), (5, 0, 2, 3, 2, 0), -1),
+        ("C", 3, 4, (3, -1, 3, -1), (3, 1, 3, 1), -1),
+        ("D", 4, 4, (3, 1, 3, 1), (3, 1, 3, 1), 1),
+    ])
+    def test_global_sign_on_powers_of_omega_1(self, family, rank, m, traces, fixed, sign):
+        rs = build_root_system(family, rank)
+        seq = WeightSequence(rs, (rs.fundamental_weight(1),) * m)
+        report = csp_check(seq, 1, IntPolynomial((1,)))
+        assert rotation_traces(seq, 1) == traces and report.fixed_counts == fixed
+        assert report.sign_diagnostic ** (m - 1) == sign
 
     @settings(max_examples=100, deadline=None)
     @given(sequences(types=TYPE_A).map(closed))

@@ -14,6 +14,7 @@ def test_trimming_and_degree():
     assert IntPolynomial(()).degree == -1
     assert IntPolynomial((0, 0, 5)).degree == 2
     assert IntPolynomial((0,)).is_zero()
+    assert not IntPolynomial((0,)) and IntPolynomial((0, 1))
 
 
 @pytest.mark.parametrize("coeffs", [[0.5, 0, 0.5], [0, 0, True, 0, True]])
@@ -37,10 +38,21 @@ def test_arithmetic():
     assert (p * q).coeffs == (0, 1, 3, 2)
     assert (3 * p).coeffs == (3, 6)
     assert p.shift(2).coeffs == (0, 0, 1, 2)
+    assert IntPolynomial().shift(2).is_zero()
+    assert (p + 1).coeffs == (1 + p).coeffs == (2, 2) and (p - 1).coeffs == (0, 2)
     assert p(10) == 21
     assert p == IntPolynomial([1, 2]) and p != q
     # an int compares as a constant; a bool is not a coefficient
     assert IntPolynomial((1,)) == 1 and IntPolynomial((1,)) != True
+
+
+@pytest.mark.parametrize("k", [-1, -5, True, 1.0])
+def test_shift_takes_an_int_of_at_least_0(k):
+    # a negative k used to return the polynomial unchanged, and True
+    # multiplied by q
+    for p in (IntPolynomial((1, 2)), IntPolynomial((0, 0, 1)), IntPolynomial()):
+        with pytest.raises(ValueError, match="must be an int of at least 0"):
+            p.shift(k)
 
 
 @given(coeff_lists, coeff_lists)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minuscule import battery
+from minuscule import battery, tableaux
 from minuscule.errors import AlgorithmInvariantViolated, InvalidTableau, TypeMismatch
 from minuscule.paths import LittelmannPath, WeightSequence, enumerate_paths
 from minuscule.rootsys import build_root_system
@@ -94,6 +94,14 @@ class TestPathBijection:
         bad = LittelmannPath._trusted(WeightSequence(A1, (W, W)), ((1,), (2,)))
         with pytest.raises(AlgorithmInvariantViolated):
             path_to_tableau(bad)
+
+    def test_a_step_that_lifts_to_no_row_set_is_caught(self):
+        # (2,) is in no A1 orbit: with one box its rows do not sum up, and
+        # with two they are the vector (2, 0)
+        with pytest.raises(AlgorithmInvariantViolated, match="does not lift"):
+            tableaux._lift_rows((2,), 1, 2)
+        with pytest.raises(AlgorithmInvariantViolated, match="is not a 0/1 vector"):
+            tableaux._lift_rows((2,), 2, 2)
 
     @pytest.mark.parametrize("seq", TYPE_A_SEQUENCES)
     def test_round_trip(self, seq):
