@@ -10,9 +10,8 @@ Each precondition of a verdict is checked once, and ``csp_check`` refuses
 in the same order with or without a supplied polynomial: the type (the
 automatic polynomial exists in type A only), the root lattice (outside
 it the instance is empty), the period ell (``orbit_structure``), then the
-path cap.  The automatic polynomial, which is public and refuses on its
-own, adds its capped Kostka-Foulkes count before the period test.  Weyl
-orbits are capped in ``rootsys.weyl_orbit``.
+path cap, and last the automatic polynomial's capped Kostka-Foulkes
+count.  Weyl orbits are capped in ``rootsys.weyl_orbit``.
 """
 from __future__ import annotations
 
@@ -30,11 +29,13 @@ from .records import FrozenRecord
 from .rootsys import in_root_lattice, two_rho_pairing
 
 
-@functools.lru_cache(maxsize=None)
+# the cache saves 3-7% of a `sieve` pass and 1-3% of `battery` (BENCH_40.json)
+@functools.lru_cache(maxsize=None, typed=True)
 def cyclotomic(r: int) -> IntPolynomial:
-    """The r-th cyclotomic polynomial, by exact recursive division."""
-    if r < 1:
-        raise ValueError("cyclotomic index must be positive")
+    """The r-th cyclotomic polynomial, by exact recursive division, for
+    ``r`` an ``int`` (not ``bool``) of at least 1."""
+    if type(r) is not int or r < 1:
+        raise ValueError(f"the cyclotomic index must be an int of at least 1, got {r!r}")
     # q^r - 1 divided by the cyclotomic polynomials of the proper divisors
     out = IntPolynomial((-1,) + (0,) * (r - 1) + (1,))
     for d in range(1, r):
@@ -44,15 +45,19 @@ def cyclotomic(r: int) -> IntPolynomial:
 
 
 def eval_matches(f: IntPolynomial, r: int, d: int, value: int) -> bool:
-    """True iff f(zeta^d) == value for zeta a primitive r-th root of unity."""
+    """True iff f(zeta^d) == value for zeta a primitive r-th root of unity;
+    ``r``, ``d`` and ``value`` are ``int`` (not ``bool``), ``r`` at least 1."""
+    if type(r) is not int or r < 1:
+        raise ValueError(f"the order r must be an int of at least 1, got {r!r}")
+    if type(d) is not int:
+        raise ValueError(f"the power d must be an int, got {d!r}")
+    if type(value) is not int:
+        raise ValueError(f"the value must be an int, got {value!r}")
     folded = [0] * r
     for k, c in enumerate(f.coeffs):
         folded[(k * d) % r] += c
     folded[0] -= value
-    h = IntPolynomial(folded)
-    if h.is_zero():
-        return True
-    _, rem = divmod(h, cyclotomic(r))
+    _, rem = divmod(IntPolynomial(folded), cyclotomic(r))
     return rem.is_zero()
 
 
@@ -142,10 +147,11 @@ def csp_check(seq: WeightSequence, ell: int, poly: IntPolynomial | None = None) 
     power is the one sign by which rotation permutes a basis of invariants.
     """
     if poly is None:
-        poly = type_a_csp_polynomial(seq)
-    else:
-        _check_lattice(seq)
+        _type_a_content(seq)
+    _check_lattice(seq)
     structure = orbit_structure(seq, ell)
+    if poly is None:
+        poly = type_a_csp_polynomial(seq)
     instance = CSPInstance(seq, ell, structure.r, poly)
     ok = tuple(
         eval_matches(poly, structure.r, d, count)

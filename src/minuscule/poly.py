@@ -80,8 +80,6 @@ class IntPolynomial:
         """Multiply by q^k, for ``k`` an ``int`` (not ``bool``) of at least 0."""
         if type(k) is not int or k < 0:
             raise ValueError(f"the shift must be an int of at least 0, got {k!r}")
-        if self.is_zero():
-            return self
         return IntPolynomial((0,) * k + self.coeffs)
 
     def __call__(self, x: int) -> int:
@@ -99,8 +97,6 @@ class IntPolynomial:
         lead = other.coeffs[-1]
         for k in range(len(rem) - len(other.coeffs), -1, -1):
             top = rem[k + len(other.coeffs) - 1]
-            if top == 0:
-                continue
             t, r = divmod(top, lead)
             if r:
                 raise ValueError(f"{top} not divisible by leading coefficient {lead}")

@@ -127,6 +127,7 @@ def _cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
 def _coroot_reflection(cartan, coroot, j):
     """Reflect a coroot (simple-coroot coordinates) at the j-th simple root."""
     pairing = sum(coroot[k] * cartan[k][j] for k in range(len(coroot)))
+    # with _simple_reflection's, saves 1/5 of building root systems and orbits (BENCH_40.json)
     if pairing == 0:
         return coroot
     img = list(coroot)
@@ -256,6 +257,7 @@ def _simple_reflection(rs: RootSystem, i: int, w: Weight) -> Weight:
     """w - <w, alpha_i_vee> alpha_i for an index and a weight already
     checked."""
     c = w[i - 1]
+    # with _coroot_reflection's, saves 1/5 of building root systems and orbits (BENCH_40.json)
     if c == 0:
         return tuple(w)
     return tuple(x - c * a for x, a in zip(w, rs.simple_roots[i - 1]))

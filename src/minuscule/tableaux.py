@@ -126,11 +126,10 @@ def path_to_tableau(p: LittelmannPath) -> RowStrictTableau:
     if rs.family != "A":
         raise TypeMismatch(f"tableaux need type A, got {rs}")
     n = rs.rank + 1
-    tables = {lam: _lift_table(rs, lam) for lam in set(p.seq.weights)}
     rows: list[list[int]] = [[] for _ in range(n)]
     steps = zip(_steps(p.points), p.points, p.seq.weights)
     for j, (step, point, lam) in enumerate(steps, start=1):
-        lifted = tables[lam].get(step)
+        lifted = _lift_table(rs, lam).get(step)
         if lifted is None:
             raise AlgorithmInvariantViolated(f"step into {point} leaves the orbit of {lam}")
         for r in lifted:
@@ -145,31 +144,31 @@ def tableau_to_path(t: RowStrictTableau) -> LittelmannPath:
     n = t.n_rows
     if n < 2:
         raise InvalidTableau("need at least two rows to define a rank >= 1 path")
-    # the values 1..max (max in the last box, as rows strictly and columns
-    # weakly increase) all appear only if max is at most the box count;
-    # refuse before ``content`` sizes a list by the maximum
-    if t.rows[-1][-1] > n * t.n_cols:
-        raise InvalidTableau("every entry value up to the maximum must appear")
-    rs = build_root_system("A", n - 1)
-    content = t.content
-    m = len(content)
-    if any(c == 0 for c in content):
-        raise InvalidTableau("every entry value up to the maximum must appear")
-    if any(not 1 <= c <= n - 1 for c in content):
-        raise InvalidTableau("an entry filling a full column has no minuscule step")
-    weights = tuple(rs.fundamental_weight(c) for c in content)
     # the rows holding each value, from one scan over the boxes
-    rows_of: list[list[int]] = [[] for _ in range(m)]
+    rows_of: dict[int, list[int]] = {}
     for r, row in enumerate(t.rows):
         for x in row:
-            rows_of[x - 1].append(r)
+            rows_of.setdefault(x, []).append(r)
+    # the entries are positive and at most the one in the last box, as rows
+    # strictly and columns weakly increase, so all of 1..max appear exactly
+    # when max values do
+    top = t.rows[-1][-1]
+    if len(rows_of) != top:
+        raise InvalidTableau("every entry value up to the maximum must appear")
+    # a row holds a value at most once, so only a full column is too many
+    if any(len(rows) == n for rows in rows_of.values()):
+        raise InvalidTableau("an entry filling a full column has no minuscule step")
+    rs = build_root_system("A", n - 1)
+    weights = []
     shape = [0] * n
     points = []
-    for rows in rows_of:
+    for x in range(1, top + 1):
+        rows = rows_of[x]
+        weights.append(rs.fundamental_weight(len(rows)))
         for r in rows:
             shape[r] += 1
         points.append(tuple(shape[i] - shape[i + 1] for i in range(n - 1)))
-    return LittelmannPath(WeightSequence(rs, weights), tuple(points))
+    return LittelmannPath(WeightSequence(rs, tuple(weights)), tuple(points))
 
 
 def promote(t: RowStrictTableau) -> RowStrictTableau:

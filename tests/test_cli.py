@@ -374,6 +374,14 @@ class TestCspCommand:
         assert code == 2 and out == ""
         assert err == "error: total weight outside the root lattice; the instance is empty\n"
 
+    @pytest.mark.parametrize("poly", [[], ["--poly", "1"]], ids=["automatic", "supplied"])
+    def test_the_period_is_refused_before_the_charge_cap(self, poly):
+        code, out, err = invoke(
+            ["csp", "check", "--type", "A", "--rank", "2", "--weights", ",".join(["1,2"] * 20),
+             "--ell", "1"] + poly)
+        assert code == 2 and out == ""
+        assert err == "error: ell=1 is not a period; the periods are (2, 4, 8, 10, 20, 40)\n"
+
 
 class TestBatteryCommand:
     def test_quick_passes(self):

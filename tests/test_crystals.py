@@ -666,9 +666,6 @@ class TestOneWalk:
             factors = list(start.factors)
             assert _to_highest(rs, factors, {}, {}) == route
             assert tuple(factors) == x.factors
-            # without a map the same route records nothing
-            untracked = list(start.factors)
-            assert _to_highest(rs, untracked, None, {}) == [] and untracked == factors
 
 
 class TestRootSystemData:

@@ -36,6 +36,28 @@ class TestCyclotomic:
             cyclotomic(0)
 
 
+# each call names one count that is not an int of its range
+BAD_COUNTS = {
+    "cyclotomic(2.0)": (cyclotomic, (2.0,), 2.0),
+    "cyclotomic(True)": (cyclotomic, (True,), True),
+    "eval_matches r=0": (eval_matches, (poly(1, 1), 0, 1, 2), 0),
+    "eval_matches r=-2": (eval_matches, (poly(1, 1), -2, 1, 0), -2),
+    "eval_matches r=True": (eval_matches, (poly(1, 1), True, 1, 2), True),
+    "eval_matches d=1.5": (eval_matches, (poly(1, 1), 2, 1.5, 0), 1.5),
+    "eval_matches d=True": (eval_matches, (poly(1, 1), 2, True, 0), True),
+    "eval_matches value=1.5": (eval_matches, (poly(1, 1), 2, 1, 1.5), 1.5),
+}
+
+
+@pytest.mark.parametrize("case", BAD_COUNTS)
+def test_a_count_that_is_not_an_int_of_its_range_is_refused(case):
+    function, args, bad = BAD_COUNTS[case]
+    cyclotomic(1)  # cached first, so True cannot read back its entry
+    with pytest.raises(ValueError, match="must be an int") as refused:
+        function(*args)
+    assert str(refused.value).endswith(repr(bad))
+
+
 class TestEvalMatches:
     def test_spec_values(self):
         f = poly(1, 0, 1)
@@ -163,14 +185,25 @@ class TestCspCheck:
             csp_check(WeightSequence(A1, (W,) * 3), 2, supplied)
         assert str(refused.value) == "total weight outside the root lattice; the instance is empty"
 
+    @pytest.mark.parametrize("supplied", [None, poly(1)], ids=["automatic", "supplied"])
+    def test_the_period_is_refused_before_the_charge_cap(self, supplied):
+        # the automatic polynomial of (omega_1, omega_2)^20 is past the charge
+        # cap, but ell = 1 is no period, and both routes refuse that first
+        seq = WeightSequence(A2, ((1, 0), (0, 1)) * 20)
+        with pytest.raises(SequenceNotPeriodic) as refused:
+            csp_check(seq, 1, supplied)
+        assert str(refused.value) == "ell=1 is not a period; the periods are (2, 4, 8, 10, 20, 40)"
+        with pytest.raises(EnumerationTooLarge, match="charge count"):
+            type_a_csp_polynomial(seq)
+
     def test_supplied_polynomial_refused_without_a_search(self):
         # 41 A1 steps: outside the root lattice, and far too many to search
         with pytest.raises(NotInRootLattice):
             csp_check(WeightSequence(A1, (W,) * 41), 1, poly(1))
 
     def test_path_cap_refuses_a1_twenty_eight_steps(self):
-        # the Kostka-Foulkes count of (2^14) runs first and is quick; the
-        # 2,674,440 paths are past the enumeration cap
+        # the 2,674,440 paths are past the enumeration cap, which is tested
+        # before the Kostka-Foulkes count of (2^14)
         with pytest.raises(EnumerationTooLarge):
             csp_check(WeightSequence(A1, (W,) * 28), 1)
 

@@ -74,6 +74,13 @@ class TestPathBijection:
         with pytest.raises(InvalidTableau):
             tableau_to_path(RowStrictTableau(((1, 2), (1, 3))))
 
+    def test_a_missing_value_is_refused_before_a_full_column(self):
+        # 1 fills a column in both; only in the first is 2 missing
+        with pytest.raises(InvalidTableau, match="must appear"):
+            tableau_to_path(RowStrictTableau(((1, 3), (1, 4))))
+        with pytest.raises(InvalidTableau, match="full column has no minuscule step"):
+            tableau_to_path(RowStrictTableau(((1, 2), (1, 3))))
+
     def test_single_row_rejected(self):
         with pytest.raises(InvalidTableau):
             tableau_to_path(RowStrictTableau(((1, 2, 3),)))
