@@ -55,6 +55,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def _parse_optional(self, arg_string):
+        # no flag starts with a dash and a digit, so -1,0,1 is a value, as -1 is
+        return None if arg_string[1:2].isdigit() else super()._parse_optional(arg_string)
+
 
 def _cap(text: str) -> int:
     """A search cap: an integer of at least 1."""

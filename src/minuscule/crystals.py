@@ -106,9 +106,6 @@ class TensorCrystalElement(FrozenRecord):
         object.__setattr__(b, "factors", factors)
         return b
 
-    def weight(self) -> Weight:
-        return tuple(map(sum, zip(*self.factors)))
-
     def to_json_dict(self):
         return {"factors": [list(f) for f in self.factors]}
 

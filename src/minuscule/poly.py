@@ -1,8 +1,9 @@
 """Dense integer polynomials in the variable q.
 
-Coefficients are plain Python ints (the constructor refuses any other
-type, bool and float included) indexed by exponent, trailing zeros
+Coefficients are plain Python ints indexed by exponent, trailing zeros
 trimmed, so equality of polynomials is equality of coefficient tuples.
+The constructor takes only a list or tuple of ints (not bool or float);
+in arithmetic an int is a constant, and any other operand a ``TypeError``.
 Division is exact integer division and raises when the quotient would
 leave the ring; nothing here ever touches a float.
 """
@@ -21,6 +22,8 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
+        if not isinstance(coeffs, (list, tuple)):
+            raise TypeError(f"coefficients must be a list or tuple, not {coeffs!r}")
         for c in coeffs:
             if type(c) is not int:
                 raise TypeError(f"coefficient {c!r} is not an int")
@@ -28,11 +31,6 @@ class IntPolynomial:
         while end > 0 and coeffs[end - 1] == 0:
             end -= 1
         object.__setattr__(self, "coeffs", tuple(coeffs[:end]))
-
-    @property
-    def degree(self) -> int:
-        """Degree of the leading term; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -51,22 +49,28 @@ class IntPolynomial:
         return hash(self.coeffs)
 
     def __add__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             other = IntPolynomial((other,))
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
         return IntPolynomial(tuple(a + b for a, b in itertools.zip_longest(
             self.coeffs, other.coeffs, fillvalue=0)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             other = IntPolynomial((other,))
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
         return IntPolynomial(tuple(a - b for a, b in itertools.zip_longest(
             self.coeffs, other.coeffs, fillvalue=0)))
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             return IntPolynomial(tuple(c * other for c in self.coeffs))
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
         out = [0] * (len(self.coeffs) + len(other.coeffs))
         for i, a in enumerate(self.coeffs):
             if a:
@@ -88,8 +92,12 @@ class IntPolynomial:
             value = value * x + c
         return value
 
-    def __divmod__(self, other: "IntPolynomial"):
+    def __divmod__(self, other):
         """Long division; requires every leading-coefficient division exact."""
+        if type(other) is int:
+            other = IntPolynomial((other,))
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
@@ -106,6 +114,8 @@ class IntPolynomial:
         return IntPolynomial(quot), IntPolynomial(rem)
 
     def __floordiv__(self, other):
+        if type(other) is not int and not isinstance(other, IntPolynomial):
+            return NotImplemented
         q, r = divmod(self, other)
         if not r.is_zero():
             raise ValueError(f"{self!r} is not divisible by {other!r}")

@@ -79,19 +79,6 @@ class RowStrictTableau(FrozenRecord):
     def n_rows(self) -> int:
         return len(self.rows)
 
-    @property
-    def n_cols(self) -> int:
-        return len(self.rows[0])
-
-    @property
-    def content(self) -> tuple[int, ...]:
-        top = max(max(row) for row in self.rows)
-        counts = [0] * top
-        for row in self.rows:
-            for x in row:
-                counts[x - 1] += 1
-        return tuple(counts)
-
     def to_json_list(self):
         return [list(row) for row in self.rows]
 

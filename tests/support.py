@@ -27,6 +27,11 @@ def poly(*coeffs):
     return IntPolynomial(coeffs)
 
 
+def weight(b):
+    """The weight of a tensor crystal element: the sum of its factors."""
+    return tuple(map(sum, zip(*b.factors)))
+
+
 @contextlib.contextmanager
 def peak_memory():
     """Yield a list that receives the tracemalloc peak of the block, in

@@ -18,6 +18,8 @@ from minuscule import crystals, csp, kostka, paths, rootsys, tableaux
 from minuscule.errors import AlgorithmInvariantViolated, NotInRootLattice
 from minuscule.poly import IntPolynomial
 
+from support import weight
+
 CASES = bat.standard_battery()
 
 # Every suite's check count, per scope.  A change to what the battery
@@ -261,7 +263,7 @@ def test_criterion_4_catches_a_xi_that_is_an_involution_but_not_a_crystal_map(mo
     # bottom of another component, so only the local rule can tell
     (seq,) = [s for s in CASES if str(s.rs) == "A1" and len(s) == 4]
     t1, t2, _ = [b for b in crystals.all_elements(seq)
-                 if crystals.is_highest_weight(b) and b.weight() == (2,)]
+                 if crystals.is_highest_weight(b) and weight(b) == (2,)]
     tau = {t1.factors: t2, t2.factors: t1}
     xi_all = crystals.schutzenberger_all
 

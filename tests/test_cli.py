@@ -282,8 +282,11 @@ class TestKostkaCommand:
         assert code == 2
 
     def test_negative_content_is_invalid_input(self):
-        code, out, err = invoke(["kostka", "--shape", "1", "--content", "2,-1"])
-        assert code == 2 and out == "" and "nonnegative" in err
+        # -1,4 starts with a minus sign, and is still a value, not a flag
+        for shape, content in (("1", "2,-1"), ("3", "-1,4")):
+            code, out, err = invoke(["kostka", "--shape", shape, "--content", content])
+            assert code == 2 and out == ""
+            assert err == "error: content entries must be nonnegative\n"
 
     def test_more_rows_than_the_recursion_limit(self):
         ones = ",".join(["1"] * 1200)
@@ -354,6 +357,14 @@ class TestCspCommand:
             ["csp", "check", "--type", "A", "--rank", "1", "--weights", "1,1,1,1",
              "--ell", "1", "--poly", "2"])
         assert code == 1 and json.loads(out)["verdict"] == "fail"
+
+    def test_a_leading_negative_coefficient_is_a_value(self):
+        # a comma list that starts with a minus sign is a value, as -1 is
+        argv = ["csp", "check", "--type", "A", "--rank", "1", "--weights", "1,1", "--ell", "1"]
+        separate = invoke(argv + ["--poly", "-1,0,1"])
+        assert separate == invoke(argv + ["--poly=-1,0,1"])
+        code, out, err = separate
+        assert code == 1 and err == "" and json.loads(out)["polynomial"] == [-1, 0, 1]
 
     def test_auto_outside_type_a_is_invalid_input(self):
         code, _, err = invoke(

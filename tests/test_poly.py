@@ -9,10 +9,8 @@ from minuscule.poly import IntPolynomial
 coeff_lists = st.lists(st.integers(-9, 9), max_size=8)
 
 
-def test_trimming_and_degree():
+def test_trimming():
     assert IntPolynomial((1, 2, 0, 0)).coeffs == (1, 2)
-    assert IntPolynomial(()).degree == -1
-    assert IntPolynomial((0, 0, 5)).degree == 2
     assert IntPolynomial((0,)).is_zero()
     assert not IntPolynomial((0,)) and IntPolynomial((0, 1))
 
@@ -23,6 +21,28 @@ def test_coefficients_outside_the_integers_are_refused(coeffs):
     # compares equal to one
     with pytest.raises(TypeError, match="is not an int"):
         IntPolynomial(coeffs)
+
+
+P = IntPolynomial((1, 2))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: P + 2.5,
+    lambda: P - 2.5,
+    lambda: P * 2.5,
+    lambda: 2.5 * P,
+    lambda: divmod(P, 2.5),
+    lambda: P // 2.5,
+    lambda: P + "q",
+    lambda: P * True,
+    lambda: IntPolynomial(x for x in (1, 2)),
+    lambda: IntPolynomial({1: 2}),
+    lambda: IntPolynomial("12"),
+], ids=["add", "sub", "mul", "rmul", "divmod", "floordiv", "add str", "mul bool",
+        "generator", "dict", "str"])
+def test_operands_outside_the_ring_are_a_type_error(make):
+    with pytest.raises(TypeError):
+        make()
 
 
 def test_docstring_examples_run():
@@ -40,6 +60,8 @@ def test_arithmetic():
     assert p.shift(2).coeffs == (0, 0, 1, 2)
     assert IntPolynomial().shift(2).is_zero()
     assert (p + 1).coeffs == (1 + p).coeffs == (2, 2) and (p - 1).coeffs == (0, 2)
+    # an int divisor is a constant too
+    assert (3 * p) // 3 == p and divmod(p, 1) == (p, IntPolynomial())
     assert p(10) == 21
     assert p == IntPolynomial([1, 2]) and p != q
     # an int compares as a constant; a bool is not a coefficient
