@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import battery as battery_mod
@@ -60,12 +61,18 @@ class _Parser(argparse.ArgumentParser):
         return None if arg_string[1:2].isdigit() else super()._parse_optional(arg_string)
 
 
+def _int(text: str) -> int:
+    """The one reader of a CLI integer: an optional sign and ASCII digits,
+    inside any whitespace.  ``int`` alone also reads ``1_0`` as 10 and
+    reads non-ASCII digits."""
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _cap(text: str) -> int:
     """A search cap: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid cap {text!r}") from None
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"cap must be at least 1, got {value}")
     return value
@@ -87,7 +94,7 @@ def _build_parser() -> _Parser:
     def add_type_flags(p, weights=True):
         p.add_argument("--type", required=True, dest="family",
                        help="root-system family letter, A..G")
-        p.add_argument("--rank", required=True, type=int)
+        p.add_argument("--rank", required=True, type=_int)
         if weights:
             p.add_argument("--weights", required=True,
                            help="comma-separated fundamental-weight indices")
@@ -118,7 +125,7 @@ def _build_parser() -> _Parser:
     p = leaf(pth, "orbits", "rotation orbits and fixed-point counts", _paths_orbits)
     add_type_flags(p)
     add_format(p)
-    p.add_argument("--ell", type=int, default=1)
+    p.add_argument("--ell", type=_int, default=1)
 
     tab = group("tableau", "tableau operations")
     p = leaf(tab, "promote", "jeu-de-taquin promotion", _tableau_promote)
@@ -150,7 +157,7 @@ def _build_parser() -> _Parser:
     p = leaf(group("csp", "cyclic-sieving verification"), "check",
              "verify the sieving triple", _csp_check)
     add_type_flags(p)
-    p.add_argument("--ell", type=int, default=1)
+    p.add_argument("--ell", type=_int, default=1)
     p.add_argument("--poly", default=None,
                    help="comma-separated coefficients, ascending; omit for the "
                         "automatic type-A polynomial")
@@ -158,7 +165,7 @@ def _build_parser() -> _Parser:
 
     p = leaf(sub, "battery", "run the property battery", _battery)
     p.add_argument("--scope", choices=("quick", "full"), default="quick")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     add_format(p, ("json", "text"))
 
     return parser
@@ -166,10 +173,9 @@ def _build_parser() -> _Parser:
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
+        return tuple(_int(x) for x in text.split(","))
+    except argparse.ArgumentTypeError as exc:
         raise _UsageError(f"bad {what} {text!r}: {exc}") from exc
-    return values
 
 
 def _sequence(args) -> WeightSequence:

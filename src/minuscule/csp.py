@@ -46,7 +46,10 @@ def cyclotomic(r: int) -> IntPolynomial:
 
 def eval_matches(f: IntPolynomial, r: int, d: int, value: int) -> bool:
     """True iff f(zeta^d) == value for zeta a primitive r-th root of unity;
-    ``r``, ``d`` and ``value`` are ``int`` (not ``bool``), ``r`` at least 1."""
+    ``f`` is an ``IntPolynomial``, and ``r``, ``d`` and ``value`` are ``int``
+    (not ``bool``), ``r`` at least 1."""
+    if not isinstance(f, IntPolynomial):
+        raise TypeError(f"the polynomial must be an IntPolynomial, got {f!r}")
     if type(r) is not int or r < 1:
         raise ValueError(f"the order r must be an int of at least 1, got {r!r}")
     if type(d) is not int:
@@ -146,6 +149,8 @@ def csp_check(seq: WeightSequence, ell: int, poly: IntPolynomial | None = None) 
     positive-coroot sum; it does not enter the verdict.  Its (r-1)-th
     power is the one sign by which rotation permutes a basis of invariants.
     """
+    if poly is not None and not isinstance(poly, IntPolynomial):
+        raise TypeError(f"the polynomial must be an IntPolynomial, got {poly!r}")
     if poly is None:
         _type_a_content(seq)
     _check_lattice(seq)

@@ -1,18 +1,21 @@
 """Dense integer polynomials in the variable q.
 
-Coefficients are plain Python ints indexed by exponent, trailing zeros
-trimmed, so equality of polynomials is equality of coefficient tuples.
-The constructor takes only a list or tuple of ints (not bool or float);
-in arithmetic an int is a constant, and any other operand a ``TypeError``.
-Division is exact integer division and raises when the quotient would
-leave the ring; nothing here ever touches a float.
+``IntPolynomial`` is a frozen record whose one field, ``coeffs``, holds
+the int coefficients indexed by exponent with trailing zeros trimmed, so
+equal polynomials have equal tuples.  It offers ``+`` and ``*`` on either
+side, exact ``divmod`` and ``//``, ``shift`` and a zero test; an int
+operand is a constant, any other a ``TypeError``.  It has no evaluation:
+the value at 1 is ``sum(p.coeffs)``, and ``csp.eval_matches`` decides
+values at roots of unity.  Nothing here ever touches a float.
 """
 from __future__ import annotations
 
 import itertools
 
+from .records import FrozenRecord
 
-class IntPolynomial:
+
+class IntPolynomial(FrozenRecord):
     """An element of Z[q].
 
     >>> IntPolynomial([0, 0, 1, 0, 1])
@@ -30,7 +33,7 @@ class IntPolynomial:
         end = len(coeffs)
         while end > 0 and coeffs[end - 1] == 0:
             end -= 1
-        object.__setattr__(self, "coeffs", tuple(coeffs[:end]))
+        self._fill(tuple(coeffs[:end]))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -41,12 +44,9 @@ class IntPolynomial:
     def __eq__(self, other):
         if type(other) is int:
             other = IntPolynomial((other,))
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
+        return super().__eq__(other)
 
-    def __hash__(self):
-        return hash(self.coeffs)
+    __hash__ = FrozenRecord.__hash__
 
     def __add__(self, other):
         if type(other) is int:
@@ -57,14 +57,6 @@ class IntPolynomial:
             self.coeffs, other.coeffs, fillvalue=0)))
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        if type(other) is int:
-            other = IntPolynomial((other,))
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return IntPolynomial(tuple(a - b for a, b in itertools.zip_longest(
-            self.coeffs, other.coeffs, fillvalue=0)))
 
     def __mul__(self, other):
         if type(other) is int:
@@ -85,12 +77,6 @@ class IntPolynomial:
         if type(k) is not int or k < 0:
             raise ValueError(f"the shift must be an int of at least 0, got {k!r}")
         return IntPolynomial((0,) * k + self.coeffs)
-
-    def __call__(self, x: int) -> int:
-        value = 0
-        for c in reversed(self.coeffs):
-            value = value * x + c
-        return value
 
     def __divmod__(self, other):
         """Long division; requires every leading-coefficient division exact."""

@@ -498,7 +498,37 @@ def test_run_accepts_intpolynomial_coeff_grammar():
         ["csp", "check", "--type", "A", "--rank", "1", "--weights", "1,1,1,1",
          "--ell", "1", "--poly", "0,0,0,0,1,0,1"])
     assert code == 0 and json.loads(out)["verdict"] == "pass"
-    assert IntPolynomial((0, 0, 0, 0, 1, 0, 1))(1) == 2
+    assert sum(IntPolynomial((0, 0, 0, 0, 1, 0, 1)).coeffs) == 2
+
+
+A1_FOUR = ["--type", "A", "--rank", "1", "--weights", "1,1,1,1"]
+
+
+@pytest.mark.parametrize("argv,plain", [
+    # int() alone read each of these as another integer
+    (["csp", "check", *A1_FOUR, "--poly", "0_0,0,1_0"], None),
+    (["root", "minuscule", "--type", "A", "--rank", "1_0"], None),
+    (["paths", "orbits", *A1_FOUR, "--ell", "0_1"], None),
+    (["csp", "check", *A1_FOUR, "--ell", "0_1"], None),
+    (["battery", "--seed", "1_0"], None),
+    (["paths", "enumerate", *A1_FOUR, "--cap", "1_0"], None),
+    (["kostka", "--shape", "\u0662,\u0662", "--content", "1,1,1,1"], None),
+    (["kostka", "--shape", "2,2", "--content", "1,1,1,\uff11"], None),
+    # a sign and surrounding whitespace are still read
+    (["kostka", "--shape", "+2,2", "--content", " 1, 1,1,1 "],
+     ["kostka", "--shape", "2,2", "--content", "1,1,1,1"]),
+    (["csp", "check", *A1_FOUR, "--ell", " +1", "--poly", "-1,0,1"],
+     ["csp", "check", *A1_FOUR, "--ell", "1", "--poly=-1,0,1"]),
+    (["paths", "enumerate", "--type", "A", "--rank", "+1", "--weights", " 1, 1", "--cap", " 2"],
+     ["paths", "enumerate", "--type", "A", "--rank", "1", "--weights", "1,1", "--cap", "2"]),
+    (["battery", "--seed", "+0"], ["battery", "--seed", "0"]),
+], ids=lambda x: " ".join(x) if x else "refused")
+def test_an_integer_is_a_sign_and_ascii_digits(argv, plain):
+    code, out, err = invoke(argv)
+    if plain is None:
+        assert code == 2 and out == "" and err.startswith("error: ")
+    else:
+        assert out and (code, out) == invoke(plain)[:2]
 
 
 def _leaves(parser, path=()):

@@ -69,8 +69,8 @@ class TestEvalMatches:
         for coeffs in ((1, 2, 3), (0, -1, 0, 5), (7,)):
             f = poly(*coeffs)
             for r in (1, 2, 3, 5, 8):
-                assert eval_matches(f, r, 0, f(1))
-                assert not eval_matches(f, r, 0, f(1) + 1)
+                assert eval_matches(f, r, 0, sum(f.coeffs))
+                assert not eval_matches(f, r, 0, sum(f.coeffs) + 1)
 
     def test_periodicity_in_d(self):
         f = poly(2, 0, 0, 1, 4)
@@ -124,7 +124,7 @@ class TestTypeAPolynomial:
         from minuscule.paths import enumerate_paths
         for seq in (WeightSequence(A1, (W,) * 8),
                     WeightSequence(A3, ((1, 0, 0), (0, 0, 1)) * 2)):
-            assert type_a_csp_polynomial(seq)(1) == len(enumerate_paths(seq))
+            assert sum(type_a_csp_polynomial(seq).coeffs) == len(enumerate_paths(seq))
 
 
 class TestCspCheck:
@@ -195,6 +195,22 @@ class TestCspCheck:
         assert str(refused.value) == "ell=1 is not a period; the periods are (2, 4, 8, 10, 20, 40)"
         with pytest.raises(EnumerationTooLarge, match="charge count"):
             type_a_csp_polynomial(seq)
+
+    @pytest.mark.parametrize("f", [[0, 0, 1, 0, 1], (0, 0, 1, 0, 1), 2, "q^2 + q^4", None],
+                             ids=["list", "tuple", "int", "str", "None"])
+    def test_a_polynomial_must_be_an_intpolynomial(self, f, monkeypatch):
+        # these raised AttributeError on coeffs, csp_check only after every
+        # path had been enumerated and rotated
+        with pytest.raises(TypeError, match="must be an IntPolynomial"):
+            eval_matches(f, 4, 1, 0)
+        if f is None:
+            return  # csp_check reads None as the automatic polynomial
+
+        def not_reached(*args):
+            raise AssertionError("orbit_structure was called")
+        monkeypatch.setattr(csp, "orbit_structure", not_reached)
+        with pytest.raises(TypeError, match="must be an IntPolynomial"):
+            csp_check(WeightSequence(A1, (W,) * 4), 1, f)
 
     def test_supplied_polynomial_refused_without_a_search(self):
         # 41 A1 steps: outside the root lattice, and far too many to search

@@ -97,7 +97,7 @@ class TestKostkaFoulkes:
         for nu in battery._partitions(5):
             for gamma in battery._partitions(5):
                 count = sum(1 for _ in recursive_column_strict_tableaux(nu, gamma))
-                assert kostka_foulkes(nu, gamma)(1) == count
+                assert sum(kostka_foulkes(nu, gamma).coeffs) == count
 
     def test_degree_formula(self):
         def weighted(parts):
@@ -137,7 +137,7 @@ class TestKostkaFoulkes:
             for j in range(5):
                 denominator = denominator * q_int((5 - j) + (4 - i) - 1)
         expected = (numerator // denominator).shift(40)
-        assert expected(1) == 1_662_804
+        assert sum(expected.coeffs) == 1_662_804
         monkeypatch.setattr(kostka, "CHARGE_COUNT_CAP", 100_000)
         assert kostka_foulkes((5, 5, 5, 5), (1,) * 20) == expected
         monkeypatch.setattr(kostka, "CHARGE_COUNT_CAP", 1000)

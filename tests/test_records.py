@@ -46,11 +46,14 @@ RECORDS = {
                 (CSPInstance(SEQ, 2, 1, POLY), (1,), (False,), 1)),
     SuiteResult: (("name", "checks", "failures"), ("counting", 3, []),
                   ("counting", 3, ["case"])),
+    IntPolynomial: (("coeffs",), ((0, 1),), ((1,),)),
 }
 CLASSES = list(RECORDS)
 
 
-@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+# a polynomial keeps its text repr, which the doctest in poly pins
+@pytest.mark.parametrize("cls", [cls for cls in CLASSES if cls is not IntPolynomial],
+                         ids=lambda cls: cls.__name__)
 def test_construction_by_position_and_by_keyword(cls):
     names, fields, _ = RECORDS[cls]
     by_position = cls(*fields)
