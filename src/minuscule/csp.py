@@ -8,20 +8,18 @@ approximate.
 
 Each precondition of a verdict is checked once, and ``csp_check`` refuses
 in the same order with or without a supplied polynomial: the type (the
-automatic polynomial exists in type A only), the root lattice (outside
-it the instance is empty), the period ell (``orbit_structure``), then the
-path cap, and last the automatic polynomial's capped Kostka-Foulkes
-count.  Weyl orbits are capped in ``rootsys.weyl_orbit``.
+automatic polynomial exists in type A only, and elsewhere is refused with
+``TypeMismatch``, the refusal tableaux give outside type A), the root
+lattice (outside it the instance is empty), the period ell
+(``orbit_structure``), then the path cap, and last the automatic
+polynomial's capped Kostka-Foulkes count.  Weyl orbits are capped in
+``rootsys.weyl_orbit``.
 """
 from __future__ import annotations
 
 import functools
 
-from .errors import (
-    AlgorithmInvariantViolated,
-    NotInRootLattice,
-    PolynomialUnavailable,
-)
+from .errors import AlgorithmInvariantViolated, NotInRootLattice, TypeMismatch
 from .kostka import kostka_foulkes
 from .paths import WeightSequence, orbit_structure
 from .poly import IntPolynomial
@@ -71,7 +69,7 @@ def _check_lattice(seq: WeightSequence) -> None:
 
 def _type_a_content(seq: WeightSequence) -> tuple[int, ...]:
     if seq.rs.family != "A":
-        raise PolynomialUnavailable(f"no automatic sieving polynomial for {seq.rs}")
+        raise TypeMismatch(f"no automatic sieving polynomial for {seq.rs}")
     return tuple(w.index(1) + 1 for w in seq.weights)
 
 

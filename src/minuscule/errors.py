@@ -68,7 +68,3 @@ class OracleTooLarge(MinusculeError):
 
 class NotInRootLattice(MinusculeError):
     """Total weight of the sequence lies outside the root lattice."""
-
-
-class PolynomialUnavailable(MinusculeError):
-    """No automatic sieving polynomial exists outside type A."""

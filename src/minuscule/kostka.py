@@ -7,8 +7,8 @@ carried one strip at a time and counted level by level, merged on the
 state of charge's subwords, so no tableau is visited one by one; the
 count's work, row and box scans and subword copies included, is bounded
 by ``CHARGE_COUNT_CAP``.
-``charge`` on a whole word stays as the validating route and ``_charge``
-as the reference.
+``charge`` on a whole word validates its word and stays as the
+reference.
 The second route is the alternating sum over the symmetric group
 against a q-deformed partition function, walked position by position so
 that permutations with a negative prefix of beta are never built; the
@@ -95,14 +95,6 @@ def charge(word) -> int:
         mult[x - 1] += 1
     if any(mult[i] < mult[i + 1] for i in range(top - 1)) or 0 in mult:
         raise InvalidContent(f"content {tuple(mult)} is not a partition")
-    return _charge(word)
-
-
-def _charge(word) -> int:
-    """``charge`` without checks: ``word`` is a tuple of positive ints
-    whose content is a partition, as is every reading word of a
-    column-strict tableau of partition content."""
-    top = max(word, default=0)
     # ascending positions of each letter; every round removes one of each
     # letter 1..top, so the content stays a partition and top only falls
     where: list[list[int]] = [[] for _ in range(top + 1)]
@@ -172,7 +164,7 @@ def _charge_strip(last, index, spots):
     took of the same letter, and the reading order of boxes is fixed once
     they are placed.  So the extraction can run letter by letter along
     a chain of shapes.  ``last`` and ``index`` are the last position and
-    the index of each live subword.  As in ``_charge``, subword j takes the
+    the index of each live subword.  As in ``charge``, subword j takes the
     next box leftward from its last one, or wraps to the rightmost box,
     raising its index, if there is none.  Returns the new ``last`` and
     ``index`` and the charge they add.

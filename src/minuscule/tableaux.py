@@ -11,8 +11,8 @@ Validation happens once, where data enters: the public
 ``int`` entries, the shape and strictness.  The tableau of a path and
 the promotion of a tableau are row-strict by construction, so they are
 built with the unchecked ``RowStrictTableau._trusted``;
-``path_to_tableau`` still checks that every step lifts to a 0/1 row
-vector and that the rows fill a rectangle, and ``promote`` that every
+``path_to_tableau`` still checks that every step is in its weight's
+orbit and that the rows fill a rectangle, and ``promote`` that every
 hole ends in the last column.
 
 ``promote`` is Schutzenberger's jeu de taquin driven by the holes the 1s
@@ -22,20 +22,22 @@ holes' paths move.  It shares no code with path rotation, so the check
 that promotion is rotation through ``path_to_tableau`` stays a check.
 
 ``path_to_tableau`` lifts steps through a table per (root system,
-weight), built once from the weight's Weyl orbit: each orbit element maps
-to the rows its entry lands in, computed by ``_lift_rows`` with its 0/1
-checks.  A step missing from the table has left its orbit, which is an
-``AlgorithmInvariantViolated`` as a failed lift is.
+weight omega_k), built once and forward: for each k-subset S of the n
+rows it maps the step of an entry landing in S, the weight whose i-th
+coordinate is [i in S] - [i+1 in S], to S.  These steps are the Weyl
+orbit of omega_k, so a step missing from the table has left its orbit,
+which is an ``AlgorithmInvariantViolated``.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 from types import MappingProxyType
 
 from .errors import AlgorithmInvariantViolated, InvalidTableau, TypeMismatch
 from .paths import LittelmannPath, WeightSequence, _int_lists, _steps
 from .records import FrozenRecord
-from .rootsys import Weight, build_root_system, weyl_orbit
+from .rootsys import Weight, build_root_system
 
 
 class RowStrictTableau(FrozenRecord):
@@ -83,27 +85,13 @@ class RowStrictTableau(FrozenRecord):
         return [list(row) for row in self.rows]
 
 
-def _lift_rows(step, box_count, n) -> tuple[int, ...]:
-    """The rows the new entry occupies: the support of the 0/1 vector of
-    length n with consecutive differences ``step`` summing to
-    ``box_count``."""
-    suffix = [0] * n
-    for k in range(n - 2, -1, -1):
-        suffix[k] = suffix[k + 1] + step[k]
-    base, rem = divmod(box_count - sum(suffix), n)
-    if rem:
-        raise AlgorithmInvariantViolated("step does not lift to the standard basis")
-    lift = [base + s for s in suffix]
-    if set(lift) - {0, 1}:
-        raise AlgorithmInvariantViolated(f"lift {lift} is not a 0/1 vector")
-    return tuple(r for r, occupied in enumerate(lift) if occupied)
-
-
 @functools.lru_cache(maxsize=None)
 def _lift_table(rs, lam) -> MappingProxyType[Weight, tuple[int, ...]]:
-    """Every step in the orbit of ``lam``, mapped to the rows its entry lands in."""
-    n, box_count = rs.rank + 1, lam.index(1) + 1
-    table = {step: _lift_rows(step, box_count, n) for step in weyl_orbit(rs, lam)}
+    """Every step in the orbit of ``lam`` = omega_k, mapped to the k rows
+    its entry lands in, built from the k-subsets of the rows."""
+    n = rs.rank + 1
+    table = {tuple((i in rows) - (i + 1 in rows) for i in range(n - 1)): rows
+             for rows in itertools.combinations(range(n), lam.index(1) + 1)}
     return MappingProxyType(table)  # cached and shared: read only
 
 

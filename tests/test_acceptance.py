@@ -296,6 +296,26 @@ def test_criterion_6_cyclic_sieving(clock):
     _gate(6, "cyclic sieving", ok, clock(), 120)
 
 
+def test_criterion_6_decides_each_sequence_once(monkeypatch):
+    # one polynomial per type-A case (eight computed, one refused outside
+    # the root lattice), however many periods it has
+    calls = collections.Counter()
+
+    def counted(name):
+        real = getattr(csp, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(csp, name, wrapper)
+
+    counted("type_a_csp_polynomial")
+    counted("kostka_foulkes")
+    result = bat.suite_cyclic_sieving(CASES)
+    assert result.passed and result.checks == FULL_CHECKS["cyclic-sieving"]
+    assert calls == {"type_a_csp_polynomial": 9, "kostka_foulkes": 8}
+
+
 def test_criterion_7_exponent_identity(clock):
     _gate(7, "exponent identity", bat.suite_exponent_identity(CASES).passed, clock(), 0)
 

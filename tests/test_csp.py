@@ -15,8 +15,8 @@ from minuscule.errors import (
     AlgorithmInvariantViolated,
     EnumerationTooLarge,
     NotInRootLattice,
-    PolynomialUnavailable,
     SequenceNotPeriodic,
+    TypeMismatch,
 )
 from minuscule.paths import WeightSequence, orbit_structure
 from minuscule.rootsys import build_root_system, two_rho_pairing
@@ -165,7 +165,7 @@ class TestCspCheck:
     def test_supplied_polynomial_outside_type_a(self):
         d4 = build_root_system("D", 4)
         seq = WeightSequence(d4, (d4.fundamental_weight(1),) * 4)
-        with pytest.raises(PolynomialUnavailable):
+        with pytest.raises(TypeMismatch, match="no automatic sieving polynomial for D4"):
             csp_check(seq, 1)
         counts = orbit_structure(seq, 1).fixed_counts
         # a constant polynomial verifies iff every power has that many fixed points

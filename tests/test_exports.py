@@ -7,6 +7,20 @@ import textwrap
 import minuscule
 
 INIT = pathlib.Path(minuscule.__file__)
+ROOT = INIT.parents[2]
+LIBRARY = sorted(INIT.parent.glob("*.py"))
+
+
+def _reader_nodes():
+    """Every AST node of the library, the demos and the benchmark harness,
+    whose files are parsed and never run."""
+    for folder in ("src/minuscule", "demos", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            yield from ast.walk(ast.parse(path.read_text()))
+
+
+def _named_in_readme(name, readme):
+    return re.search(rf"`{name}`|\.{name}\b", readme)
 
 
 def test_every_exported_name_resolves():
@@ -32,13 +46,8 @@ def test_every_public_member_has_a_reader():
     API.  The scan matches names, not classes: it would miss a dead member
     that shares its name with another read, such as ``cli`` reading
     ``args.content``."""
-    root = INIT.parents[2]
-    read = {node.attr
-            for folder in ("src/minuscule", "demos", "perfbench")
-            for path in sorted((root / folder).rglob("*.py"))
-            for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.Attribute)}
-    readme = (root / "README.md").read_text()
+    read = {node.attr for node in _reader_nodes() if isinstance(node, ast.Attribute)}
+    readme = (ROOT / "README.md").read_text()
     unread = []
     for name in minuscule.__all__:
         cls = getattr(minuscule, name)
@@ -48,6 +57,48 @@ def test_every_public_member_has_a_reader():
         for member in node.body:
             if (isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
                     and member.name not in read
-                    and not re.search(rf"`{member.name}`|\.{member.name}\b", readme)):
+                    and not _named_in_readme(member.name, readme)):
                 unread.append(f"{name}.{member.name}")
     assert unread == []
+
+
+def test_every_public_function_and_constant_has_a_reader():
+    """Each public function or constant at the top level of a library
+    module is loaded by name or read as an attribute in the library (its
+    own module included), the demos or the benchmark harness, or is named
+    as `` `name` `` or ``.name`` in README.md; an import alone is no read.
+    As above, the scan matches names, not modules."""
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for node in _reader_nodes()
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    readme = (ROOT / "README.md").read_text()
+    unread = []
+    for path in LIBRARY:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [f"{path.stem}.{name}" for name in names
+                       if not name.startswith("_") and name not in read
+                       and not _named_in_readme(name, readme)]
+    assert unread == []
+
+
+def test_every_error_class_is_raised():
+    """Each class in errors.py is raised by some library module, or is a
+    base class there, as ``MinusculeError`` is."""
+    raised, bases = set(), set()
+    for path in LIBRARY:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+            elif isinstance(node, ast.ClassDef):
+                bases.update(getattr(b, "id", getattr(b, "attr", None)) for b in node.bases)
+    classes = [node.name for node in ast.parse((INIT.parent / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)]
+    assert classes and [c for c in classes if c not in raised | bases] == []

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from minuscule import battery, kostka
 from minuscule.errors import EnumerationTooLarge, InvalidContent, OracleTooLarge, SizeMismatch
 from minuscule.kostka import (
-    _charge,
     _charge_counts,
     _pruned_terms,
     _q_count,
@@ -230,7 +229,7 @@ def test_charge_route_matches_alternating_sum(case):
 def test_carried_charge_is_the_charge_of_each_reading_word(case):
     shape, content = case
     content = tuple(sorted((c for c in content if c), reverse=True))
-    expected = collections.Counter(_charge(reading_word(rows))
+    expected = collections.Counter(charge(reading_word(rows))
                                    for rows in recursive_column_strict_tableaux(shape, content))
     assert _charge_counts(shape, content) == expected
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from minuscule import battery, tableaux
 from minuscule.errors import AlgorithmInvariantViolated, InvalidTableau, TypeMismatch
 from minuscule.paths import LittelmannPath, WeightSequence, enumerate_paths
-from minuscule.rootsys import build_root_system
+from minuscule.rootsys import build_root_system, weyl_orbit
 from minuscule.tableaux import (
     RowStrictTableau,
     path_to_tableau,
@@ -109,13 +109,18 @@ class TestPathBijection:
         with pytest.raises(AlgorithmInvariantViolated):
             path_to_tableau(bad)
 
-    def test_a_step_that_lifts_to_no_row_set_is_caught(self):
-        # (2,) is in no A1 orbit: with one box its rows do not sum up, and
-        # with two they are the vector (2, 0)
-        with pytest.raises(AlgorithmInvariantViolated, match="does not lift"):
-            tableaux._lift_rows((2,), 1, 2)
-        with pytest.raises(AlgorithmInvariantViolated, match="is not a 0/1 vector"):
-            tableaux._lift_rows((2,), 2, 2)
+    @pytest.mark.parametrize("rank", range(1, 10))
+    def test_the_lift_table_covers_exactly_the_weyl_orbit(self, rank):
+        # built forward from row sets, the table's steps are checked here
+        # against the orbit that rootsys finds by reflections
+        rs = build_root_system("A", rank)
+        for k in range(1, rank + 1):
+            lam = rs.fundamental_weight(k)
+            table = tableaux._lift_table(rs, lam)
+            assert set(table) == set(weyl_orbit(rs, lam))
+            for rows in table.values():
+                assert len(rows) == k and list(rows) == sorted(set(rows))
+                assert 0 <= rows[0] and rows[-1] <= rank
 
     @pytest.mark.parametrize("seq", TYPE_A_SEQUENCES)
     def test_round_trip(self, seq):
