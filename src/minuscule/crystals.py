@@ -102,12 +102,15 @@ class TensorCrystalElement(FrozenRecord):
         """Build without checks: ``factors`` is a tuple of weight tuples, one
         per entry of ``seq``, each already in the orbit of its type."""
         b = object.__new__(cls)
-        object.__setattr__(b, "seq", seq)
-        object.__setattr__(b, "factors", factors)
+        _set_seq(b, seq)
+        _set_factors(b, factors)
         return b
 
     def to_json_dict(self):
         return {"factors": [list(f) for f in self.factors]}
+
+
+_set_seq, _set_factors = TensorCrystalElement._setters
 
 
 def _string(factors, j: int):

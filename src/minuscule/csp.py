@@ -67,18 +67,24 @@ def _check_lattice(seq: WeightSequence) -> None:
         raise NotInRootLattice("total weight outside the root lattice; the instance is empty")
 
 
-def _type_a_content(seq: WeightSequence) -> tuple[int, ...]:
+def _type_a_content(seq: WeightSequence, refusal: str) -> tuple[int, ...]:
+    """The content (i_1..i_m) of a type-A sequence; outside type A a
+    ``TypeMismatch`` whose message is ``refusal`` and the root system."""
     if seq.rs.family != "A":
-        raise TypeMismatch(f"no automatic sieving polynomial for {seq.rs}")
+        raise TypeMismatch(f"{refusal} {seq.rs}")
     return tuple(w.index(1) + 1 for w in seq.weights)
+
+
+_NO_POLYNOMIAL = "no automatic sieving polynomial for"
 
 
 def exponent_identity(seq: WeightSequence) -> tuple[int, int]:
     """Both sides of n * sum(i_j) - sum(i_j^2) = <total, 2 rho_vee> for a
     type-A sequence of content (i_1..i_m), computed independently.  When
     sum(i_j) = n*b the left side is n^2 b - sum(i_j^2), twice the q-power
-    of the sieving polynomial."""
-    content = _type_a_content(seq)
+    of the sieving polynomial.  Outside type A there is no content, and the
+    refusal is a ``TypeMismatch`` that names the identity."""
+    content = _type_a_content(seq, "the exponent identity needs type-A content, got")
     n = seq.rs.rank + 1
     return (n * sum(content) - sum(i * i for i in content),
             two_rho_pairing(seq.rs, seq.total()))
@@ -93,7 +99,7 @@ def type_a_csp_polynomial(seq: WeightSequence) -> IntPolynomial:
     both and they are compared.  Outside type A, a total outside the root
     lattice and a failed exponent identity are refused before any search.
     """
-    content = _type_a_content(seq)
+    content = _type_a_content(seq, _NO_POLYNOMIAL)
     _check_lattice(seq)
     n = seq.rs.rank + 1
     exponent2, pairing = exponent_identity(seq)
@@ -150,7 +156,7 @@ def csp_check(seq: WeightSequence, ell: int, poly: IntPolynomial | None = None) 
     if poly is not None and not isinstance(poly, IntPolynomial):
         raise TypeError(f"the polynomial must be an IntPolynomial, got {poly!r}")
     if poly is None:
-        _type_a_content(seq)
+        _type_a_content(seq, _NO_POLYNOMIAL)
     _check_lattice(seq)
     structure = orbit_structure(seq, ell)
     if poly is None:

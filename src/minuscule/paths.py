@@ -2,7 +2,7 @@
 
 A path is stored as its list of points (the origin is implicit), because
 rotation manipulates points, not steps; ``_steps`` reads the steps off
-them for validation, ``path_bijection`` and ``path_to_tableau`` alike.
+them for validation and ``path_bijection`` alike.
 
 Validation happens once, where data enters: the public ``LittelmannPath``
 constructor checks the shape of the input (a list of points of exactly
@@ -23,8 +23,8 @@ replaces:
 * ``succ``: a dominant point -> {each dominant point one step in
   W.lambda away: that step's pairing with 2 rho_vee}, in the order the
   enumeration stack pops them.  Enumeration expands a point through it,
-  and rotation checks each output step against it: a step of lambda
-  onto a dominant point is exactly a key of ``succ[prev]``;
+  and rotation checks each output step against it, inline: a step of
+  lambda onto a dominant point is exactly a key of ``succ[prev]``;
 * ``carry``: (dominant point beta, shift id s) -> (the point beta + s
   straightened, the shift carried on), where shift ids index the orbit
   of -lambda.  By the stabilizer lemma the straightening word of
@@ -181,8 +181,8 @@ class WeightSequence(FrozenRecord):
         """Build without checks: ``weights`` is a non-empty tuple of weight
         tuples, each a dominant minuscule weight of ``rs``."""
         seq = object.__new__(cls)
-        object.__setattr__(seq, "rs", rs)
-        object.__setattr__(seq, "weights", weights)
+        _set_rs(seq, rs)
+        _set_weights(seq, weights)
         return seq
 
     def __len__(self):
@@ -198,6 +198,9 @@ class WeightSequence(FrozenRecord):
 
     def total(self) -> Weight:
         return tuple(map(sum, zip(*self.weights)))
+
+
+_set_rs, _set_weights = WeightSequence._setters
 
 
 class LittelmannPath(FrozenRecord):
@@ -235,8 +238,8 @@ class LittelmannPath(FrozenRecord):
         entry of ``seq``, every step in its orbit, dominant throughout and
         back at the origin."""
         p = object.__new__(cls)
-        object.__setattr__(p, "seq", seq)
-        object.__setattr__(p, "points", points)
+        _set_seq(p, seq)
+        _set_points(p, points)
         return p
 
     def to_json_dict(self):
@@ -244,6 +247,9 @@ class LittelmannPath(FrozenRecord):
             "type": [list(w) for w in self.seq.weights],
             "points": [list(p) for p in self.points],
         }
+
+
+_set_seq, _set_points = LittelmannPath._setters
 
 
 def enumerate_paths(seq: WeightSequence, cap: int = DEFAULT_PATH_CAP) -> tuple[LittelmannPath, ...]:
@@ -328,11 +334,12 @@ def rotate_all(paths, k: int = 1) -> list[LittelmannPath]:
     L is 0; as output point i depends only on input points 0..i+1, the
     output points before the restart are the previous path's, and the
     restart point is the L of the next level.  Every point the level
-    computes is checked by ``_check_step``: its step from the output point
+    computes is checked in the loop: its step from the output point
     before it must be a key of that point's ``succ`` entry, that is, a
     step of its weight onto a dominant point.  The step into the origin,
-    which closes the path, is checked the same way.  A failure is an
-    ``AlgorithmInvariantViolated`` that names the input path.
+    which closes the path, is checked the same way.  Only a failed check
+    calls ``_check_step``, which raises an ``AlgorithmInvariantViolated``,
+    named with the input path.
     """
     if type(k) is not int or k < 0:
         raise ValueError(f"the number of rotations must be an int of at least 0, got {k!r}")
@@ -350,7 +357,8 @@ def rotate_all(paths, k: int = 1) -> list[LittelmannPath]:
         t = tables[weights[j % m]]
         r = (j + 1) % m
         checks = [tables[lam] for lam in weights[r:] + weights[:r]]
-        levels.append((t.carry, t.carried, t.shift_id, checks, [zero] * m, [0] * m))
+        succs = [c.succ for c in checks]
+        levels.append((t.carry, t.carried, t.shift_id, checks, succs, [zero] * m, [0] * m))
     target = seq.rotated(k)
     out = []
     prev = None
@@ -367,20 +375,23 @@ def rotate_all(paths, k: int = 1) -> list[LittelmannPath]:
                 while agree < m and pts[agree] == prev[agree]:
                     agree += 1
             prev = pts
-            for level, (carry, carried, shift_id, checks, flat, kept) in enumerate(levels):
+            for level, (carry, carried, shift_id, checks, succs, flat, kept) in enumerate(levels):
                 if agree:
                     start = agree - 1
                     s = kept[start]
                 else:
                     start = 0
                     s = shift_id[_sub(zero, pts[0])]
+                back = flat[start - 1] if start else zero
                 for i in range(start, m - 1):
                     beta = pts[i + 1]
                     kept[i] = s
                     q, s = carry[s].get(beta) or carried(beta, s)
-                    _check_step(checks[i], flat[i - 1] if i else zero, q)
-                    flat[i] = q
-                _check_step(checks[m - 1], flat[m - 2] if m > 1 else zero, zero)
+                    if q not in (succs[i].get(back) or checks[i].successors(back)):
+                        _check_step(checks[i], back, q)
+                    flat[i] = back = q
+                if zero not in (succs[-1].get(back) or checks[-1].successors(back)):
+                    _check_step(checks[-1], back, zero)
                 pts = flat
                 # output points before start are the previous path's
                 agree = start
@@ -393,7 +404,8 @@ def rotate_all(paths, k: int = 1) -> list[LittelmannPath]:
 
 def _check_step(t: _PathTables, prev, point):
     """Pass when ``point`` is dominant and one step of ``t.lam`` from the
-    dominant point ``prev``: a key of ``t.succ[prev]``."""
+    dominant point ``prev``: a key of ``t.succ[prev]``.  ``rotate_all``
+    makes the same test inline and calls this only to raise."""
     if point not in (t.succ.get(prev) or t.successors(prev)):
         raise AlgorithmInvariantViolated(
             f"step from {prev} into {point} is not a step of {t.lam} onto a dominant point")

@@ -8,6 +8,13 @@ class and equal field tuples; the tuple is read in C by one
 and refuses assignment with ``AttributeError``.  The repr has the form
 ``Name(field=value, ...)``, and a record pickles and copies through its
 constructor.
+
+Each field's slot is a member descriptor, and a record class binds the
+``__set__`` of each once, in ``__slots__`` order, as ``_setters``.  They
+set a slot past a refusing ``__setattr__``: ``_fill`` sets every field
+through them, and the unchecked ``_trusted`` constructors of the hot
+records bind them to module names and call them directly, in about half
+the time that ``object.__setattr__`` by name takes.
 """
 from __future__ import annotations
 
@@ -25,11 +32,12 @@ class Record:
         if names:
             get = operator.attrgetter(*names)
             cls._key = get if len(names) > 1 else staticmethod(lambda r: (get(r),))
+            cls._setters = tuple(getattr(cls, name).__set__ for name in names)
 
     def _fill(self, *values):
         """Set the fields in ``__slots__`` order, past any refusing ``__setattr__``."""
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        for put, value in zip(self._setters, values):
+            put(self, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

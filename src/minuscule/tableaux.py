@@ -16,17 +16,26 @@ orbit and that the rows fill a rectangle, and ``promote`` that every
 hole ends in the last column.
 
 ``promote`` is Schutzenberger's jeu de taquin driven by the holes the 1s
-leave, not by the values: one relabelling copy of the boxes, then each
-hole slides right or down to the last column, so only the cells on the
-holes' paths move.  It shares no code with path rotation, so the check
-that promotion is rotation through ``path_to_tableau`` stays a check.
+leave, not by the values: one relabelling copy of the boxes into a flat
+list, row after row, then each hole slides right or down to the last
+column, so only the cells on the holes' paths move.  A hole knows the
+flat index of its row's last box, so a step right never wraps into the
+next row, and the rows are cut back out of the list by ``zip``.  It
+shares no code with path rotation, so the check that promotion is
+rotation through ``path_to_tableau`` stays a check.
 
 ``path_to_tableau`` lifts steps through a table per (root system,
 weight omega_k), built once and forward: for each k-subset S of the n
 rows it maps the step of an entry landing in S, the weight whose i-th
 coordinate is [i in S] - [i+1 in S], to S.  These steps are the Weyl
 orbit of omega_k, so a step missing from the table has left its orbit,
-which is an ``AlgorithmInvariantViolated``.
+which is an ``AlgorithmInvariantViolated``.  The path's points are
+looked up, not its steps: a memo per (root system, omega_k), the
+``lru_cache``d ``_lifts``, maps a point to {each point after it: the rows
+of that step}.  It is empty when built and lives as long as the process,
+as ``paths``' memos do.  Only the table fills it, on a miss, so every
+(point, point) pair not seen before is decided by the table, and a
+refused pair is never stored.
 """
 from __future__ import annotations
 
@@ -35,7 +44,7 @@ import itertools
 from types import MappingProxyType
 
 from .errors import AlgorithmInvariantViolated, InvalidTableau, TypeMismatch
-from .paths import LittelmannPath, WeightSequence, _int_lists, _steps
+from .paths import LittelmannPath, WeightSequence, _int_lists, _sub
 from .records import FrozenRecord
 from .rootsys import Weight, build_root_system
 
@@ -74,7 +83,7 @@ class RowStrictTableau(FrozenRecord):
         """Build without checks: ``rows`` is a non-empty rectangle of int
         tuples, rows strictly and columns weakly increasing."""
         t = object.__new__(cls)
-        object.__setattr__(t, "rows", rows)
+        _set_rows(t, rows)
         return t
 
     @property
@@ -83,6 +92,9 @@ class RowStrictTableau(FrozenRecord):
 
     def to_json_list(self):
         return [list(row) for row in self.rows]
+
+
+(_set_rows,) = RowStrictTableau._setters
 
 
 @functools.lru_cache(maxsize=None)
@@ -95,20 +107,44 @@ def _lift_table(rs, lam) -> MappingProxyType[Weight, tuple[int, ...]]:
     return MappingProxyType(table)  # cached and shared: read only
 
 
+# the memo saves about 10% of a `sieve` pass (BENCH_44.json)
+@functools.lru_cache(maxsize=None)
+def _lifts(rs, lam) -> dict[Weight, dict[Weight, tuple[int, ...]]]:
+    """The lift memo of ``rs`` and ``lam`` = omega_k, empty when built: a
+    point -> {each point one step of the orbit of ``lam`` after it: the
+    rows that step's entry lands in}.  Only ``_lift`` fills it."""
+    return {}
+
+
+def _lift(rs, lam, prev, point) -> tuple[int, ...]:
+    """The rows of the step from ``prev`` to ``point``, read from the
+    forward table and stored in the memo; a step missing from the table
+    has left its orbit, is refused and is never stored."""
+    rows = _lift_table(rs, lam).get(_sub(point, prev))
+    if rows is None:
+        raise AlgorithmInvariantViolated(f"step into {point} leaves the orbit of {lam}")
+    _lifts(rs, lam).setdefault(prev, {})[point] = rows
+    return rows
+
+
 def path_to_tableau(p: LittelmannPath) -> RowStrictTableau:
     """Record, for each step, the rows in which its entry lands."""
-    rs = p.seq.rs
+    seq = p.seq
+    rs = seq.rs
     if rs.family != "A":
         raise TypeMismatch(f"tableaux need type A, got {rs}")
     n = rs.rank + 1
     rows: list[list[int]] = [[] for _ in range(n)]
-    steps = zip(_steps(p.points), p.points, p.seq.weights)
-    for j, (step, point, lam) in enumerate(steps, start=1):
-        lifted = _lift_table(rs, lam).get(step)
-        if lifted is None:
-            raise AlgorithmInvariantViolated(f"step into {point} leaves the orbit of {lam}")
+    memos = {lam: _lifts(rs, lam) for lam in set(seq.weights)}
+    prev = rs.zero()
+    for j, (point, lam) in enumerate(zip(p.points, seq.weights), start=1):
+        try:
+            lifted = memos[lam][prev][point]
+        except KeyError:
+            lifted = _lift(rs, lam, prev, point)
         for r in lifted:
             rows[r].append(j)
+        prev = point
     if len({len(r) for r in rows}) != 1:
         raise AlgorithmInvariantViolated("path did not fill a rectangle")
     return RowStrictTableau._trusted(tuple(map(tuple, rows)))
@@ -158,26 +194,29 @@ def promote(t: RowStrictTableau) -> RowStrictTableau:
     old maximum ``top``, which exceeds every relabelled entry, so a hole
     stops where both of its neighbours read as ``top``.  The cost is one
     copy of the boxes plus one step per cell on each hole's path, at most
-    k * (n + b) for k holes in an n x b rectangle, whatever the values."""
+    k * (n + b) for k holes in an n x b rectangle, whatever the values.
+    The boxes sit in one flat list, box (r, c) at index r * b + c."""
     rows = t.rows
     top = rows[-1][-1]  # rows strictly, columns weakly increasing
-    grid = [[x - 1 for x in row] for row in rows]
-    bottom, last = len(grid) - 1, len(grid[0]) - 1
-    for r in range([row[0] for row in rows].count(1) - 1, -1, -1):
-        row, c = grid[r], 0
+    b = len(rows[0])
+    flat = [x - 1 for x in itertools.chain.from_iterable(rows)]
+    bottom = len(flat) - b  # the flat index of the bottom row's first box
+    # each hole starts at flat index i in column 0, where a 1 was
+    for i in range(flat[::b].count(0) * b - b, -1, -b):
+        end = i + b - 1  # the last box of the hole's row
         while True:
-            right = row[c + 1] if c < last else top
-            below = grid[r + 1][c] if r < bottom else top
+            right = flat[i + 1] if i < end else top
+            below = flat[i + b] if i < bottom else top
             if right <= below:
                 if right == top:
                     break
-                row[c] = right
-                c += 1
+                flat[i] = right
+                i += 1
             else:
-                row[c] = below
-                r += 1
-                row = grid[r]
-        if c != last:
+                flat[i] = below
+                i += b
+                end += b
+        if i != end:
             raise AlgorithmInvariantViolated("gaps did not migrate to the last column")
-        row[c] = top
-    return RowStrictTableau._trusted(tuple(map(tuple, grid)))
+        flat[i] = top
+    return RowStrictTableau._trusted(tuple(zip(*[iter(flat)] * b)))

@@ -107,6 +107,16 @@ class TestTypeAPolynomial:
                     doubled, pairing = exponent_identity(WeightSequence(rs, (lam,) * m))
                     assert doubled == pairing == m * i * (rs.rank + 1 - i)
 
+    def test_exponent_identity_outside_type_a_names_the_identity(self):
+        (d4,) = [seq for seq in battery.standard_battery() if seq.rs.family == "D"]
+        assert str(d4.rs) == "D4" and d4.weights == (d4.rs.fundamental_weight(1),) * 4
+        with pytest.raises(TypeMismatch) as caught:
+            exponent_identity(d4)
+        assert str(caught.value) == "the exponent identity needs type-A content, got D4"
+        # the automatic polynomial keeps its own refusal
+        with pytest.raises(TypeMismatch, match="^no automatic sieving polynomial for D4$"):
+            type_a_csp_polynomial(d4)
+
     def test_one_exponent_identity_serves_polynomial_and_suite(self, monkeypatch):
         monkeypatch.setattr(csp, "exponent_identity", lambda seq: (2, 0))
         with pytest.raises(AlgorithmInvariantViolated):

@@ -163,3 +163,13 @@ def test_trusted_records_equal_the_checked_ones(cls, args):
     trusted = cls._trusted(*normalised)
     assert trusted == checked and hash(trusted) == hash(checked)
     assert trusted.__class__ is cls and not hasattr(trusted, "__dict__")
+    # the slots were set through their descriptors, past the refusing
+    # __setattr__, which still guards the record afterwards
+    name = cls.__slots__[-1]
+    with pytest.raises(AttributeError):
+        setattr(trusted, name, getattr(checked, name))
+    with pytest.raises(AttributeError):
+        delattr(trusted, name)
+    assert trusted == checked
+    for clone in (pickle.loads(pickle.dumps(trusted)), copy.copy(trusted)):
+        assert clone == checked and clone.__class__ is cls

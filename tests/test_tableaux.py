@@ -1,4 +1,5 @@
 import collections
+import functools
 
 import pytest
 from hypothesis import given, settings
@@ -102,6 +103,41 @@ class TestPathBijection:
         bad = LittelmannPath._trusted(WeightSequence(A1, (W,) * 4), ((1,), (1,), (0,), (0,)))
         with pytest.raises(AlgorithmInvariantViolated):
             path_to_tableau(bad)
+
+    def test_a_refused_step_is_never_stored(self, monkeypatch):
+        # a fresh memo, filled by every A1 (omega_1)^4 path
+        monkeypatch.setattr(tableaux, "_lifts", functools.lru_cache(maxsize=None)(
+            tableaux._lifts.__wrapped__))
+        seq = WeightSequence(A1, (W,) * 4)
+        for p in enumerate_paths(seq):
+            path_to_tableau(p)
+        memo = tableaux._lifts(A1, W)
+        assert memo
+        # the planted paths of test_step_outside_its_orbit_is_caught: the
+        # second meets a refused pair after a stored one
+        for points, (prev, point) in ((((2,), (1,), (1,), (0,)), ((0,), (2,))),
+                                      (((1,), (1,), (0,), (0,)), ((1,), (1,)))):
+            bad = LittelmannPath._trusted(seq, points)
+            for _ in range(2):
+                with pytest.raises(AlgorithmInvariantViolated, match="leaves the orbit"):
+                    path_to_tableau(bad)
+            assert point not in memo.get(prev, {})
+
+    def test_the_lift_memo_agrees_with_the_table(self, monkeypatch):
+        monkeypatch.setattr(tableaux, "_lifts", functools.lru_cache(maxsize=None)(
+            tableaux._lifts.__wrapped__))
+        cases = [seq for seq in battery.standard_battery() if seq.rs.family == "A"]
+        for seq in cases:
+            for p in enumerate_paths(seq):
+                path_to_tableau(p)
+        stored = 0
+        for rs, lam in {(seq.rs, lam) for seq in cases for lam in seq.weights}:
+            table = tableaux._lift_table(rs, lam)
+            for prev, nexts in tableaux._lifts(rs, lam).items():
+                for point, rows in nexts.items():
+                    assert rows == table[tuple(a - b for a, b in zip(point, prev))]
+                    stored += 1
+        assert stored
 
     def test_path_that_fills_no_rectangle_is_caught(self):
         # every step is in its orbit, but both entries land in the first row
@@ -233,6 +269,10 @@ class TestPromotionProperties:
         (((1,), (1,), (2,)), ((1,), (2,), (2,))),  # one column: only down
         (((2, 3), (4, 5)), ((1, 2), (3, 4))),  # no 1: no hole, every entry relabelled
         (((1, 2), (1, 3)), ((1, 3), (2, 3))),  # repeats down a column
+        # the hole of row 0 moves down and settles in row 1's last box, where
+        # flat index + 1 is row 2's first box: a read that wraps fails here
+        pytest.param(((1, 2, 3), (1, 4, 5), (2, 6, 7)), ((1, 2, 4), (1, 3, 7), (5, 6, 7)),
+                     id="hole-settles-at-the-end-of-a-row-above-the-bottom"),
     ])
     def test_fixed_cases(self, rows, promoted):
         t = RowStrictTableau(rows)
