@@ -60,8 +60,9 @@ their steps first differ at k too and compare there as the points do.
 
 Validation happens once, where data enters: the public
 ``TensorCrystalElement`` constructor checks that it gets a list of
-``int`` weights, one per factor, each in the ``orbit`` of its path
-tables, not a memo.  Operators, strings, the ascent and the commutor
+``int`` weights, one per factor, each in the cached ``weyl_orbit`` of its
+type, and fills the element once they pass; no path memo is built or
+read.  Operators, strings, the ascent and the commutor
 only ever reflect factors that are already in their orbits, and a path's
 steps were checked when it was built, so they and ``path_bijection``
 build their results with the unchecked ``TensorCrystalElement._trusted``.
@@ -73,7 +74,7 @@ import operator
 
 from .errors import AlgorithmInvariantViolated, InvalidIndex, InvalidPath, NotInvariant
 from .paths import DEFAULT_PATH_CAP, LittelmannPath, WeightSequence, enumerate_paths
-from .paths import _add, _int_lists, _steps, _tables
+from .paths import _add, _int_lists, _steps
 from .records import FrozenRecord
 from .rootsys import Weight, _check_index, weyl_orbit
 
@@ -84,18 +85,15 @@ class TensorCrystalElement(FrozenRecord):
     __slots__ = ("seq", "factors")
 
     def __init__(self, seq: WeightSequence, factors: tuple[Weight, ...]):
-        self._fill(seq, factors)
-        self._validate()
-
-    def _validate(self):
-        if not _int_lists(self.factors):
-            raise InvalidPath(f"factors must be a list of int weights, not {self.factors!r}")
-        object.__setattr__(self, "factors", tuple(tuple(f) for f in self.factors))
-        if len(self.factors) != len(self.seq):
+        if not _int_lists(factors):
+            raise InvalidPath(f"factors must be a list of int weights, not {factors!r}")
+        factors = tuple(map(tuple, factors))
+        if len(factors) != len(seq):
             raise InvalidPath("factor count does not match the type sequence")
-        for f, lam in zip(self.factors, self.seq.weights):
-            if f not in _tables(self.seq.rs, lam).orbit:
+        for f, lam in zip(factors, seq.weights):
+            if f not in weyl_orbit(seq.rs, lam):
                 raise InvalidPath(f"factor {f} is not in the orbit of {lam}")
+        self._fill(seq, factors)
 
     @classmethod
     def _trusted(cls, seq: WeightSequence, factors: tuple[Weight, ...]):

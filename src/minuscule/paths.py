@@ -16,9 +16,8 @@ output exactly once, and a failure there is an
 Enumeration and rotation visit the same few thousand dominant points
 over and over, so each (root system, minuscule weight lambda) has one
 ``_PathTables`` (built by the ``lru_cache``d ``_tables`` on first use,
-nothing at import) holding the set ``orbit`` of W.lambda, fixed when
-built, and two memos, each filled on a miss by the exact computation it
-replaces:
+nothing at import) holding two memos, each filled on a miss by the exact
+computation it replaces:
 
 * ``succ``: a dominant point -> {each dominant point one step in
   W.lambda away: that step's pairing with 2 rho_vee}, in the order the
@@ -32,8 +31,11 @@ replaces:
   rotation is a walk on finitely many (point, shift) pairs.
 
 The validating constructors (``LittelmannPath``, ``TensorCrystalElement``)
-read ``orbit`` and neither read nor fill the memos: data from outside is
-tested step by step against its orbit, never taken on a memo's word.
+test each step or factor against the cached ``rootsys.weyl_orbit`` of its
+weight and neither build, read nor fill the path tables: data from
+outside is never taken on a memo's word.  Each checks and normalises its
+arguments first and fills its record once, so no record holds unchecked
+input.
 
 Rotation works on a whole set of paths of one type: ``rotate_all(paths,
 k)`` returns every path's k-fold rotation in one call, ``rotate`` is its
@@ -97,22 +99,20 @@ def _int_lists(data) -> bool:
 class _PathTables:
     """Lazily filled path memos of one minuscule weight ``lam`` over ``rs``.
 
-    ``orbit`` is the set W.lam, which is not a memo.  ``moves`` is the
-    steps of W.lam with their pairings with 2 rho_vee, reversed so they
-    pop from a stack in sorted order, and ``rise`` is the
+    ``moves`` is the steps of W.lam with their pairings with 2 rho_vee,
+    reversed so they pop from a stack in sorted order, and ``rise`` is the
     pairing of lam itself, the largest of them.  ``shifts`` is the sorted
     orbit of -lam and ``shift_id`` its index.  ``succ`` and ``carry`` (one
     dict per shift id, keyed on the point) are the memos of the module
     docstring.
     """
 
-    __slots__ = ("rs", "lam", "orbit", "rise", "moves", "shifts", "shift_id", "succ", "carry")
+    __slots__ = ("rs", "lam", "rise", "moves", "shifts", "shift_id", "succ", "carry")
 
     def __init__(self, rs, lam):
         self.rs = rs
         self.lam = lam
         orbit = weyl_orbit(rs, lam)
-        self.orbit = frozenset(orbit)
         # the orbit's steps are trusted, so they pair without a weight check
         covector = rs.two_rho_covector
         self.rise = sum(map(operator.mul, lam, covector))
@@ -163,18 +163,15 @@ class WeightSequence(FrozenRecord):
     __slots__ = ("rs", "weights")
 
     def __init__(self, rs: RootSystem, weights: tuple[Weight, ...]):
-        self._fill(rs, weights)
-        self._validate()
-
-    def _validate(self):
-        if not _int_lists(self.weights):
-            raise InvalidSequence(f"weights must be a list of int weights, not {self.weights!r}")
-        if len(self.weights) < 1:
+        if not _int_lists(weights):
+            raise InvalidSequence(f"weights must be a list of int weights, not {weights!r}")
+        if len(weights) < 1:
             raise InvalidSequence("weight sequence must be non-empty")
-        for w in self.weights:
-            if tuple(w) not in minuscule_weights(self.rs):
-                raise InvalidSequence(f"{w} is not a dominant minuscule weight of {self.rs}")
-        object.__setattr__(self, "weights", tuple(tuple(w) for w in self.weights))
+        # each weight is refused as it was given, a list printing as a list
+        for w in weights:
+            if tuple(w) not in minuscule_weights(rs):
+                raise InvalidSequence(f"{w} is not a dominant minuscule weight of {rs}")
+        self._fill(rs, tuple(map(tuple, weights)))
 
     @classmethod
     def _trusted(cls, rs: RootSystem, weights: tuple[Weight, ...]):
@@ -212,25 +209,21 @@ class LittelmannPath(FrozenRecord):
     __slots__ = ("seq", "points")
 
     def __init__(self, seq: WeightSequence, points: tuple[Weight, ...]):
-        self._fill(seq, points)
-        self._validate()
-
-    def _validate(self):
-        rank = self.seq.rs.rank
-        if not _int_lists(self.points) or any(len(p) != rank for p in self.points):
-            raise InvalidPath(f"points must be a list of points of {rank} int coordinates, "
-                              f"got {self.points!r}")
-        object.__setattr__(self, "points", tuple(tuple(p) for p in self.points))
-        if len(self.points) != len(self.seq):
+        rs = seq.rs
+        if not _int_lists(points) or any(len(p) != rs.rank for p in points):
+            raise InvalidPath(f"points must be a list of points of {rs.rank} int coordinates, "
+                              f"got {points!r}")
+        points = tuple(map(tuple, points))
+        if len(points) != len(seq):
             raise InvalidPath("point count does not match the type sequence")
-        rs = self.seq.rs
-        for step, point, lam in zip(_steps(self.points), self.points, self.seq.weights):
-            if step not in _tables(rs, lam).orbit:
+        for step, point, lam in zip(_steps(points), points, seq.weights):
+            if step not in weyl_orbit(rs, lam):
                 raise InvalidPath(f"step into {point} leaves the orbit of {lam}")
-        if min(map(min, self.points)) < 0:
+        if min(map(min, points)) < 0:
             raise InvalidPath("all points of the path must be dominant")
-        if any(self.points[-1]):
+        if any(points[-1]):
             raise InvalidPath("the path must end at the origin")
+        self._fill(seq, points)
 
     @classmethod
     def _trusted(cls, seq: WeightSequence, points: tuple[Weight, ...]):
@@ -337,9 +330,9 @@ def rotate_all(paths, k: int = 1) -> list[LittelmannPath]:
     computes is checked in the loop: its step from the output point
     before it must be a key of that point's ``succ`` entry, that is, a
     step of its weight onto a dominant point.  The step into the origin,
-    which closes the path, is checked the same way.  Only a failed check
-    calls ``_check_step``, which raises an ``AlgorithmInvariantViolated``,
-    named with the input path.
+    which closes the path, is checked the same way.  A failed check raises
+    the ``AlgorithmInvariantViolated`` that ``_bad_step`` words, named with
+    the input path.
     """
     if type(k) is not int or k < 0:
         raise ValueError(f"the number of rotations must be an int of at least 0, got {k!r}")
@@ -388,10 +381,10 @@ def rotate_all(paths, k: int = 1) -> list[LittelmannPath]:
                     kept[i] = s
                     q, s = carry[s].get(beta) or carried(beta, s)
                     if q not in (succs[i].get(back) or checks[i].successors(back)):
-                        _check_step(checks[i], back, q)
+                        raise _bad_step(checks[i].lam, back, q)
                     flat[i] = back = q
                 if zero not in (succs[-1].get(back) or checks[-1].successors(back)):
-                    _check_step(checks[-1], back, zero)
+                    raise _bad_step(checks[-1].lam, back, zero)
                 pts = flat
                 # output points before start are the previous path's
                 agree = start
@@ -402,13 +395,11 @@ def rotate_all(paths, k: int = 1) -> list[LittelmannPath]:
     return out
 
 
-def _check_step(t: _PathTables, prev, point):
-    """Pass when ``point`` is dominant and one step of ``t.lam`` from the
-    dominant point ``prev``: a key of ``t.succ[prev]``.  ``rotate_all``
-    makes the same test inline and calls this only to raise."""
-    if point not in (t.succ.get(prev) or t.successors(prev)):
-        raise AlgorithmInvariantViolated(
-            f"step from {prev} into {point} is not a step of {t.lam} onto a dominant point")
+def _bad_step(lam, prev, point) -> AlgorithmInvariantViolated:
+    """The error for a rotation step from ``prev`` into ``point`` that is
+    not a step of ``lam`` onto a dominant point."""
+    return AlgorithmInvariantViolated(
+        f"step from {prev} into {point} is not a step of {lam} onto a dominant point")
 
 
 def rotate(p: LittelmannPath) -> LittelmannPath:

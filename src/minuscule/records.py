@@ -14,7 +14,9 @@ Each field's slot is a member descriptor, and a record class binds the
 set a slot past a refusing ``__setattr__``: ``_fill`` sets every field
 through them, and the unchecked ``_trusted`` constructors of the hot
 records bind them to module names and call them directly, in about half
-the time that ``object.__setattr__`` by name takes.
+the time that ``object.__setattr__`` by name takes.  A validating
+constructor checks and normalises its arguments first and calls
+``_fill`` once they pass, so no record ever holds unchecked input.
 """
 from __future__ import annotations
 

@@ -8,7 +8,8 @@ boundary.
 
 Validation happens once, where data enters: the public
 ``RowStrictTableau`` constructor checks that it gets a list of rows of
-``int`` entries, the shape and strictness.  The tableau of a path and
+``int`` entries, the shape and strictness, and fills the tableau once
+they pass, so no tableau holds unchecked rows.  The tableau of a path and
 the promotion of a tableau are row-strict by construction, so they are
 built with the unchecked ``RowStrictTableau._trusted``;
 ``path_to_tableau`` still checks that every step is in its weight's
@@ -55,14 +56,9 @@ class RowStrictTableau(FrozenRecord):
     __slots__ = ("rows",)
 
     def __init__(self, rows: tuple[tuple[int, ...], ...]):
-        self._fill(rows)
-        self._validate()
-
-    def _validate(self):
-        if not _int_lists(self.rows):
-            raise InvalidTableau(f"a tableau is a list of rows of integers, not {self.rows!r}")
-        rows = tuple(tuple(row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
+        if not _int_lists(rows):
+            raise InvalidTableau(f"a tableau is a list of rows of integers, not {rows!r}")
+        rows = tuple(map(tuple, rows))
         if not rows or not rows[0]:
             raise InvalidTableau("tableau must have at least one box")
         b = len(rows[0])
@@ -77,6 +73,7 @@ class RowStrictTableau(FrozenRecord):
             col = [row[c] for row in rows]
             if any(a > d for a, d in zip(col, col[1:])):
                 raise InvalidTableau(f"column {c + 1} is not weakly increasing")
+        self._fill(rows)
 
     @classmethod
     def _trusted(cls, rows: tuple[tuple[int, ...], ...]):

@@ -240,8 +240,12 @@ class TestTableauCommands:
         assert code == 2 and "increasing" in err
 
     def test_promotion_that_breaks_its_invariant_exits_3(self, monkeypatch):
-        # with validation off, a grid that is not column-weak reaches promote
-        monkeypatch.setattr(tableaux.RowStrictTableau, "_validate", lambda self: None)
+        # with the unchecked builder in place of the validating constructor,
+        # a grid that is not column-weak reaches promote; the class is bound
+        # before the patch, or the builder would call itself
+        real = tableaux.RowStrictTableau
+        monkeypatch.setattr(tableaux, "RowStrictTableau",
+                            lambda rows: real._trusted(tuple(map(tuple, rows))))
         argv = ["tableau", "promote"]
         code, out, err = invoke(argv, text="[[1, 4], [5, 6], [2, 3]]")
         assert code == 3 and out == ""

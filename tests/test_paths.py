@@ -359,7 +359,44 @@ class TestStraightening:
                 tail = raise_once(A2, weights, tail)
 
 
+# For A1 a path of (omega_1)^2n is a Dyck path, and its rotation is the
+# rotation of its non-crossing matching (Petersen, Pylyavskyy and Rhoades,
+# "Promotion and cyclic sieving via webs", 2009).  This oracle reads bare
+# heights and shares no code with straightening.
+
+def matching(points):
+    """The non-crossing matching of a Dyck path given by its heights: each
+    up-step's 0-based label paired with the label of the down-step that
+    closes it."""
+    opened, pairs, height = [], set(), 0
+    for label, (h,) in enumerate(points):
+        if h > height:
+            opened.append(label)
+        else:
+            pairs.add(frozenset((opened.pop(), label)))
+        height = h
+    return frozenset(pairs)
+
+
+def shift_labels(pairs, by, m):
+    """A matching on labels 0..m-1 with every label moved by ``by``, mod m."""
+    return frozenset(frozenset((i + by) % m for i in pair) for pair in pairs)
+
+
 class TestRotate:
+    def test_a1_rotation_rotates_the_matching(self):
+        count = 0
+        for m in range(2, 17, 2):
+            source = enumerate_paths(seq_a1(m))
+            pairs = [(matching(p.points), matching(q.points))
+                     for p, q in zip(source, rotate_all(source, 1))]
+            assert all(after == shift_labels(before, -1, m) for before, after in pairs)
+            # a control: the right shift tells some path apart from 6 steps on
+            right = all(after == shift_labels(before, 1, m) for before, after in pairs)
+            assert right == (m < 6)
+            count += len(source)
+        assert count == 2055  # the Catalan numbers C_1 + ... + C_8
+
     def test_spec_values(self):
         p1, p2 = enumerate_paths(seq_a1(4))
         assert rotate(p1).points == ((1,), (2,), (1,), (0,))

@@ -1,10 +1,14 @@
 """The record classes: constructors, equality, hashing, immutability and
 validation, as the package's callers rely on them."""
+import ast
 import copy
+import pathlib
 import pickle
 
 import pytest
 
+import minuscule
+from minuscule import crystals, paths
 from minuscule.battery import SuiteResult
 from minuscule.crystals import TensorCrystalElement
 from minuscule.csp import CSPInstance, CSPReport
@@ -132,23 +136,70 @@ def test_pickle_and_copy_keep_a_record(cls):
         assert clone == record and clone.__class__ is cls
 
 
-@pytest.mark.parametrize("cls,args,error", [
-    (WeightSequence, (A2, ((1, 1),)), InvalidSequence),
-    (WeightSequence, (A2, ()), InvalidSequence),
-    (WeightSequence, (A2, [[1.0, 0]]), InvalidSequence),
-    (LittelmannPath, (SEQ, ((1, 0), (1, 1))), InvalidPath),
-    (LittelmannPath, (SEQ, ((1, 0),)), InvalidPath),
-    (LittelmannPath, (SEQ, [[1, 0], [0, True]]), InvalidPath),
-    (TensorCrystalElement, (SEQ, ((1, 0), (1, 0))), InvalidPath),
-    (TensorCrystalElement, (SEQ, ((1, 0),)), InvalidPath),
-    (TensorCrystalElement, (SEQ, "ab"), InvalidPath),
-    (RowStrictTableau, ([[2, 1]],), InvalidTableau),
-    (RowStrictTableau, ([[1, 4], [5, 6], [2, 3]],), InvalidTableau),
-    (RowStrictTableau, ([],), InvalidTableau),
-], ids=lambda x: x.__name__ if isinstance(x, type) else "")
-def test_the_public_constructors_validate(cls, args, error):
-    with pytest.raises(error):
+# each refusal with its exact message; a weight given as a list is
+# refused as it was given, so the list row prints [0, 0], not (0, 0)
+REFUSALS = [
+    (WeightSequence, (A2, ((1, 1),)), InvalidSequence,
+     "(1, 1) is not a dominant minuscule weight of A2"),
+    (WeightSequence, (A2, ()), InvalidSequence, "weight sequence must be non-empty"),
+    (WeightSequence, (A2, [[1.0, 0]]), InvalidSequence,
+     "weights must be a list of int weights, not [[1.0, 0]]"),
+    (WeightSequence, (A2, [[1, 0], [0, 0]]), InvalidSequence,
+     "[0, 0] is not a dominant minuscule weight of A2"),
+    (LittelmannPath, (SEQ, ((1, 0), (1, 1))), InvalidPath, "the path must end at the origin"),
+    (LittelmannPath, (SEQ, ((1, 0),)), InvalidPath,
+     "point count does not match the type sequence"),
+    (LittelmannPath, (SEQ, [[1, 0], [0, True]]), InvalidPath,
+     "points must be a list of points of 2 int coordinates, got [[1, 0], [0, True]]"),
+    (TensorCrystalElement, (SEQ, ((1, 0), (1, 0))), InvalidPath,
+     "factor (1, 0) is not in the orbit of (0, 1)"),
+    (TensorCrystalElement, (SEQ, ((1, 0),)), InvalidPath,
+     "factor count does not match the type sequence"),
+    (TensorCrystalElement, (SEQ, "ab"), InvalidPath,
+     "factors must be a list of int weights, not 'ab'"),
+    (RowStrictTableau, ([[2, 1]],), InvalidTableau, "row (2, 1) is not strictly increasing"),
+    (RowStrictTableau, ([[1, 4], [5, 6], [2, 3]],), InvalidTableau,
+     "column 1 is not weakly increasing"),
+    (RowStrictTableau, ([],), InvalidTableau, "tableau must have at least one box"),
+]
+
+
+@pytest.mark.parametrize("cls,args,error,message", REFUSALS,
+                         ids=[f"{cls.__name__}--{error.__name__}" for cls, _, error, _ in REFUSALS])
+def test_the_public_constructors_validate(cls, args, error, message):
+    with pytest.raises(error) as caught:
         cls(*args)
+    assert str(caught.value) == message
+
+
+def test_only_records_sets_slots_past_the_refusal():
+    # a validating constructor checks its arguments, then fills once: no
+    # module overwrites a slot through object.__setattr__
+    calls = []
+    for source in sorted(pathlib.Path(minuscule.__file__).parent.glob("*.py")):
+        if source.name == "records.py":
+            continue
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "__setattr__"
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "object"):
+                calls.append(f"{source.name}:{node.lineno}")
+    assert calls == []
+
+
+def test_validation_builds_no_path_tables(monkeypatch):
+    # data from outside is tested against the Weyl orbit, never taken on a
+    # memo's word, so validating builds and reads no path tables
+    calls = []
+    for module in (paths, crystals):
+        if hasattr(module, "_tables"):
+            real = module._tables
+            monkeypatch.setattr(module, "_tables",
+                                lambda rs, lam, real=real: calls.append(lam) or real(rs, lam))
+    seq = WeightSequence(A2, [[1, 0], [0, 1]])
+    LittelmannPath(seq, [[1, 0], [0, 0]])
+    TensorCrystalElement(seq, [[1, 0], [0, 1]])
+    assert calls == []
 
 
 @pytest.mark.parametrize("cls,args", [
